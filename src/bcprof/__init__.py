@@ -38,6 +38,8 @@ from .tree_core import (
     diameter,
     path_counts_fast,
     path_counts_naive,
+    path_length_counts,
+    prefix_sums,
     profile,
     read_tree,
     write_tree,

@@ -42,10 +42,13 @@ from .verify import CHECK_NAMES, run_check
 
 
 def _parse_ints(parts: list[str], spec: str) -> list[int]:
-    try:
-        return [int(p) for p in parts]
-    except ValueError:
-        raise BadSpecError(f"non-integer argument in family spec {spec!r}")
+    values = []
+    for p in parts:
+        try:
+            values.append(int(p))
+        except ValueError:
+            raise BadSpecError(f"non-integer {p!r} in {spec!r}") from None
+    return values
 
 
 def build_family(spec: str, seed: int):
@@ -180,7 +183,10 @@ def cmd_expect(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    grid = tuple(int(x) for x in args.grid.split(",")) if args.grid else default_grid(args.which)
+    if args.grid:
+        grid = tuple(_parse_ints(args.grid.split(","), args.grid))
+    else:
+        grid = default_grid(args.which)
     cfg = ExperimentConfig(
         which=args.which,
         grid=grid,

@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
 
-import numpy as np
-
 from . import __version__
 from .errors import BadSpecError, OutOfRangeError
 from .profile_analysis import count_crossings, is_monotone
 from .scale_free import sample_tree, substream_seed
+from .tree_core import counts_through_vertex, path_length_counts, prefix_sums
 
 EXPERIMENT_KINDS = (
     "no_cross_12_vs_n",
@@ -70,55 +69,23 @@ def default_grid(which: str) -> tuple[int, ...]:
     return DEFAULT_N_GRID if which.endswith("_vs_n") else DEFAULT_I_GRID
 
 
-def _distance_matrix(parents: tuple[int, ...], n: int) -> np.ndarray:
-    """All-pairs hop distances, built incrementally in attachment order."""
-    D = np.zeros((n, n), dtype=np.int32)
-    for t in range(2, n + 1):
-        p = parents[t - 2]
-        row = D[p - 1, : t - 1] + 1
-        D[t - 1, : t - 1] = row
-        D[: t - 1, t - 1] = row
-    return D
-
-
-def _prefix_counts(D: np.ndarray, vertices: tuple[int, ...]):
-    """(P_k array, {v: P_k(v) array}) for k = 0..d, 0-based vertex ids."""
-    n = D.shape[0]
-    iu = np.triu_indices(n, 1)
-    dvals = D[iu]
-    d = int(dvals.max())
-    weights = np.arange(d + 1) >= 2
-    hist = np.bincount(dvals, minlength=d + 1)
-    Pk = np.cumsum(np.where(weights, hist, 0))
-    through = {}
-    for v in vertices:
-        on_path = (D[v][iu[0]] + D[v][iu[1]]) == dvals
-        sel = on_path & (iu[0] != v) & (iu[1] != v)
-        hist_v = np.bincount(dvals[sel], minlength=d + 1)
-        through[v] = np.cumsum(np.where(weights, hist_v, 0))
-    return Pk, through
-
-
 def _trial_indicator(which: str, x: int, fixed_n: int, seed: int, trial: int) -> bool:
     rng = random.Random(substream_seed(seed, (x << 24) + trial))
     n = x if which.endswith("_vs_n") else fixed_n
-    rec = sample_tree(n, rng)
-    D = _distance_matrix(rec.parents, n)
+    t = sample_tree(n, rng).tree()
+    p = path_length_counts(t)
+    d = len(p) - 1
     if which == "no_cross_12_vs_n":
         u, w = 0, 1
     elif which == "no_cross_ii1_vs_i":
         u, w = x - 1, x
     else:
         u, w = (0, None) if which == "monotone_1_vs_n" else (x - 1, None)
+    seq_u = prefix_sums(counts_through_vertex(t, u), d)[2:]
     if w is not None:
-        _, through = _prefix_counts(D, (u, w))
-        seq_u = tuple(int(c) for c in through[u][2:])
-        seq_w = tuple(int(c) for c in through[w][2:])
+        seq_w = prefix_sums(counts_through_vertex(t, w), d)[2:]
         return count_crossings(seq_u, seq_w).count == 0
-    Pk, through = _prefix_counts(D, (u,))
-    bc = tuple(
-        Fraction(int(pv), int(pk)) for pv, pk in zip(through[u][2:], Pk[2:])
-    )
+    bc = tuple(Fraction(pv, pk) for pv, pk in zip(seq_u, prefix_sums(p, d)[2:]))
     return is_monotone(bc)
 
 

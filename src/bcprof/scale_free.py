@@ -52,8 +52,12 @@ class RecursiveTree:
     parents: tuple[int, ...]
 
     def __post_init__(self):
-        assert len(self.parents) == self.n - 1
-        assert all(1 <= p < t for t, p in enumerate(self.parents, start=2))
+        if len(self.parents) != self.n - 1:
+            raise OutOfRangeError(
+                f"need {self.n - 1} parents for n={self.n}, got {len(self.parents)}"
+            )
+        if not all(1 <= p < t for t, p in enumerate(self.parents, start=2)):
+            raise OutOfRangeError(f"parents must satisfy 1 <= parents[t-2] < t: {self.parents}")
 
     def tree(self) -> Tree:
         edges = [(t - 1, p - 1) for t, p in enumerate(self.parents, start=2)]
@@ -239,7 +243,8 @@ def exact_expected_pk(n: int, v: int, k: int) -> Fraction:
     for seq in all_candidate_paths(n):
         if len(seq) == k + 1 and v in seq[1:-1]:
             by_paths += path_probability(signature_of_path(seq))
-    assert by_history == by_paths, (n, v, k, by_history, by_paths)
+    if by_history != by_paths:
+        raise AssertionError(f"n={n}, v={v}, k={k}: {by_history} by history, {by_paths} by paths")
     return by_history
 
 
@@ -256,7 +261,8 @@ def injection_case(sig: PathSignature, v: int) -> int:
             return 3
         return 4  # v+1 in L
     # v in path but not interior; v = b is impossible since v+1 < b
-    assert v == sig.a
+    if v != sig.a:
+        raise AssertionError(f"{v} is an endpoint of {sig} but not a")
     return 5 if sig.a == sig.c else 6
 
 

@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    BadSpecError,
     DiameterTooSmallError,
     DisconnectedError,
     DuplicateEdgeError,
@@ -23,9 +24,10 @@ from .errors import (
     WrongEdgeCountError,
 )
 
-# Above this vertex count the numpy convolutions inside path_counts_fast
-# could overflow int64; fall back to pure-Python big ints.
-_NUMPY_VERTEX_LIMIT = 100_000
+# The histograms counts_through_vertex convolves in numpy sum to fewer than
+# n vertices, so no coefficient exceeds n**2, which fits int64 for every n
+# below this bound.
+_INT64_VERTEX_LIMIT = 3_037_000_500
 
 
 @dataclass(frozen=True)
@@ -131,15 +133,23 @@ class PathCountTable:
         return self.Pkv[v][min(k, self.d)]
 
 
+def prefix_sums(counts: Sequence[int], d: int) -> list[int]:
+    """P[k] = sum of counts[l] over 2 <= l <= k, for k = 0..d.
+
+    Entries of counts past its end count as zero; entries past d are ignored.
+    """
+    tail = list(counts[2 : d + 1])
+    tail += [0] * (d - 1 - len(tail))
+    return [0, 0][: d + 1] + list(itertools.accumulate(tail))
+
+
 def _finish_table(d: int, p: list[int], pv: list[list[int]]) -> PathCountTable:
-    Pk = list(itertools.accumulate(p))
-    Pkv = tuple(tuple(itertools.accumulate(row)) for row in pv)
     return PathCountTable(
         d=d,
         p=tuple(p),
         pv=tuple(tuple(row) for row in pv),
-        Pk=tuple(Pk),
-        Pkv=Pkv,
+        Pk=tuple(prefix_sums(p, d)),
+        Pkv=tuple(tuple(prefix_sums(row, d)) for row in pv),
     )
 
 
@@ -198,34 +208,32 @@ def _branch_histograms(t: Tree, v: int) -> tuple[list[int], list[tuple[int, ...]
     return total, [tuple(h) for h in per_branch]
 
 
-def _self_conv(hist: Sequence[int], out_len: int, use_numpy: bool) -> list[int]:
-    if use_numpy:
-        arr = np.asarray(hist, dtype=np.int64)
-        conv = np.convolve(arr, arr)
-        return [int(x) for x in conv[:out_len]] + [0] * max(0, out_len - len(conv))
-    out = [0] * out_len
-    for a, ha in enumerate(hist):
-        if ha == 0:
-            continue
-        for b, hb in enumerate(hist):
-            if a + b >= out_len:
-                break
-            out[a + b] += ha * hb
-    return out
+def _check_int64_safe(t: Tree) -> None:
+    if t.n >= _INT64_VERTEX_LIMIT:
+        raise OutOfRangeError(
+            f"n={t.n} is too large: path counts need n < {_INT64_VERTEX_LIMIT}"
+        )
+
+
+def _self_conv(hist: Sequence[int], out_len: int) -> list[int]:
+    arr = np.asarray(hist, dtype=np.int64)
+    conv = np.convolve(arr, arr)
+    return [int(x) for x in conv[:out_len]] + [0] * max(0, out_len - len(conv))
 
 
 def _through_from_hists(
-    total: Sequence[int], branches: Sequence[tuple[int, ...]], use_numpy: bool
+    total: Sequence[int], branches: Sequence[tuple[int, ...]]
 ) -> list[int]:
     out_len = 2 * (len(total) - 1) + 1
-    conv_total = _self_conv(total, out_len, use_numpy)
+    conv_total = _self_conv(total, out_len)
     # Branches with identical histograms (e.g. many single leaves) are
     # convolved once and scaled.
     for hist, mult in Counter(branches).items():
-        conv_b = _self_conv(hist, out_len, use_numpy)
+        conv_b = _self_conv(hist, out_len)
         for l, c in enumerate(conv_b):
             conv_total[l] -= mult * c
-    assert all(c % 2 == 0 for c in conv_total)
+    if any(c % 2 for c in conv_total):
+        raise AssertionError("odd count of ordered cross-branch pairs")
     return [c // 2 for c in conv_total]
 
 
@@ -235,30 +243,55 @@ def counts_through_vertex(t: Tree, v: int) -> list[int]:
     Pairs the per-branch distance histograms: a path of length l through v
     picks one endpoint in each of two distinct branches at distances a+b=l.
     """
+    _check_int64_safe(t)
     total, branches = _branch_histograms(t, v)
-    return _through_from_hists(total, branches, t.n <= _NUMPY_VERTEX_LIMIT)
+    return _through_from_hists(total, branches)
+
+
+def path_length_counts(t: Tree) -> list[int]:
+    """p_l, the number of paths of length exactly l, for l = 0..d (zero below 2).
+
+    One bottom-up pass from root 0: each vertex keeps the depth histogram of
+    the part of its subtree merged so far, and every child's histogram,
+    shifted by its edge, pairs with it before being merged in. The pairings
+    cost at most one step per vertex pair, so plain integer loops beat
+    numpy's per-call overhead on the short histograms of bushy trees.
+    """
+    order, parent = [0], [-1] * t.n
+    for u in order:
+        for w in t.adj[u]:
+            if w != parent[u]:
+                parent[w] = u
+                order.append(w)
+    depth_hist: dict[int, list[int]] = {}
+    pairs = [0]
+    for u in reversed(order):
+        acc = [1]
+        for w in t.adj[u]:
+            if w == parent[u]:
+                continue
+            h = [0] + depth_hist.pop(w)
+            pairs += [0] * (len(acc) + len(h) - 1 - len(pairs))
+            for a, ca in enumerate(acc):
+                for l, ch in enumerate(h, a):
+                    pairs[l] += ca * ch
+            if len(h) > len(acc):
+                acc, h = h, acc
+            for l, c in enumerate(h):
+                acc[l] += c
+        depth_hist[u] = acc
+    # The longest pair histogram ends at the diameter; lengths 0 and 1 are
+    # not paths with an interior vertex.
+    return [0, 0][: len(pairs)] + pairs[2:]
 
 
 def path_counts_fast(t: Tree) -> PathCountTable:
     """Same table as path_counts_naive via per-vertex histogram pairing."""
-    n = t.n
-    d = diameter(t)
-    pair_counts = [0] * (d + 1)
-    pv = [[0] * (d + 1) for _ in range(n)]
-    use_numpy = n <= _NUMPY_VERTEX_LIMIT
-    for v in range(n):
-        total, branches = _branch_histograms(t, v)
-        for l, c in enumerate(total):
-            if l >= 1:
-                pair_counts[l] += c
-        through = _through_from_hists(total, branches, use_numpy)
-        row = pv[v]
-        for l in range(2, min(d, len(through) - 1) + 1):
-            row[l] = through[l]
-    p = [0] * (d + 1)
-    for l in range(2, d + 1):
-        assert pair_counts[l] % 2 == 0
-        p[l] = pair_counts[l] // 2
+    _check_int64_safe(t)
+    p = path_length_counts(t)
+    d = len(p) - 1
+    # Each row has 2*ecc(v) + 1 >= d + 1 entries, all zero past d.
+    pv = [counts_through_vertex(t, v)[: d + 1] for v in range(t.n)]
     return _finish_table(d, p, pv)
 
 
@@ -300,16 +333,22 @@ def all_profiles(t: Tree, table: PathCountTable | None = None) -> list[Profile]:
 
 def read_tree(lines: Iterable[str]) -> Tree:
     """Parse the tree file format: comments (#), vertex count, n-1 edges."""
-    data = [ln.strip() for ln in lines]
-    data = [ln for ln in data if ln and not ln.startswith("#")]
+    data = [(i, ln.strip()) for i, ln in enumerate(lines, start=1)]
+    data = [(i, ln) for i, ln in data if ln and not ln.startswith("#")]
     if not data:
         raise WrongEdgeCountError("empty tree file")
-    n = int(data[0])
-    edges = []
-    for ln in data[1:]:
-        a, b = ln.split()
-        edges.append((int(a), int(b)))
-    return build_tree(n, edges)
+    (n,) = _line_ints(*data[0], 1)
+    return build_tree(n, [tuple(_line_ints(i, ln, 2)) for i, ln in data[1:]])
+
+
+def _line_ints(lineno: int, line: str, count: int) -> list[int]:
+    try:
+        values = [int(x) for x in line.split()]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise BadSpecError(f"line {lineno}: expected {count} integer(s), got {line!r}")
+    return values
 
 
 def write_tree(t: Tree, comments: Sequence[str] = ()) -> str:

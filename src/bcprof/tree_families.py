@@ -19,7 +19,7 @@ from .errors import (
     OutOfTabulatedRangeError,
     SearchCapExceededError,
 )
-from .tree_core import Tree, build_tree, counts_through_vertex
+from .tree_core import Tree, build_tree, counts_through_vertex, prefix_sums
 
 SEARCH_CAP = 10**9
 
@@ -125,17 +125,12 @@ def _tell_build(l: int, a: list[int], b: list[int]) -> tuple[Tree, int, int]:
     return build_tree(nxt, edges), u, v
 
 
-def _pk_through(t: Tree, x: int, k: int) -> int:
-    counts = counts_through_vertex(t, x)
-    return sum(counts[2 : k + 1])
-
-
 def _tell_margin(l: int, a: list[int], b: list[int], k: int, side: str, slot: int, val: int) -> int:
     """P_k(u) - P_k(v) (side 'a') or P_k(v) - P_k(u) (side 'b') with a trial leaf count."""
     aa, bb = list(a), list(b)
     (aa if side == "a" else bb)[slot] = val
     t, u, v = _tell_build(l, aa, bb)
-    pu, pv = _pk_through(t, u, k), _pk_through(t, v, k)
+    pu, pv = (prefix_sums(counts_through_vertex(t, x), k)[k] for x in (u, v))
     return pu - pv if side == "a" else pv - pu
 
 
@@ -326,7 +321,8 @@ def closed_form_gij_Pk(i: int, j: int, r: int) -> tuple[int, int, int]:
         + 15 * j
         - 17
     )
-    assert base.denominator == 1
+    if base.denominator != 1:
+        raise AssertionError(f"P_k closed form is not an integer: {base}")
     first = int(base)
     inc1 = (9 * j - 3) * (i - r) + 6 * j - 18
     inc2 = (9 * j - 3) * (i - r) + 6 * j - 25

@@ -25,12 +25,11 @@ from .scale_free import (
     signature_of_path,
 )
 from .tree_core import (
-    Tree,
-    bfs_distances,
     counts_through_vertex,
-    diameter,
     path_counts_fast,
     path_counts_naive,
+    path_length_counts,
+    prefix_sums,
 )
 from .tree_families import (
     closed_form_gij_pk,
@@ -61,46 +60,12 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.cases)
+        """True when every case passed; a report with no cases checked nothing."""
+        return bool(self.cases) and all(c.passed for c in self.cases)
 
 
 def _case(name: str, ok: bool, detail: str = "") -> CheckCase:
     return CheckCase(name=name, passed=ok, detail="" if ok else detail)
-
-
-def _global_prefix_counts(t: Tree) -> tuple[int, list[int]]:
-    """(diameter, prefix sums P_k for k = 0..d) without per-vertex tables."""
-    d = diameter(t)
-    p = [0] * (d + 1)
-    for v in range(t.n):
-        for dist in bfs_distances(t, v):
-            if dist >= 2:
-                p[dist] += 1
-    # Each unordered pair was counted from both endpoints.
-    Pk = [0] * (d + 1)
-    acc = 0
-    for l in range(2, d + 1):
-        assert p[l] % 2 == 0
-        acc += p[l] // 2
-        Pk[l] = acc
-    return d, Pk
-
-
-def _through_prefix(t: Tree, v: int, d: int) -> list[int]:
-    """Prefix sums P_k(v) for k = 0..d."""
-    counts = counts_through_vertex(t, v)
-    Pkv = [0] * (d + 1)
-    acc = 0
-    for l in range(2, d + 1):
-        acc += counts[l] if l < len(counts) else 0
-        Pkv[l] = acc
-    return Pkv
-
-
-def _vertex_profile(t: Tree, v: int) -> tuple[Fraction, ...]:
-    d, Pk = _global_prefix_counts(t)
-    Pkv = _through_prefix(t, v, d)
-    return tuple(Fraction(Pkv[k], Pk[k]) for k in range(2, d + 1))
 
 
 def check_prop1(max_size: int = 200) -> CheckReport:
@@ -190,8 +155,9 @@ def check_theorem1(max_size: int = 10) -> CheckReport:
     cases = []
     for i in range(3, max_size + 1):
         t, v = make_gij(i, 5)
-        d, Pk = _global_prefix_counts(t)
-        Pkv = _through_prefix(t, v, d)
+        p = path_length_counts(t)
+        d = len(p) - 1
+        Pk, Pkv = prefix_sums(p, d), prefix_sums(counts_through_vertex(t, v), d)
         ok, detail = True, ""
         for r in range(2, i - 1):
             k = 6 * r + 2
@@ -214,9 +180,9 @@ def check_tell(max_size: int = 3, strategy: str = "minimal_search") -> CheckRepo
     cases = []
     for l in range(1, max_size + 1):
         t, u, v, _choice = make_tell(l, strategy=strategy)
-        d = diameter(t)
-        Pu = _through_prefix(t, u, d)
-        Pv = _through_prefix(t, v, d)
+        d = len(path_length_counts(t)) - 1
+        Pu = prefix_sums(counts_through_vertex(t, u), d)
+        Pv = prefix_sums(counts_through_vertex(t, v), d)
         ok, detail = True, ""
         for i in range(1, l):
             if not Pu[2 * i] > Pv[2 * i]:
@@ -235,19 +201,18 @@ def check_tell(max_size: int = 3, strategy: str = "minimal_search") -> CheckRepo
 
 def check_prop2(max_size: int | None = None) -> CheckReport:
     """Finite witnesses of the double-broom gap and the broom dominance."""
-    cases = []
+    profiles = []
+    for t, v in (make_double_broom(10, 1000), make_broom(1000, 50)):
+        p = path_length_counts(t)
+        d = len(p) - 1
+        Pk, Pkv = prefix_sums(p, d), prefix_sums(counts_through_vertex(t, v), d)
+        profiles.append([Fraction(Pkv[k], Pk[k]) for k in range(2, d + 1)])
+    double, broom = profiles
 
-    t, mid = make_double_broom(10, 1000)
-    prof = _vertex_profile(t, mid)
-    last = prof[-1]
-    ok = all(bc / last < Fraction(1, 10) for bc in prof[:-1])
-    cases.append(_case("double broom m=10, n=1000", ok, "ratio >= 1/10 at some k < d"))
-
-    t, center = make_broom(1000, 50)
-    prof = _vertex_profile(t, center)
-    last = prof[-1]
+    ok = all(bc / double[-1] < Fraction(1, 10) for bc in double[:-1])
+    cases = [_case("double broom m=10, n=1000", ok, "ratio >= 1/10 at some k < d")]
     # delta = 0.05: check k <= delta^2 * m = 2.5, i.e. k = 2.
-    ok = all(prof[k - 2] / last > 2 for k in (2,))
+    ok = all(broom[k - 2] / broom[-1] > 2 for k in (2,))
     cases.append(_case("broom m=1000, n=50", ok, "ratio <= 2 at k=2"))
 
     return CheckReport(check="prop2", cases=tuple(cases))

@@ -8,7 +8,7 @@ exposed by `bcprof verify`.
 import math
 from fractions import Fraction
 
-from bcprof import make_tell, diameter, counts_through_vertex
+from bcprof import make_tell, diameter, counts_through_vertex, prefix_sums
 from bcprof.experiments import ExperimentConfig, render_csv, run_experiment
 from bcprof.profile_analysis import count_crossings
 from bcprof.verify import run_check
@@ -53,16 +53,9 @@ def test_criterion_5_crossing_construction():
     for l in (1, 2, 3):
         t, u, v, _ = make_tell(l)
         d = diameter(t)
-
-        def prefix(x):
-            counts = counts_through_vertex(t, x)
-            acc, out = 0, []
-            for k in range(2, d + 1):
-                acc += counts[k] if k < len(counts) else 0
-                out.append(acc)
-            return out
-
-        if count_crossings(prefix(u), prefix(v)).count < 2 * l - 3:
+        Pu = prefix_sums(counts_through_vertex(t, u), d)
+        Pv = prefix_sums(counts_through_vertex(t, v), d)
+        if count_crossings(Pu[2:], Pv[2:]).count < 2 * l - 3:
             crossings_ok = False
     _report(5, "crossing-construction alternation and >= 2l-3 crossings, l <= 3",
             report.passed and crossings_ok)

@@ -117,9 +117,29 @@ class TestVerifyCmd:
         assert code == 0
         assert "corollary1: pass" in out
 
+    def test_zero_cases_fail(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--check", "prop1",
+                               "--max-size", "-3")
+        assert code == 1
+        assert "prop1: FAIL (0 cases)" in out
+
     def test_unknown_check(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--check", "bogus")
         assert code == 25 and "unknown check" in err
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("argv, tree_text, named", [
+        (("profile", "--tree", "{tree}", "--all"), "3\n0 1\n1\n", "line 3"),
+        (("profile", "--tree", "{tree}", "--all"), "3\nx\n", "line 2"),
+        (("experiment", "--which", "no_cross_12_vs_n", "--grid", "10,x"), "", "'x'"),
+    ], ids=("short-edge-line", "non-integer-n", "grid-token"))
+    def test_exits_24_naming_the_input(self, tmp_path, capsys, argv, tree_text, named):
+        path = tmp_path / "bad.tree"
+        path.write_text(tree_text)
+        code, out, err = run_cli(capsys, *(str(path) if a == "{tree}" else a for a in argv))
+        assert code == 24 and out == ""
+        assert named in err
 
 
 class TestExpectCmd:

@@ -2,19 +2,19 @@
 
 import random
 
-import numpy as np
 import pytest
 
 from bcprof import (
     BadSpecError,
     OutOfRangeError,
     bfs_distances,
+    counts_through_vertex,
     path_counts_fast,
+    path_length_counts,
     profile,
 )
 from bcprof.experiments import (
     ExperimentConfig,
-    _distance_matrix,
     _trial_indicator,
     default_grid,
     render_csv,
@@ -46,13 +46,28 @@ class TestConfig:
 
 class TestDistanceMatrix:
     def test_matches_bfs(self):
+        # The path-length histograms the indicators read agree with the
+        # all-pairs BFS distances of the same sampled tree.
         rng = random.Random(3)
-        rec = sample_tree(40, rng)
-        t = rec.tree()
-        D = _distance_matrix(rec.parents, rec.n)
+        t = sample_tree(40, rng).tree()
+        D = [bfs_distances(t, v) for v in range(t.n)]
+        d = max(max(row) for row in D)
+        total = [0] * (d + 1)
+        for a in range(t.n):
+            for b in range(a + 1, t.n):
+                if D[a][b] >= 2:
+                    total[D[a][b]] += 1
+        assert path_length_counts(t) == total
         for v in range(t.n):
-            assert list(D[v]) == bfs_distances(t, v)
-        assert np.array_equal(D, D.T)
+            through = [0] * (d + 1)
+            for a in range(t.n):
+                for b in range(a + 1, t.n):
+                    if v not in (a, b) and D[a][v] + D[v][b] == D[a][b]:
+                        through[D[a][b]] += 1
+            got = counts_through_vertex(t, v)
+            assert not any(got[d + 1 :])
+            got = got[: d + 1]
+            assert got + [0] * (d + 1 - len(got)) == through
 
 
 class TestIndicators:
@@ -96,6 +111,21 @@ class TestDeterminism:
     def test_rerun_identical(self):
         cfg = ExperimentConfig(which="no_cross_12_vs_n", grid=(8, 12), trials=30, seed=4)
         assert render_csv(run_experiment(cfg)) == render_csv(run_experiment(cfg))
+
+    # Recorded before the indicator moved from dense distance matrices to the
+    # tree_core engine; the indicators are exact, so the bytes must not move.
+    PINNED_CSV = {
+        "no_cross_12_vs_n": ((10, 100), "10,0.975000,0.011040,200,11\n100,0.880000,0.022978,200,11\n"),
+        "monotone_1_vs_n": ((10, 100), "10,0.950000,0.015411,200,11\n100,0.860000,0.024536,200,11\n"),
+        "no_cross_ii1_vs_i": ((5, 100), "5,0.850000,0.025249,200,11\n100,0.955000,0.014659,200,11\n"),
+        "monotone_i_vs_i": ((5, 100), "5,0.470000,0.035292,200,11\n100,0.645000,0.033836,200,11\n"),
+    }
+
+    @pytest.mark.parametrize("which", sorted(PINNED_CSV))
+    def test_pinned_csv_bytes(self, which):
+        grid, rows = self.PINNED_CSV[which]
+        cfg = ExperimentConfig(which=which, grid=grid, trials=200, seed=11)
+        assert render_csv(run_experiment(cfg)) == "x,estimate,stderr,trials,seed\n" + rows
 
     def test_worker_count_invariant(self, monkeypatch):
         cfg = ExperimentConfig(which="monotone_1_vs_n", grid=(10,), trials=24, seed=6)

@@ -25,6 +25,7 @@ from bcprof import (
     make_path,
     make_tell,
     path_counts_naive,
+    prefix_sums,
     tabulated_gij_k_values,
 )
 
@@ -121,15 +122,6 @@ class TestGijClosedForms:
             closed_form_gij_pk(3, 4, 2)
 
 
-def _prefix_counts(t, x, upto):
-    counts = counts_through_vertex(t, x)
-    acc, out = 0, [0, 0]
-    for l in range(2, upto + 1):
-        acc += counts[l] if l < len(counts) else 0
-        out.append(acc)
-    return out
-
-
 class TestTell:
     def test_minimal_search_reference_counts(self):
         _, _, _, choice = make_tell(3)
@@ -140,8 +132,8 @@ class TestTell:
     def test_alternation(self, l):
         t, u, v, _ = make_tell(l)
         d = diameter(t)
-        Pu = _prefix_counts(t, u, d)
-        Pv = _prefix_counts(t, v, d)
+        Pu = prefix_sums(counts_through_vertex(t, u), d)
+        Pv = prefix_sums(counts_through_vertex(t, v), d)
         for i in range(1, l):
             assert Pu[2 * i] > Pv[2 * i]
             assert Pv[2 * i + 1] > Pu[2 * i + 1]
@@ -156,8 +148,9 @@ class TestTell:
         t, u, v, choice = make_tell(2, strategy="paper_bound")
         assert choice.strategy == "paper_bound"
         assert choice.a[0] == comb(3, 2)
-        Pu = _prefix_counts(t, u, diameter(t))
-        Pv = _prefix_counts(t, v, diameter(t))
+        d = diameter(t)
+        Pu = prefix_sums(counts_through_vertex(t, u), d)
+        Pv = prefix_sums(counts_through_vertex(t, v), d)
         assert Pu[2] > Pv[2] and Pv[3] > Pu[3]
 
     def test_paper_bound_exceeds_cap(self):

@@ -1,12 +1,17 @@
 """Preferential-attachment sampling, exact enumeration, and the injection map."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import bcprof
 from bcprof import (
     NotASimplePathError,
     NTooLargeError,
@@ -63,6 +68,18 @@ class TestSampler:
             p = float(prob)
             tol = 5 * math.sqrt(p * (1 - p) / trials)
             assert abs(freq[parents] / trials - p) < tol, parents
+
+
+class TestRecursiveTreeInvariant:
+    def test_bad_parents_rejected_under_optimize(self):
+        # `python -O` strips asserts; the parent check must survive it.
+        src = str(Path(bcprof.__file__).resolve().parents[1])
+        code = "from bcprof import RecursiveTree; RecursiveTree(n=3, parents=(1, 5))"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 1 and "OutOfRangeError" in proc.stderr
 
 
 class TestHistories:

@@ -13,6 +13,7 @@ from bcprof import (
     DuplicateEdgeError,
     OutOfRangeError,
     SelfLoopError,
+    Tree,
     WrongEdgeCountError,
     all_profiles,
     bfs_distances,
@@ -21,6 +22,8 @@ from bcprof import (
     diameter,
     path_counts_fast,
     path_counts_naive,
+    path_length_counts,
+    prefix_sums,
     profile,
     read_tree,
     write_tree,
@@ -98,6 +101,20 @@ class TestPathCounts:
         parents = [data.draw(st.integers(min_value=0, max_value=i)) for i in range(n - 1)]
         t = build_tree(n, [(i + 1, p) for i, p in enumerate(parents)])
         assert path_counts_fast(t) == path_counts_naive(t)
+        assert path_length_counts(t) == list(path_counts_naive(t).p)
+
+    @pytest.mark.parametrize("n", (1, 2))
+    def test_tiny_trees(self, n):
+        t = build_tree(n, [(0, 1)][: n - 1])
+        naive = path_counts_naive(t)
+        assert path_length_counts(t) == list(naive.p) == [0] * n
+        assert path_counts_fast(t) == naive
+
+    def test_prefix_sums(self):
+        assert prefix_sums([0, 5, 1, 2, 3], 4) == [0, 0, 1, 3, 6]
+        assert prefix_sums([0, 0, 4], 5) == [0, 0, 4, 4, 4, 4]
+        assert prefix_sums([0, 0, 4, 9], 2) == [0, 0, 4]
+        assert prefix_sums([0], 0) == [0] and prefix_sums([], 1) == [0, 0]
 
     def test_total_pairs_identity(self):
         # Sum of p_l over all l (including l=1 edges) is C(n, 2) on a tree.
@@ -128,14 +145,11 @@ class TestPathCounts:
                     got = through[l] if l < len(through) else 0
                     assert got == table.pv[v][l]
 
-    def test_bigint_fallback_agrees(self, monkeypatch):
-        import bcprof.tree_core as tc
-
-        rng = random.Random(10)
-        t = random_tree(18, rng)
-        fast = path_counts_fast(t)
-        monkeypatch.setattr(tc, "_NUMPY_VERTEX_LIMIT", 0)
-        assert path_counts_fast(t) == fast
+    def test_rejects_n_beyond_int64_bound(self):
+        # An empty adjacency would fail on first use, so raising here shows
+        # the bound is checked before any work.
+        with pytest.raises(OutOfRangeError):
+            path_counts_fast(Tree(n=4 * 10**9, adj=()))
 
 
 class TestProfile:
