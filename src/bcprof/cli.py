@@ -108,8 +108,11 @@ def cmd_gen(args) -> int:
 
 
 def _load_tree(path: str):
-    with open(path) as fh:
-        return read_tree(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return read_tree(fh)
+    except UnicodeDecodeError:
+        raise BadSpecError(f"tree file {path!r} is not UTF-8 text") from None
 
 
 def cmd_profile(args) -> int:
@@ -168,6 +171,8 @@ def cmd_expect(args) -> int:
     if args.exact:
         if args.k is None:
             raise BadSpecError("--exact requires --k")
+        if args.n < 1:
+            raise OutOfRangeError(f"--n must be >= 1, got {args.n}")
         values = [exact_expected_pk(args.n, v, args.k) for v in range(1, args.n + 1)]
         print("vertex,k,expectation,decimal")
         for v, e in enumerate(values, start=1):

@@ -7,12 +7,10 @@ betweenness values are `fractions.Fraction`; nothing here ever rounds.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import (
     BadSpecError,
@@ -23,12 +21,6 @@ from .errors import (
     SelfLoopError,
     WrongEdgeCountError,
 )
-
-# The histograms counts_through_vertex convolves in numpy sum to fewer than
-# n vertices, so no coefficient exceeds n**2, which fits int64 for every n
-# below this bound.
-_INT64_VERTEX_LIMIT = 3_037_000_500
-
 
 @dataclass(frozen=True)
 class Tree:
@@ -174,124 +166,118 @@ def path_counts_naive(t: Tree) -> PathCountTable:
     return _finish_table(d, p, pv)
 
 
-def _branch_histograms(t: Tree, v: int) -> tuple[list[int], list[tuple[int, ...]]]:
-    """BFS from v: total distance histogram and one histogram per neighbor branch."""
-    dist = [-1] * t.n
-    branch = [-1] * t.n
-    dist[v] = 0
-    per_branch: list[list[int]] = []
-    queue = deque()
-    for b, w in enumerate(t.adj[v]):
-        dist[w] = 1
-        branch[w] = b
-        per_branch.append([0, 1])
-        queue.append(w)
-    total = [0] * 2
-    total[1] = len(t.adj[v])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        bu = branch[u]
-        for w in t.adj[u]:
-            if dist[w] < 0:
-                dw = du + 1
-                dist[w] = dw
-                branch[w] = bu
-                hb = per_branch[bu]
-                if len(hb) <= dw:
-                    hb.extend([0] * (dw + 1 - len(hb)))
-                hb[dw] += 1
-                if len(total) <= dw:
-                    total.extend([0] * (dw + 1 - len(total)))
-                total[dw] += 1
-                queue.append(w)
-    return total, [tuple(h) for h in per_branch]
+# Distance histograms are packed into one Python int: lane l holds the count
+# at distance l. Shifting by one lane crosses one edge, + merges histograms
+# and * is their exact convolution.
 
 
-def _check_int64_safe(t: Tree) -> None:
-    if t.n >= _INT64_VERTEX_LIMIT:
-        raise OutOfRangeError(
-            f"n={t.n} is too large: path counts need n < {_INT64_VERTEX_LIMIT}"
-        )
+def _lane_bits(n: int) -> int:
+    """Lane width for a tree on n vertices.
 
-
-def _self_conv(hist: Sequence[int], out_len: int) -> list[int]:
-    arr = np.asarray(hist, dtype=np.int64)
-    conv = np.convolve(arr, arr)
-    return [int(x) for x in conv[:out_len]] + [0] * max(0, out_len - len(conv))
-
-
-def _through_from_hists(
-    total: Sequence[int], branches: Sequence[tuple[int, ...]]
-) -> list[int]:
-    out_len = 2 * (len(total) - 1) + 1
-    conv_total = _self_conv(total, out_len)
-    # Branches with identical histograms (e.g. many single leaves) are
-    # convolved once and scaled.
-    for hist, mult in Counter(branches).items():
-        conv_b = _self_conv(hist, out_len)
-        for l, c in enumerate(conv_b):
-            conv_total[l] -= mult * c
-    if any(c % 2 for c in conv_total):
-        raise AssertionError("odd count of ordered cross-branch pairs")
-    return [c // 2 for c in conv_total]
-
-
-def counts_through_vertex(t: Tree, v: int) -> list[int]:
-    """p_l(v) for l = 0..(max reachable path length through v).
-
-    Pairs the per-branch distance histograms: a path of length l through v
-    picks one endpoint in each of two distinct branches at distances a+b=l.
+    Every lane counts vertex pairs, so it stays below n**2, which needs at
+    most lane - 1 bits: no lane carries into the next, and bit_length() //
+    lane is the index of the highest non-zero lane.
     """
-    _check_int64_safe(t)
-    total, branches = _branch_histograms(t, v)
-    return _through_from_hists(total, branches)
+    return 8 * ((n * n).bit_length() // 8 + 1)
 
 
-def path_length_counts(t: Tree) -> list[int]:
-    """p_l, the number of paths of length exactly l, for l = 0..d (zero below 2).
+def _unpack(x: int, lane: int, count: int) -> list[int]:
+    """Lanes 0..count-1 of x; x must have no non-zero lane past them."""
+    w = lane // 8
+    raw = x.to_bytes(count * w, "little")
+    return [int.from_bytes(raw[i : i + w], "little") for i in range(0, count * w, w)]
 
-    One bottom-up pass from root 0: each vertex keeps the depth histogram of
-    the part of its subtree merged so far, and every child's histogram,
-    shifted by its edge, pairs with it before being merged in. The pairings
-    cost at most one step per vertex pair, so plain integer loops beat
-    numpy's per-call overhead on the short histograms of bushy trees.
+
+def _pair_branches(acc: int, branches: Iterable[int]) -> tuple[int, int]:
+    """(histogram of pairs across distinct parts, acc + every branch).
+
+    acc is the part already merged; each branch pairs with everything
+    merged before it.
     """
-    order, parent = [0], [-1] * t.n
+    pairs = 0
+    for h in branches:
+        pairs += acc * h
+        acc += h
+    return pairs, acc
+
+
+def _rooted(t: Tree, root: int, lane: int) -> tuple[list[int], list[int], list[int], int]:
+    """One BFS order from root, then one bottom-up pass.
+
+    Returns (order, parent, down, pairs): down[u] is the packed depth
+    histogram of u's subtree (lane 0 is u itself) and pairs the packed
+    histogram of all vertex pairs by distance.
+    """
+    order, parent = [root], [-1] * t.n
     for u in order:
         for w in t.adj[u]:
             if w != parent[u]:
                 parent[w] = u
                 order.append(w)
-    depth_hist: dict[int, list[int]] = {}
-    pairs = [0]
+    down = [0] * t.n
+    pairs = 0
     for u in reversed(order):
-        acc = [1]
+        # _pair_branches from acc = 1 (u itself, so u pairs with each child
+        # branch too), inlined: a call per vertex costs more than the pairing.
+        acc = 1
         for w in t.adj[u]:
-            if w == parent[u]:
-                continue
-            h = [0] + depth_hist.pop(w)
-            pairs += [0] * (len(acc) + len(h) - 1 - len(pairs))
-            for a, ca in enumerate(acc):
-                for l, ch in enumerate(h, a):
-                    pairs[l] += ca * ch
-            if len(h) > len(acc):
-                acc, h = h, acc
-            for l, c in enumerate(h):
-                acc[l] += c
-        depth_hist[u] = acc
-    # The longest pair histogram ends at the diameter; lengths 0 and 1 are
-    # not paths with an interior vertex.
-    return [0, 0][: len(pairs)] + pairs[2:]
+            if w != parent[u]:
+                h = down[w] << lane
+                pairs += acc * h
+                acc += h
+        down[u] = acc
+    return order, parent, down, pairs
+
+
+def _length_counts(pairs: int, lane: int) -> list[int]:
+    p = _unpack(pairs, lane, pairs.bit_length() // lane + 1)
+    # Lane 1 holds the n-1 edges, which have no interior vertex.
+    return [0, 0][: len(p)] + p[2:]
+
+
+def counts_through_vertex(t: Tree, v: int) -> list[int]:
+    """p_l(v) for l = 0..2*ecc(v).
+
+    A path of length l through v picks one endpoint in each of two distinct
+    branches of v at distances a + b = l, so the branches' depth histograms,
+    rooted at v, are paired with each other.
+    """
+    if not 0 <= v < t.n:
+        raise OutOfRangeError(f"vertex {v} out of range for n={t.n}")
+    lane = _lane_bits(t.n)
+    _, _, down, _ = _rooted(t, v, lane)
+    through, _ = _pair_branches(0, (down[w] << lane for w in t.adj[v]))
+    return _unpack(through, lane, 2 * (down[v].bit_length() // lane) + 1)
+
+
+def path_length_counts(t: Tree) -> list[int]:
+    """p_l, the number of paths of length exactly l, for l = 0..d (zero below 2)."""
+    lane = _lane_bits(t.n)
+    *_, pairs = _rooted(t, 0, lane)
+    return _length_counts(pairs, lane)
 
 
 def path_counts_fast(t: Tree) -> PathCountTable:
-    """Same table as path_counts_naive via per-vertex histogram pairing."""
-    _check_int64_safe(t)
-    p = path_length_counts(t)
+    """Same table as path_counts_naive: one pass down from root 0, one back up.
+
+    up[u] is the packed histogram, by distance from u, of the vertices
+    outside u's subtree; row u pairs u's child branches together with up[u].
+    Every lane of rest - h is a count of vertices, so the subtraction never
+    borrows.
+    """
+    lane = _lane_bits(t.n)
+    order, parent, down, pairs = _rooted(t, 0, lane)
+    p = _length_counts(pairs, lane)
     d = len(p) - 1
-    # Each row has 2*ecc(v) + 1 >= d + 1 entries, all zero past d.
-    pv = [counts_through_vertex(t, v)[: d + 1] for v in range(t.n)]
+    up = [0] * t.n
+    pv: list[list[int]] = [[]] * t.n
+    for u in order:
+        children = [(w, down[w] << lane) for w in t.adj[u] if w != parent[u]]
+        through, rest = _pair_branches(up[u], (h for _, h in children))
+        pv[u] = _unpack(through, lane, d + 1)
+        rest += 1
+        for w, h in children:
+            up[w] = (rest - h) << lane
     return _finish_table(d, p, pv)
 
 

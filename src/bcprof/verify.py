@@ -10,10 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import UnknownCheckError
-from .profile_analysis import count_crossings, count_dips
+from .profile_analysis import count_crossings, count_dips, dominates
 from .scale_free import (
     all_candidate_paths,
     exact_expected_pk,
@@ -73,18 +71,18 @@ def check_prop1(max_size: int = 200) -> CheckReport:
     cases = []
     for n in range(2, max_size + 1):
         table = path_counts_fast(make_path(n))
-        Pk = np.asarray(table.Pk[2:], dtype=np.int64)
-        Pkv = np.asarray([row[2:] for row in table.Pkv], dtype=np.int64)
+        Pk = table.Pk[2:]
+        rows = [row[2:] for row in table.Pkv]
         # BC_k <= BC_{k+1} by cross-multiplication (shared denominators).
-        mono = bool(np.all(Pkv[:, :-1] * Pk[1:] <= Pkv[:, 1:] * Pk[:-1]))
-        # A pair crosses iff its raw-count difference takes both signs.
-        no_cross = True
-        for u in range(n + 1):
-            diff = Pkv - Pkv[u]
-            both = (diff > 0).any(axis=1) & (diff < 0).any(axis=1)
-            if bool(both.any()):
-                no_cross = False
-                break
+        mono = all(
+            a * pk1 <= b * pk0
+            for row in rows
+            for a, b, pk0, pk1 in zip(row, row[1:], Pk, Pk[1:])
+        )
+        # A pair crosses iff its raw-count difference takes both signs, so
+        # no pair crosses iff the rows form a chain under pointwise <=.
+        rows.sort(key=sum)
+        no_cross = all(dominates(hi, lo) for lo, hi in zip(rows, rows[1:]))
         cases.append(
             _case(f"path n={n}", mono and no_cross,
                   f"monotone={mono}, no_cross={no_cross}")
@@ -273,6 +271,8 @@ def check_theorem3(max_size: int = 7) -> CheckReport:
             images[key] = sig
         if bad:
             break
+    if bad is None and not images:
+        bad = "no (path, v) pair to check"
     cases.append(_case(f"injection labels <= {max_size}", bad is None, bad or ""))
     return CheckReport(check="theorem3", cases=tuple(cases))
 

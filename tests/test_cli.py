@@ -122,6 +122,12 @@ class TestVerifyCmd:
                                "--max-size", "-3")
         assert code == 1
         assert "prop1: FAIL (0 cases)" in out
+        # theorem3 always reports its injection case; below 3 labels that
+        # case has no (path, v) pair to check.
+        code, out, _ = run_cli(capsys, "verify", "--check", "theorem3",
+                               "--max-size", "2")
+        assert code == 1
+        assert "theorem3: FAIL (1 cases)" in out
 
     def test_unknown_check(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--check", "bogus")
@@ -129,14 +135,15 @@ class TestVerifyCmd:
 
 
 class TestMalformedInput:
-    @pytest.mark.parametrize("argv, tree_text, named", [
-        (("profile", "--tree", "{tree}", "--all"), "3\n0 1\n1\n", "line 3"),
-        (("profile", "--tree", "{tree}", "--all"), "3\nx\n", "line 2"),
-        (("experiment", "--which", "no_cross_12_vs_n", "--grid", "10,x"), "", "'x'"),
-    ], ids=("short-edge-line", "non-integer-n", "grid-token"))
-    def test_exits_24_naming_the_input(self, tmp_path, capsys, argv, tree_text, named):
+    @pytest.mark.parametrize("argv, tree_bytes, named", [
+        (("profile", "--tree", "{tree}", "--all"), b"3\n0 1\n1\n", "line 3"),
+        (("profile", "--tree", "{tree}", "--all"), b"3\nx\n", "line 2"),
+        (("experiment", "--which", "no_cross_12_vs_n", "--grid", "10,x"), b"", "'x'"),
+        (("profile", "--tree", "{tree}", "--all"), b"3\n0 1\xff\n1 2\n", "bad.tree"),
+    ], ids=("short-edge-line", "non-integer-n", "grid-token", "not-utf8"))
+    def test_exits_24_naming_the_input(self, tmp_path, capsys, argv, tree_bytes, named):
         path = tmp_path / "bad.tree"
-        path.write_text(tree_text)
+        path.write_bytes(tree_bytes)
         code, out, err = run_cli(capsys, *(str(path) if a == "{tree}" else a for a in argv))
         assert code == 24 and out == ""
         assert named in err
@@ -150,6 +157,11 @@ class TestExpectCmd:
         assert lines[1].startswith("1,2,8/5")
         assert lines[2].startswith("2,2,11/15")
         assert lines[3].startswith("3,2,1/5")
+
+    @pytest.mark.parametrize("n", ("0", "-3"))
+    def test_exact_rejects_n_below_one(self, capsys, n):
+        code, out, err = run_cli(capsys, "expect", "--n", n, "--k", "2", "--exact")
+        assert code == 12 and out == "" and "--n" in err
 
     def test_exact_cap(self, capsys):
         code, out, _ = run_cli(capsys, "expect", "--n", "12", "--k", "3", "--exact")

@@ -13,7 +13,6 @@ from bcprof import (
     DuplicateEdgeError,
     OutOfRangeError,
     SelfLoopError,
-    Tree,
     WrongEdgeCountError,
     all_profiles,
     bfs_distances,
@@ -109,6 +108,8 @@ class TestPathCounts:
         naive = path_counts_naive(t)
         assert path_length_counts(t) == list(naive.p) == [0] * n
         assert path_counts_fast(t) == naive
+        rows = {1: [[0]], 2: [[0, 0, 0], [0, 0, 0]]}[n]
+        assert [counts_through_vertex(t, v) for v in range(n)] == rows
 
     def test_prefix_sums(self):
         assert prefix_sums([0, 5, 1, 2, 3], 4) == [0, 0, 1, 3, 6]
@@ -116,23 +117,29 @@ class TestPathCounts:
         assert prefix_sums([0, 0, 4, 9], 2) == [0, 0, 4]
         assert prefix_sums([0], 0) == [0] and prefix_sums([], 1) == [0, 0]
 
-    def test_total_pairs_identity(self):
-        # Sum of p_l over all l (including l=1 edges) is C(n, 2) on a tree.
-        rng = random.Random(7)
-        for _ in range(20):
-            t = random_tree(rng.randrange(2, 25), rng)
-            table = path_counts_fast(t)
-            n_pairs = t.n * (t.n - 1) // 2
-            assert sum(table.p) + (t.n - 1) == n_pairs
-
-    def test_interior_count_identity(self):
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_engine_identities_hypothesis(self, data):
+        # Trees up to n=400, with paths and stars on both sides of the
+        # packed lane-width step between n=181 and n=182.
+        kind = data.draw(st.sampled_from(("random", "path", "star")))
+        n = data.draw(st.one_of(st.sampled_from((181, 182)), st.integers(1, 400)))
+        if kind == "path":
+            t = build_tree(n, [(i, i + 1) for i in range(n - 1)])
+        elif kind == "star":
+            t = build_tree(n, [(0, i) for i in range(1, n)])
+        else:
+            t = random_tree(n, random.Random(data.draw(st.integers(0, 2**32))))
+        table = path_counts_fast(t)
         # Each length-l path has l-1 interior vertices.
-        rng = random.Random(8)
-        for _ in range(20):
-            t = random_tree(rng.randrange(3, 25), rng)
-            table = path_counts_fast(t)
-            for l in range(2, table.d + 1):
-                assert sum(row[l] for row in table.pv) == (l - 1) * table.p[l]
+        for l in range(2, table.d + 1):
+            assert sum(row[l] for row in table.pv) == (l - 1) * table.p[l]
+        # Every vertex pair that is not an edge is a path of length >= 2.
+        assert sum(table.p) == n * (n - 1) // 2 - (n - 1)
+        v = data.draw(st.integers(0, n - 1))
+        through = counts_through_vertex(t, v)
+        assert through[: table.d + 1] == list(table.pv[v])
+        assert not any(through[table.d + 1 :])
 
     def test_counts_through_vertex_matches_table(self):
         rng = random.Random(9)
@@ -145,11 +152,10 @@ class TestPathCounts:
                     got = through[l] if l < len(through) else 0
                     assert got == table.pv[v][l]
 
-    def test_rejects_n_beyond_int64_bound(self):
-        # An empty adjacency would fail on first use, so raising here shows
-        # the bound is checked before any work.
+    @pytest.mark.parametrize("v", (-1, 4))
+    def test_counts_through_vertex_rejects_out_of_range(self, v):
         with pytest.raises(OutOfRangeError):
-            path_counts_fast(Tree(n=4 * 10**9, adj=()))
+            counts_through_vertex(build_tree(4, [(0, 1), (1, 2), (2, 3)]), v)
 
 
 class TestProfile:
