@@ -117,6 +117,24 @@ class TestPathCounts:
         assert prefix_sums([0, 0, 4, 9], 2) == [0, 0, 4]
         assert prefix_sums([0], 0) == [0] and prefix_sums([], 1) == [0, 0]
 
+    def test_total_pairs_identity(self):
+        # Sum of p_l over all l (including l=1 edges) is C(n, 2) on a tree.
+        rng = random.Random(7)
+        for _ in range(20):
+            t = random_tree(rng.randrange(2, 25), rng)
+            table = path_counts_fast(t)
+            n_pairs = t.n * (t.n - 1) // 2
+            assert sum(table.p) + (t.n - 1) == n_pairs
+
+    def test_interior_count_identity(self):
+        # Each length-l path has l-1 interior vertices.
+        rng = random.Random(8)
+        for _ in range(20):
+            t = random_tree(rng.randrange(3, 25), rng)
+            table = path_counts_fast(t)
+            for l in range(2, table.d + 1):
+                assert sum(row[l] for row in table.pv) == (l - 1) * table.p[l]
+
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_engine_identities_hypothesis(self, data):
