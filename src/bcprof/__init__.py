@@ -34,12 +34,10 @@ from .tree_core import (
     all_profiles,
     bfs_distances,
     build_tree,
-    counts_through_vertex,
     diameter,
     path_counts_fast,
     path_counts_naive,
-    path_length_counts,
-    prefix_sums,
+    prefix_counts,
     profile,
     read_tree,
     write_tree,
@@ -94,5 +92,3 @@ from .experiments import (
     write_manifest,
 )
 from .verify import CheckCase, CheckReport, CHECK_NAMES, run_check
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -24,6 +24,7 @@ from .experiments import (
     EXPERIMENT_KINDS,
     ExperimentConfig,
     default_grid,
+    render_csv,
     run_experiment,
     write_csv,
     write_manifest,
@@ -204,8 +205,6 @@ def cmd_experiment(args) -> int:
         write_csv(res, args.out)
         write_manifest(res, args.out + ".manifest.json")
     else:
-        from .experiments import render_csv
-
         sys.stdout.write(render_csv(res))
     return 0
 

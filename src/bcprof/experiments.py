@@ -22,7 +22,7 @@ from . import __version__
 from .errors import BadSpecError, OutOfRangeError
 from .profile_analysis import count_crossings, is_monotone
 from .scale_free import sample_tree, substream_seed
-from .tree_core import counts_through_vertex, path_length_counts, prefix_sums
+from .tree_core import prefix_counts
 
 EXPERIMENT_KINDS = (
     "no_cross_12_vs_n",
@@ -73,20 +73,16 @@ def _trial_indicator(which: str, x: int, fixed_n: int, seed: int, trial: int) ->
     rng = random.Random(substream_seed(seed, (x << 24) + trial))
     n = x if which.endswith("_vs_n") else fixed_n
     t = sample_tree(n, rng).tree()
-    p = path_length_counts(t)
-    d = len(p) - 1
     if which == "no_cross_12_vs_n":
-        u, w = 0, 1
+        vertices = (0, 1)
     elif which == "no_cross_ii1_vs_i":
-        u, w = x - 1, x
+        vertices = (x - 1, x)
     else:
-        u, w = (0, None) if which == "monotone_1_vs_n" else (x - 1, None)
-    seq_u = prefix_sums(counts_through_vertex(t, u), d)[2:]
-    if w is not None:
-        seq_w = prefix_sums(counts_through_vertex(t, w), d)[2:]
-        return count_crossings(seq_u, seq_w).count == 0
-    bc = tuple(Fraction(pv, pk) for pv, pk in zip(seq_u, prefix_sums(p, d)[2:]))
-    return is_monotone(bc)
+        vertices = (0,) if which == "monotone_1_vs_n" else (x - 1,)
+    Pk, rows = prefix_counts(t, vertices)
+    if len(rows) == 2:
+        return count_crossings(rows[0][2:], rows[1][2:]).count == 0
+    return is_monotone(tuple(Fraction(pv, pk) for pv, pk in zip(rows[0][2:], Pk[2:])))
 
 
 def _worker(args) -> int:
@@ -107,14 +103,16 @@ def worker_count() -> int:
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     start = time.monotonic()
     workers = worker_count()
+    # One flat (x, trial) task list, so one pool serves the whole grid.
+    tasks = [(cfg.which, x, cfg.fixed_n, cfg.seed, t) for x in cfg.grid for t in range(cfg.trials)]
+    if workers > 1 and tasks:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            indicators = list(pool.map(_worker, tasks, chunksize=64))
+    else:
+        indicators = [_worker(task) for task in tasks]
     rows = []
-    for x in cfg.grid:
-        tasks = [(cfg.which, x, cfg.fixed_n, cfg.seed, t) for t in range(cfg.trials)]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                hits = sum(pool.map(_worker, tasks, chunksize=64))
-        else:
-            hits = sum(_worker(task) for task in tasks)
+    for i, x in enumerate(cfg.grid):
+        hits = sum(indicators[i * cfg.trials : (i + 1) * cfg.trials])
         estimate = hits / cfg.trials
         stderr = sqrt(estimate * (1.0 - estimate) / cfg.trials)
         rows.append(

@@ -22,7 +22,7 @@ from .errors import (
     OutOfRangeError,
     PreconditionViolatedError,
 )
-from .tree_core import Tree, build_tree, path_counts_fast
+from .tree_core import PathCountTable, Tree, path_counts_fast
 
 MAX_EXACT_N = 9  # product of (t-1) histories; 9 keeps it at 8! = 40320
 
@@ -60,8 +60,16 @@ class RecursiveTree:
             raise OutOfRangeError(f"parents must satisfy 1 <= parents[t-2] < t: {self.parents}")
 
     def tree(self) -> Tree:
-        edges = [(t - 1, p - 1) for t, p in enumerate(self.parents, start=2)]
-        return build_tree(self.n, edges)
+        """The 0-based Tree view, built straight from the validated parents.
+
+        A parent's id is below its child's, so appending in label order
+        keeps every adjacency list sorted.
+        """
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        for u, p in enumerate(self.parents, start=1):
+            adj[u].append(p - 1)
+            adj[p - 1].append(u)
+        return Tree(self.n, tuple(map(tuple, adj)))
 
 
 def sample_tree(n: int, rng: random.Random) -> RecursiveTree:
@@ -314,16 +322,20 @@ def estimate_expected_profiles(
     max_d = 2
     for trial in range(trials):
         rng = random.Random(substream_seed(seed, trial))
-        tree = sample_tree(n, rng).tree()
-        table = path_counts_fast(tree)
+        table = path_counts_fast(sample_tree(n, rng).tree())
         max_d = max(max_d, table.d)
         tables.append(table)
+
+    def held_ratios(table: PathCountTable, v: int) -> list[float]:
+        """BC_k(v) for k = 2..max_d, held at its value past the table's d."""
+        ratios = [pv / pk for pv, pk in zip(table.Pkv[v][2:], table.Pk[2:])]
+        return ratios + ratios[-1:] * (max_d - table.d)
+
     rows = []
     for v in range(n):
-        for k in range(2, max_d + 1):
-            values = [
-                table.through_up_to(v, k) / table.total_up_to(k) for table in tables
-            ]
+        # Each column holds one value per table, in trial order.
+        columns = zip(*(held_ratios(table, v) for table in tables))
+        for k, values in enumerate(columns, start=2):
             mean = sum(values) / trials
             if trials > 1:
                 var = sum((x - mean) ** 2 for x in values) / (trials - 1)

@@ -118,30 +118,15 @@ class PathCountTable:
     Pk: tuple[int, ...]
     Pkv: tuple[tuple[int, ...], ...]
 
-    def total_up_to(self, k: int) -> int:
-        return self.Pk[min(k, self.d)]
-
-    def through_up_to(self, v: int, k: int) -> int:
-        return self.Pkv[v][min(k, self.d)]
-
-
-def prefix_sums(counts: Sequence[int], d: int) -> list[int]:
-    """P[k] = sum of counts[l] over 2 <= l <= k, for k = 0..d.
-
-    Entries of counts past its end count as zero; entries past d are ignored.
-    """
-    tail = list(counts[2 : d + 1])
-    tail += [0] * (d - 1 - len(tail))
-    return [0, 0][: d + 1] + list(itertools.accumulate(tail))
-
 
 def _finish_table(d: int, p: list[int], pv: list[list[int]]) -> PathCountTable:
+    # Lanes 0 and 1 of every row are zero, so P_k is a plain running sum.
     return PathCountTable(
         d=d,
         p=tuple(p),
         pv=tuple(tuple(row) for row in pv),
-        Pk=tuple(prefix_sums(p, d)),
-        Pkv=tuple(tuple(prefix_sums(row, d)) for row in pv),
+        Pk=tuple(itertools.accumulate(p)),
+        Pkv=tuple(tuple(itertools.accumulate(row)) for row in pv),
     )
 
 
@@ -229,46 +214,55 @@ def _rooted(t: Tree, root: int, lane: int) -> tuple[list[int], list[int], list[i
     return order, parent, down, pairs
 
 
-def _length_counts(pairs: int, lane: int) -> list[int]:
-    p = _unpack(pairs, lane, pairs.bit_length() // lane + 1)
-    # Lane 1 holds the n-1 edges, which have no interior vertex.
-    return [0, 0][: len(p)] + p[2:]
+def _diameter_and_lengths(n: int, pairs: int, lane: int) -> tuple[int, list[int]]:
+    """(d, p_l for l = 0..d) from the packed all-pairs histogram.
 
-
-def counts_through_vertex(t: Tree, v: int) -> list[int]:
-    """p_l(v) for l = 0..2*ecc(v).
-
-    A path of length l through v picks one endpoint in each of two distinct
-    branches of v at distances a + b = l, so the branches' depth histograms,
-    rooted at v, are paired with each other.
+    Lane 1 holds the n-1 edges, which have no interior vertex, so it is
+    cleared; lane 0 is always zero.
     """
-    if not 0 <= v < t.n:
-        raise OutOfRangeError(f"vertex {v} out of range for n={t.n}")
-    lane = _lane_bits(t.n)
-    _, _, down, _ = _rooted(t, v, lane)
-    through, _ = _pair_branches(0, (down[w] << lane for w in t.adj[v]))
-    return _unpack(through, lane, 2 * (down[v].bit_length() // lane) + 1)
+    d = pairs.bit_length() // lane
+    return d, _unpack(pairs - ((n - 1) << lane), lane, d + 1)
 
 
-def path_length_counts(t: Tree) -> list[int]:
-    """p_l, the number of paths of length exactly l, for l = 0..d (zero below 2)."""
+def prefix_counts(t: Tree, vertices: Iterable[int]) -> tuple[list[int], list[list[int]]]:
+    """(P_k, [P_k(v) for v in vertices]), each for k = 0..d (zero below 2).
+
+    One pass rooted at each listed vertex: a path of length l through v
+    picks one endpoint in each of two distinct branches of v at distances
+    a + b = l, so the branches' depth histograms are paired with each other.
+    The all-pairs histogram is the same from every root, so P_k comes from
+    the first pass (from a pass rooted at 0 when no vertex is listed).
+    """
+    vertices = list(vertices)
+    for v in vertices:
+        if not 0 <= v < t.n:
+            raise OutOfRangeError(f"vertex {v} out of range for n={t.n}")
     lane = _lane_bits(t.n)
-    *_, pairs = _rooted(t, 0, lane)
-    return _length_counts(pairs, lane)
+    pairs, through = None, []
+    for v in vertices:
+        _, _, down, all_pairs = _rooted(t, v, lane)
+        if pairs is None:
+            pairs = all_pairs
+        through.append(_pair_branches(0, (down[w] << lane for w in t.adj[v]))[0])
+    if pairs is None:
+        *_, pairs = _rooted(t, 0, lane)
+    d, p = _diameter_and_lengths(t.n, pairs, lane)
+    rows = [list(itertools.accumulate(_unpack(x, lane, d + 1))) for x in through]
+    return list(itertools.accumulate(p)), rows
 
 
 def path_counts_fast(t: Tree) -> PathCountTable:
-    """Same table as path_counts_naive: one pass down from root 0, one back up.
+    """Same table as path_counts_naive: one pass up to root 0, one back down.
 
-    up[u] is the packed histogram, by distance from u, of the vertices
-    outside u's subtree; row u pairs u's child branches together with up[u].
-    Every lane of rest - h is a count of vertices, so the subtraction never
-    borrows.
+    The pass up gives down[u], the packed depth histogram of u's subtree;
+    the pass down gives up[u], the packed histogram, by distance from u, of
+    the vertices outside u's subtree. Row u pairs u's child branches
+    together with up[u]. Every lane of rest - h is a count of vertices, so
+    the subtraction never borrows.
     """
     lane = _lane_bits(t.n)
     order, parent, down, pairs = _rooted(t, 0, lane)
-    p = _length_counts(pairs, lane)
-    d = len(p) - 1
+    d, p = _diameter_and_lengths(t.n, pairs, lane)
     up = [0] * t.n
     pv: list[list[int]] = [[]] * t.n
     for u in order:

@@ -19,7 +19,7 @@ from .errors import (
     OutOfTabulatedRangeError,
     SearchCapExceededError,
 )
-from .tree_core import Tree, build_tree, counts_through_vertex, prefix_sums
+from .tree_core import Tree, build_tree, prefix_counts
 
 SEARCH_CAP = 10**9
 
@@ -130,8 +130,10 @@ def _tell_margin(l: int, a: list[int], b: list[int], k: int, side: str, slot: in
     aa, bb = list(a), list(b)
     (aa if side == "a" else bb)[slot] = val
     t, u, v = _tell_build(l, aa, bb)
-    pu, pv = (prefix_sums(counts_through_vertex(t, x), k)[k] for x in (u, v))
-    return pu - pv if side == "a" else pv - pu
+    # Every tree here has d >= 4l-1 (u to the end of v's last branch), and
+    # the search asks for k <= 2l+1, so both rows reach k.
+    _, (Pu, Pv) = prefix_counts(t, (u, v))
+    return Pu[k] - Pv[k] if side == "a" else Pv[k] - Pu[k]
 
 
 def _minimal_leaf_count(l, a, b, k, side, slot):

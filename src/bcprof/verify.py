@@ -22,13 +22,7 @@ from .scale_free import (
     path_probability,
     signature_of_path,
 )
-from .tree_core import (
-    counts_through_vertex,
-    path_counts_fast,
-    path_counts_naive,
-    path_length_counts,
-    prefix_sums,
-)
+from .tree_core import path_counts_fast, path_counts_naive, prefix_counts
 from .tree_families import (
     closed_form_gij_pk,
     closed_form_gij_Pk,
@@ -153,9 +147,8 @@ def check_theorem1(max_size: int = 10) -> CheckReport:
     cases = []
     for i in range(3, max_size + 1):
         t, v = make_gij(i, 5)
-        p = path_length_counts(t)
-        d = len(p) - 1
-        Pk, Pkv = prefix_sums(p, d), prefix_sums(counts_through_vertex(t, v), d)
+        Pk, (Pkv,) = prefix_counts(t, [v])
+        d = len(Pk) - 1
         ok, detail = True, ""
         for r in range(2, i - 1):
             k = 6 * r + 2
@@ -178,9 +171,7 @@ def check_tell(max_size: int = 3, strategy: str = "minimal_search") -> CheckRepo
     cases = []
     for l in range(1, max_size + 1):
         t, u, v, _choice = make_tell(l, strategy=strategy)
-        d = len(path_length_counts(t)) - 1
-        Pu = prefix_sums(counts_through_vertex(t, u), d)
-        Pv = prefix_sums(counts_through_vertex(t, v), d)
+        _, (Pu, Pv) = prefix_counts(t, (u, v))
         ok, detail = True, ""
         for i in range(1, l):
             if not Pu[2 * i] > Pv[2 * i]:
@@ -201,10 +192,8 @@ def check_prop2(max_size: int | None = None) -> CheckReport:
     """Finite witnesses of the double-broom gap and the broom dominance."""
     profiles = []
     for t, v in (make_double_broom(10, 1000), make_broom(1000, 50)):
-        p = path_length_counts(t)
-        d = len(p) - 1
-        Pk, Pkv = prefix_sums(p, d), prefix_sums(counts_through_vertex(t, v), d)
-        profiles.append([Fraction(Pkv[k], Pk[k]) for k in range(2, d + 1)])
+        Pk, (Pkv,) = prefix_counts(t, [v])
+        profiles.append([Fraction(Pkv[k], Pk[k]) for k in range(2, len(Pk))])
     double, broom = profiles
 
     ok = all(bc / double[-1] < Fraction(1, 10) for bc in double[:-1])

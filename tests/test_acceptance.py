@@ -8,7 +8,7 @@ exposed by `bcprof verify`.
 import math
 from fractions import Fraction
 
-from bcprof import make_tell, diameter, counts_through_vertex, prefix_sums
+from bcprof import make_tell, prefix_counts
 from bcprof.experiments import ExperimentConfig, render_csv, run_experiment
 from bcprof.profile_analysis import count_crossings
 from bcprof.verify import run_check
@@ -52,9 +52,7 @@ def test_criterion_5_crossing_construction():
     crossings_ok = True
     for l in (1, 2, 3):
         t, u, v, _ = make_tell(l)
-        d = diameter(t)
-        Pu = prefix_sums(counts_through_vertex(t, u), d)
-        Pv = prefix_sums(counts_through_vertex(t, v), d)
+        _, (Pu, Pv) = prefix_counts(t, (u, v))
         if count_crossings(Pu[2:], Pv[2:]).count < 2 * l - 3:
             crossings_ok = False
     _report(5, "crossing-construction alternation and >= 2l-3 crossings, l <= 3",

@@ -1,8 +1,15 @@
 """CLI behavior: subcommands, output formats, exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcprof.cli import main
 
@@ -149,6 +156,44 @@ class TestMalformedInput:
         assert named in err
 
 
+@st.composite
+def _near_tree(draw):
+    """A tree file with at most one fault: one edge line replaced by any pair
+    (self-loop, duplicate, out of range or cycle) or by a stray token, or one
+    line dropped or repeated. n <= 2 and n < 1 come up too."""
+    n = draw(st.integers(-1, 7))
+    lines = [f"{i + 1} {draw(st.integers(0, i))}" for i in range(n - 1)]
+    fault = draw(st.sampled_from(("none", "replace", "stray", "drop", "repeat")))
+    if lines and fault != "none":
+        i = draw(st.integers(0, len(lines) - 1))
+        if fault == "replace":
+            lines[i] = f"{draw(st.integers(-1, n))} {draw(st.integers(-1, n))}"
+        elif fault == "stray":
+            lines[i] = draw(st.sampled_from(("x", "#", "1.5", "7 8 9", "\udcff", "")))
+        elif fault == "drop":
+            del lines[i]
+        else:
+            lines.insert(i, lines[i])
+    return "\n".join((str(n), *lines)).encode("utf-8", "surrogateescape")
+
+
+class TestMalformedTreeFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(max_size=64) | _near_tree())
+    def test_only_documented_exit_codes(self, tree_bytes):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.tree"
+            path.write_bytes(tree_bytes)
+            for argv in (("profile", "--all"), ("analyze", "--vertex", "0"),
+                         ("analyze", "--pair", "0", "1")):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = main([argv[0], "--tree", str(path), *argv[1:]])
+                assert code in (0, 3) or 10 <= code <= 25, (argv, code)
+                if code != 0:
+                    assert out.getvalue() == "", argv
+
+
 class TestExpectCmd:
     def test_exact_reference(self, capsys):
         code, out, _ = run_cli(capsys, "expect", "--n", "4", "--k", "2", "--exact")
@@ -173,6 +218,16 @@ class TestExpectCmd:
         assert code == 0
         assert out.splitlines()[0] == "vertex,k,mean,stderr,trials"
         assert all(ln.endswith(",20") for ln in out.splitlines()[1:])
+
+    def test_monte_carlo_pinned_bytes(self, capsys):
+        # Digest of the 1846 stdout bytes recorded before the per-table ratio
+        # rows replaced the per-(vertex, k) table lookups.
+        code, out, _ = run_cli(capsys, "expect", "--n", "12", "--trials", "30",
+                               "--seed", "3")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6a867888745333af260718bd2f0b58b2251dea0618335f705e8b166788ed3f5e"
+        )
 
 
 class TestExperimentCmd:

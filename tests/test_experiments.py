@@ -8,9 +8,8 @@ from bcprof import (
     BadSpecError,
     OutOfRangeError,
     bfs_distances,
-    counts_through_vertex,
     path_counts_fast,
-    path_length_counts,
+    prefix_counts,
     profile,
 )
 from bcprof.experiments import (
@@ -46,28 +45,23 @@ class TestConfig:
 
 class TestDistanceMatrix:
     def test_matches_bfs(self):
-        # The path-length histograms the indicators read agree with the
-        # all-pairs BFS distances of the same sampled tree.
+        # The prefix counts the indicators read agree with the all-pairs BFS
+        # distances of the same sampled tree.
         rng = random.Random(3)
         t = sample_tree(40, rng).tree()
         D = [bfs_distances(t, v) for v in range(t.n)]
         d = max(max(row) for row in D)
-        total = [0] * (d + 1)
-        for a in range(t.n):
-            for b in range(a + 1, t.n):
-                if D[a][b] >= 2:
-                    total[D[a][b]] += 1
-        assert path_length_counts(t) == total
-        for v in range(t.n):
-            through = [0] * (d + 1)
-            for a in range(t.n):
-                for b in range(a + 1, t.n):
-                    if v not in (a, b) and D[a][v] + D[v][b] == D[a][b]:
-                        through[D[a][b]] += 1
-            got = counts_through_vertex(t, v)
-            assert not any(got[d + 1 :])
-            got = got[: d + 1]
-            assert got + [0] * (d + 1 - len(got)) == through
+        pairs = [(a, b) for a in range(t.n) for b in range(a + 1, t.n) if D[a][b] >= 2]
+        Pk = [sum(1 for a, b in pairs if D[a][b] <= k) for k in range(d + 1)]
+        Pkv = [
+            [
+                sum(1 for a, b in pairs if D[a][b] <= k and v not in (a, b)
+                    and D[a][v] + D[v][b] == D[a][b])
+                for k in range(d + 1)
+            ]
+            for v in range(t.n)
+        ]
+        assert prefix_counts(t, range(t.n)) == (Pk, Pkv)
 
 
 class TestIndicators:
@@ -128,7 +122,8 @@ class TestDeterminism:
         assert render_csv(run_experiment(cfg)) == "x,estimate,stderr,trials,seed\n" + rows
 
     def test_worker_count_invariant(self, monkeypatch):
-        cfg = ExperimentConfig(which="monotone_1_vs_n", grid=(10,), trials=24, seed=6)
+        # 3 x 70 trials in chunks of 64: chunks straddle grid points.
+        cfg = ExperimentConfig(which="monotone_1_vs_n", grid=(10, 4, 25), trials=70, seed=6)
         monkeypatch.setenv("BCPROF_THREADS", "1")
         serial = render_csv(run_experiment(cfg))
         monkeypatch.setenv("BCPROF_THREADS", "3")

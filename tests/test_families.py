@@ -17,7 +17,6 @@ from bcprof import (
     closed_form_gij_Pkv,
     closed_form_path_bck,
     closed_form_path_Pkv,
-    counts_through_vertex,
     diameter,
     make_broom,
     make_double_broom,
@@ -25,7 +24,7 @@ from bcprof import (
     make_path,
     make_tell,
     path_counts_naive,
-    prefix_sums,
+    prefix_counts,
     tabulated_gij_k_values,
 )
 
@@ -131,9 +130,7 @@ class TestTell:
     @pytest.mark.parametrize("l", (1, 2, 3))
     def test_alternation(self, l):
         t, u, v, _ = make_tell(l)
-        d = diameter(t)
-        Pu = prefix_sums(counts_through_vertex(t, u), d)
-        Pv = prefix_sums(counts_through_vertex(t, v), d)
+        _, (Pu, Pv) = prefix_counts(t, (u, v))
         for i in range(1, l):
             assert Pu[2 * i] > Pv[2 * i]
             assert Pv[2 * i + 1] > Pu[2 * i + 1]
@@ -148,9 +145,7 @@ class TestTell:
         t, u, v, choice = make_tell(2, strategy="paper_bound")
         assert choice.strategy == "paper_bound"
         assert choice.a[0] == comb(3, 2)
-        d = diameter(t)
-        Pu = prefix_sums(counts_through_vertex(t, u), d)
-        Pv = prefix_sums(counts_through_vertex(t, v), d)
+        _, (Pu, Pv) = prefix_counts(t, (u, v))
         assert Pu[2] > Pv[2] and Pv[3] > Pu[3]
 
     def test_paper_bound_exceeds_cap(self):

@@ -16,7 +16,9 @@ from bcprof import (
     NotASimplePathError,
     NTooLargeError,
     PreconditionViolatedError,
+    RecursiveTree,
     all_candidate_paths,
+    build_tree,
     enumerate_histories,
     estimate_expected_profiles,
     exact_expected_pk,
@@ -80,6 +82,14 @@ class TestRecursiveTreeInvariant:
             env={**os.environ, "PYTHONPATH": src}, timeout=120,
         )
         assert proc.returncode == 1 and "OutOfRangeError" in proc.stderr
+
+    def test_tree_equals_build_tree(self):
+        # tree() skips build_tree's checks; it must build the same Tree.
+        recs = [sample_tree(n, random.Random(s)) for n in (1, 2, 3, 40, 250) for s in range(5)]
+        recs += [RecursiveTree(n=5, parents=parents) for parents, _ in enumerate_histories(5)]
+        for rec in recs:
+            edges = [(t - 1, p - 1) for t, p in enumerate(rec.parents, start=2)]
+            assert rec.tree() == build_tree(rec.n, edges)
 
 
 class TestHistories:

@@ -17,12 +17,10 @@ from bcprof import (
     all_profiles,
     bfs_distances,
     build_tree,
-    counts_through_vertex,
     diameter,
     path_counts_fast,
     path_counts_naive,
-    path_length_counts,
-    prefix_sums,
+    prefix_counts,
     profile,
     read_tree,
     write_tree,
@@ -32,6 +30,26 @@ from bcprof import (
 def random_tree(n: int, rng: random.Random):
     """Uniform-ish random labeled tree: attach each vertex to a random earlier one."""
     return build_tree(n, [(i + 1, rng.randrange(i + 1)) for i in range(n - 1)])
+
+
+def draw_tree(data, sizes):
+    """A random tree, path or star with a size drawn from sizes."""
+    kind = data.draw(st.sampled_from(("random", "path", "star")))
+    n = data.draw(sizes)
+    if kind == "path":
+        return build_tree(n, [(i, i + 1) for i in range(n - 1)])
+    if kind == "star":
+        return build_tree(n, [(0, i) for i in range(1, n)])
+    return random_tree(n, random.Random(data.draw(st.integers(0, 2**32))))
+
+
+# Sizes on both sides of the packed lane-width step between n=181 and n=182.
+LANE_STEP = st.sampled_from((181, 182))
+
+
+def as_lists(table):
+    """A table's (Pk, Pkv) in prefix_counts's shape, for every vertex."""
+    return list(table.Pk), [list(row) for row in table.Pkv]
 
 
 # An 11-vertex reference tree: a length-4 path into a 3-way fan, each fan
@@ -99,23 +117,25 @@ class TestPathCounts:
         n = data.draw(st.integers(min_value=2, max_value=16))
         parents = [data.draw(st.integers(min_value=0, max_value=i)) for i in range(n - 1)]
         t = build_tree(n, [(i + 1, p) for i, p in enumerate(parents)])
-        assert path_counts_fast(t) == path_counts_naive(t)
-        assert path_length_counts(t) == list(path_counts_naive(t).p)
+        naive = path_counts_naive(t)
+        assert path_counts_fast(t) == naive
+        assert prefix_counts(t, range(t.n)) == as_lists(naive)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_prefix_counts_equals_naive_hypothesis(self, data):
+        t = draw_tree(data, st.one_of(LANE_STEP, st.integers(1, 40)))
+        naive = path_counts_naive(t)
+        assert prefix_counts(t, range(t.n)) == as_lists(naive)
 
     @pytest.mark.parametrize("n", (1, 2))
     def test_tiny_trees(self, n):
         t = build_tree(n, [(0, 1)][: n - 1])
         naive = path_counts_naive(t)
-        assert path_length_counts(t) == list(naive.p) == [0] * n
+        assert list(naive.p) == [0] * n
         assert path_counts_fast(t) == naive
-        rows = {1: [[0]], 2: [[0, 0, 0], [0, 0, 0]]}[n]
-        assert [counts_through_vertex(t, v) for v in range(n)] == rows
-
-    def test_prefix_sums(self):
-        assert prefix_sums([0, 5, 1, 2, 3], 4) == [0, 0, 1, 3, 6]
-        assert prefix_sums([0, 0, 4], 5) == [0, 0, 4, 4, 4, 4]
-        assert prefix_sums([0, 0, 4, 9], 2) == [0, 0, 4]
-        assert prefix_sums([0], 0) == [0] and prefix_sums([], 1) == [0, 0]
+        assert prefix_counts(t, range(n)) == as_lists(naive)
+        assert prefix_counts(t, range(n)) == {1: ([0], [[0]]), 2: ([0, 0], [[0, 0], [0, 0]])}[n]
 
     def test_total_pairs_identity(self):
         # Sum of p_l over all l (including l=1 edges) is C(n, 2) on a tree.
@@ -138,16 +158,8 @@ class TestPathCounts:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_engine_identities_hypothesis(self, data):
-        # Trees up to n=400, with paths and stars on both sides of the
-        # packed lane-width step between n=181 and n=182.
-        kind = data.draw(st.sampled_from(("random", "path", "star")))
-        n = data.draw(st.one_of(st.sampled_from((181, 182)), st.integers(1, 400)))
-        if kind == "path":
-            t = build_tree(n, [(i, i + 1) for i in range(n - 1)])
-        elif kind == "star":
-            t = build_tree(n, [(0, i) for i in range(1, n)])
-        else:
-            t = random_tree(n, random.Random(data.draw(st.integers(0, 2**32))))
+        t = draw_tree(data, st.one_of(LANE_STEP, st.integers(1, 400)))
+        n = t.n
         table = path_counts_fast(t)
         # Each length-l path has l-1 interior vertices.
         for l in range(2, table.d + 1):
@@ -155,25 +167,22 @@ class TestPathCounts:
         # Every vertex pair that is not an edge is a path of length >= 2.
         assert sum(table.p) == n * (n - 1) // 2 - (n - 1)
         v = data.draw(st.integers(0, n - 1))
-        through = counts_through_vertex(t, v)
-        assert through[: table.d + 1] == list(table.pv[v])
-        assert not any(through[table.d + 1 :])
+        assert prefix_counts(t, [v]) == (list(table.Pk), [list(table.Pkv[v])])
 
-    def test_counts_through_vertex_matches_table(self):
+    def test_prefix_counts_matches_table(self):
         rng = random.Random(9)
         for _ in range(10):
             t = random_tree(rng.randrange(3, 20), rng)
             table = path_counts_fast(t)
-            for v in range(t.n):
-                through = counts_through_vertex(t, v)
-                for l in range(2, table.d + 1):
-                    got = through[l] if l < len(through) else 0
-                    assert got == table.pv[v][l]
+            assert prefix_counts(t, range(t.n)) == as_lists(table)
+            # Rows follow the listed order, repeats included.
+            assert prefix_counts(t, [2, 0, 2])[1] == [list(table.Pkv[v]) for v in (2, 0, 2)]
 
     @pytest.mark.parametrize("v", (-1, 4))
-    def test_counts_through_vertex_rejects_out_of_range(self, v):
+    def test_prefix_counts_rejects_out_of_range(self, v):
+        # -1 must not index from the end: it names no vertex.
         with pytest.raises(OutOfRangeError):
-            counts_through_vertex(build_tree(4, [(0, 1), (1, 2), (2, 3)]), v)
+            prefix_counts(build_tree(4, [(0, 1), (1, 2), (2, 3)]), [0, v])
 
 
 class TestProfile:
