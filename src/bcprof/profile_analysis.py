@@ -1,10 +1,12 @@
-"""Dip, monotonicity, crossing and dominance analysis of exact profiles.
+"""Dip, monotonicity, crossing and dominance analysis of exact sequences.
 
-All comparisons are exact (Fraction or int); no floats are ever compared.
-Dip intervals are reported as (start, end) index pairs and are
-step-disjoint: two intervals may share a single boundary index but never a
-consecutive-pair step. This is the convention under which the maximum
-number of disjoint dips matches the greedy scan.
+The four primitives take plain sequences of exact values (Fraction or int;
+no floats are ever compared) and report 0-based positions. Dip intervals
+are (start, end) position pairs and are step-disjoint: two intervals may
+share a single boundary position but never a consecutive-pair step. This
+is the convention under which the maximum number of disjoint dips matches
+the greedy scan. The two JSON reports take a `Profile` and give positions
+as `k` values.
 """
 
 from __future__ import annotations
@@ -14,17 +16,6 @@ from typing import Sequence
 
 from .errors import LengthMismatchError
 from .tree_core import Profile
-
-Exact = object  # Fraction or int; anything with exact total order
-
-
-def _values(p) -> Sequence:
-    return p.entries if isinstance(p, Profile) else tuple(p)
-
-
-def _offset(p) -> int:
-    # Profile entries start at k=2; raw sequences are reported 0-based.
-    return 2 if isinstance(p, Profile) else 0
 
 
 @dataclass(frozen=True)
@@ -39,45 +30,28 @@ class CrossingReport:
     witnesses: tuple[int, ...]
 
 
-def count_dips(p) -> DipReport:
+def count_dips(seq: Sequence) -> DipReport:
     """Maximum number of disjoint dips, by greedy left-to-right scan.
 
     A dip is an interval splitting into a non-increasing prefix and a
-    non-decreasing suffix that is not monotone as a whole. The scan emits
-    the minimal window from the first strict decrease to the first strict
-    increase after it, then resumes at the increase's right endpoint.
+    non-decreasing suffix that is not monotone as a whole. The scan opens a
+    dip at the first strict decrease, closes it at the right endpoint of the
+    first strict increase after that, and lets the next dip start there.
     """
-    seq = _values(p)
-    base = _offset(p)
     intervals: list[tuple[int, int]] = []
-    i = 0
-    n = len(seq)
-    while True:
-        start = None
-        while i < n - 1:
-            if seq[i] > seq[i + 1]:
-                start = i
-                break
-            i += 1
+    start = None
+    for i, (a, b) in enumerate(zip(seq, seq[1:])):
         if start is None:
-            break
-        end = None
-        j = start + 1
-        while j < n - 1:
-            if seq[j] < seq[j + 1]:
-                end = j + 1
-                break
-            j += 1
-        if end is None:
-            break
-        intervals.append((base + start, base + end))
-        i = end
+            if a > b:
+                start = i
+        elif a < b:
+            intervals.append((start, i + 1))
+            start = None
     return DipReport(count=len(intervals), intervals=tuple(intervals))
 
 
-def monotonicity_class(p) -> str:
+def monotonicity_class(seq: Sequence) -> str:
     """One of: constant, non_decreasing, non_increasing, neither."""
-    seq = _values(p)
     non_dec = all(a <= b for a, b in zip(seq, seq[1:]))
     non_inc = all(a >= b for a, b in zip(seq, seq[1:]))
     if non_dec and non_inc:
@@ -89,21 +63,19 @@ def monotonicity_class(p) -> str:
     return "neither"
 
 
-def is_monotone(p) -> bool:
-    return monotonicity_class(p) != "neither"
+def is_monotone(seq: Sequence) -> bool:
+    return monotonicity_class(seq) != "neither"
 
 
-def count_crossings(pu, pv) -> CrossingReport:
-    """Crossings between two equal-length profiles.
+def count_crossings(su: Sequence, sv: Sequence) -> CrossingReport:
+    """Crossings between two equal-length sequences.
 
-    Restricted to indices where the values differ, the count is the number
-    of sign alternations; witnesses are the leftmost maximal alternating
-    index subsequence (empty when the profiles never differ).
+    Restricted to positions where the values differ, the count is the
+    number of sign alternations; witnesses are the leftmost maximal
+    alternating position subsequence (empty when the sequences never differ).
     """
-    su, sv = _values(pu), _values(pv)
     if len(su) != len(sv):
         raise LengthMismatchError(f"profile lengths differ: {len(su)} vs {len(sv)}")
-    base = _offset(pu)
     witnesses: list[int] = []
     last_sign = 0
     for idx, (a, b) in enumerate(zip(su, sv)):
@@ -111,36 +83,35 @@ def count_crossings(pu, pv) -> CrossingReport:
             continue
         sign = 1 if a > b else -1
         if sign != last_sign:
-            witnesses.append(base + idx)
+            witnesses.append(idx)
             last_sign = sign
-    if not witnesses:
-        return CrossingReport(count=0, witnesses=())
-    return CrossingReport(count=len(witnesses) - 1, witnesses=tuple(witnesses))
+    return CrossingReport(count=max(len(witnesses) - 1, 0), witnesses=tuple(witnesses))
 
 
-def dominates(pu, pv) -> bool:
-    """True iff pu >= pv pointwise (exact)."""
-    su, sv = _values(pu), _values(pv)
+def dominates(su: Sequence, sv: Sequence) -> bool:
+    """True iff su >= sv pointwise (exact)."""
     if len(su) != len(sv):
         raise LengthMismatchError(f"profile lengths differ: {len(su)} vs {len(sv)}")
     return all(a >= b for a, b in zip(su, sv))
 
 
 def vertex_analysis(p: Profile) -> dict:
-    dips = count_dips(p)
+    ks = p.k_range()
+    dips = count_dips(p.entries)
     return {
         "vertex": p.vertex,
         "dip_count": dips.count,
-        "dip_intervals": [list(iv) for iv in dips.intervals],
-        "monotone_class": monotonicity_class(p),
+        "dip_intervals": [[ks[s], ks[e]] for s, e in dips.intervals],
+        "monotone_class": monotonicity_class(p.entries),
     }
 
 
 def pair_analysis(pu: Profile, pv: Profile) -> dict:
-    crossings = count_crossings(pu, pv)
+    ks = pu.k_range()
+    crossings = count_crossings(pu.entries, pv.entries)
     return {
         "vertices": [pu.vertex, pv.vertex],
         "crossing_count": crossings.count,
-        "witnesses": list(crossings.witnesses),
-        "dominates": dominates(pu, pv),
+        "witnesses": [ks[i] for i in crossings.witnesses],
+        "dominates": dominates(pu.entries, pv.entries),
     }

@@ -22,7 +22,7 @@ from .errors import (
     OutOfRangeError,
     PreconditionViolatedError,
 )
-from .tree_core import PathCountTable, Tree, path_counts_fast
+from .tree_core import Tree, path_counts_fast
 
 MAX_EXACT_N = 9  # product of (t-1) histories; 9 keeps it at 8! = 40320
 
@@ -178,8 +178,7 @@ def enumerate_histories(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
 
     # weights[i] = attachment weight of label i (degree, +1 virtual for 1)
     weights = [0] * (n + 1)
-    if n >= 1:
-        weights[1] = 1
+    weights[1] = 1
     yield from rec(2, [], weights, Fraction(1))
 
 
@@ -318,23 +317,25 @@ def estimate_expected_profiles(
         raise OutOfRangeError(f"need n >= 3 for nonempty profiles, got {n}")
     if trials < 1:
         raise OutOfRangeError(f"need trials >= 1, got {trials}")
+    # Keep only d, Pk and Pkv of each trial: p and pv are never read, and
+    # holding them for every trial would grow memory with the trial count.
     tables = []
     max_d = 2
     for trial in range(trials):
         rng = random.Random(substream_seed(seed, trial))
         table = path_counts_fast(sample_tree(n, rng).tree())
         max_d = max(max_d, table.d)
-        tables.append(table)
+        tables.append((table.d, table.Pk, table.Pkv))
 
-    def held_ratios(table: PathCountTable, v: int) -> list[float]:
+    def held_ratios(d: int, Pk: tuple, Pkv: tuple, v: int) -> list[float]:
         """BC_k(v) for k = 2..max_d, held at its value past the table's d."""
-        ratios = [pv / pk for pv, pk in zip(table.Pkv[v][2:], table.Pk[2:])]
-        return ratios + ratios[-1:] * (max_d - table.d)
+        ratios = [pv / pk for pv, pk in zip(Pkv[v][2:], Pk[2:])]
+        return ratios + ratios[-1:] * (max_d - d)
 
     rows = []
     for v in range(n):
         # Each column holds one value per table, in trial order.
-        columns = zip(*(held_ratios(table, v) for table in tables))
+        columns = zip(*(held_ratios(*table, v) for table in tables))
         for k, values in enumerate(columns, start=2):
             mean = sum(values) / trials
             if trials > 1:

@@ -282,14 +282,8 @@ class Profile:
     vertex: int
     entries: tuple[Fraction, ...]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def k_range(self) -> range:
         return range(2, 2 + len(self.entries))
-
-    def decimals(self, digits: int = 6) -> list[str]:
-        return [f"{float(e):.{digits}f}" for e in self.entries]
 
 
 def profile(t: Tree, v: int, table: PathCountTable | None = None) -> Profile:

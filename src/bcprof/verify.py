@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnknownCheckError
+from .errors import BadSpecError, UnknownCheckError
 from .profile_analysis import count_crossings, count_dips, dominates
 from .scale_free import (
     all_candidate_paths,
@@ -166,11 +166,11 @@ def check_theorem1(max_size: int = 10) -> CheckReport:
     return CheckReport(check="theorem1", cases=tuple(cases))
 
 
-def check_tell(max_size: int = 3, strategy: str = "minimal_search") -> CheckReport:
+def check_tell(max_size: int = 3) -> CheckReport:
     """Alternation inequalities and crossing count of the crossing family."""
     cases = []
     for l in range(1, max_size + 1):
-        t, u, v, _choice = make_tell(l, strategy=strategy)
+        t, u, v, _choice = make_tell(l)
         _, (Pu, Pv) = prefix_counts(t, (u, v))
         ok, detail = True, ""
         for i in range(1, l):
@@ -188,7 +188,7 @@ def check_tell(max_size: int = 3, strategy: str = "minimal_search") -> CheckRepo
     return CheckReport(check="tell", cases=tuple(cases))
 
 
-def check_prop2(max_size: int | None = None) -> CheckReport:
+def check_prop2() -> CheckReport:
     """Finite witnesses of the double-broom gap and the broom dominance."""
     profiles = []
     for t, v in (make_double_broom(10, 1000), make_broom(1000, 50)):
@@ -267,26 +267,28 @@ def check_theorem3(max_size: int = 7) -> CheckReport:
 
 
 _CHECKS = {
-    "prop1": (check_prop1, 200),
-    "corollary1": (check_corollary1, 50),
-    "gij-tables": (check_gij_tables, 5),
-    "theorem1": (check_theorem1, 10),
-    "tell": (check_tell, 3),
-    "prop2": (check_prop2, None),
-    "lemma1": (check_lemma1, 7),
-    "theorem3": (check_theorem3, 7),
+    "prop1": check_prop1,
+    "corollary1": check_corollary1,
+    "gij-tables": check_gij_tables,
+    "theorem1": check_theorem1,
+    "tell": check_tell,
+    "prop2": check_prop2,
+    "lemma1": check_lemma1,
+    "theorem3": check_theorem3,
 }
 
 CHECK_NAMES = tuple(_CHECKS)
 
 
 def run_check(name: str, max_size: int | None = None) -> CheckReport:
+    """Run one suite; `max_size` replaces the suite's own default when given."""
     if name not in _CHECKS:
         raise UnknownCheckError(
             f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}"
         )
-    func, default = _CHECKS[name]
-    size = max_size if max_size is not None else default
-    if size is None:
+    func = _CHECKS[name]
+    if max_size is None:
         return func()
-    return func(size)
+    if func is check_prop2:
+        raise BadSpecError(f"{name} checks fixed instances and takes no max size")
+    return func(max_size)

@@ -93,10 +93,6 @@ class TestCountDips:
             for (_, e1), (s2, _) in zip(rep.intervals, rep.intervals[1:]):
                 assert s2 >= e1
 
-    def test_profile_offset(self):
-        p = Profile(vertex=0, entries=tuple(Fraction(x) for x in (3, 1, 4)))
-        assert count_dips(p).intervals == ((2, 4),)
-
 
 class TestMonotonicity:
     def test_classes(self):
@@ -186,4 +182,5 @@ class TestJsonReports:
         report = pair_analysis(pu, pv)
         assert report["vertices"] == [0, 1]
         assert report["crossing_count"] == 1
+        assert report["witnesses"] == [2, 3]
         assert report["dominates"] is False

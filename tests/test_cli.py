@@ -147,7 +147,8 @@ class TestMalformedInput:
         (("profile", "--tree", "{tree}", "--all"), b"3\nx\n", "line 2"),
         (("experiment", "--which", "no_cross_12_vs_n", "--grid", "10,x"), b"", "'x'"),
         (("profile", "--tree", "{tree}", "--all"), b"3\n0 1\xff\n1 2\n", "bad.tree"),
-    ], ids=("short-edge-line", "non-integer-n", "grid-token", "not-utf8"))
+        (("verify", "--check", "prop2", "--max-size", "-7"), b"", "prop2"),
+    ], ids=("short-edge-line", "non-integer-n", "grid-token", "not-utf8", "prop2-max-size"))
     def test_exits_24_naming_the_input(self, tmp_path, capsys, argv, tree_bytes, named):
         path = tmp_path / "bad.tree"
         path.write_bytes(tree_bytes)

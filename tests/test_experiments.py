@@ -87,10 +87,12 @@ class TestIndicators:
             else:
                 u, w = (0 if which == "monotone_1_vs_n" else x - 1), None
             if w is None:
-                want = is_monotone(profile(t, u, table))
+                want = is_monotone(profile(t, u, table).entries)
             else:
                 want = (
-                    count_crossings(profile(t, u, table), profile(t, w, table)).count
+                    count_crossings(
+                        profile(t, u, table).entries, profile(t, w, table).entries
+                    ).count
                     == 0
                 )
             assert got == want, which
