@@ -11,10 +11,13 @@ import argparse
 import json
 import random
 import sys
+from math import gcd
+from typing import Sequence
 
 from .errors import (
     BadSpecError,
     BcprofError,
+    DiameterTooSmallError,
     OddMError,
     OutOfRangeError,
 )
@@ -30,7 +33,7 @@ from .experiments import (
     write_manifest,
 )
 from .scale_free import estimate_expected_profiles, exact_expected_pk, sample_tree
-from .tree_core import all_profiles, path_counts_fast, profile, read_tree, write_tree
+from .tree_core import path_counts_fast, prefix_counts, profile, read_tree, write_tree
 from .tree_families import (
     make_broom,
     make_double_broom,
@@ -116,31 +119,49 @@ def _load_tree(path: str):
         raise BadSpecError(f"tree file {path!r} is not UTF-8 text") from None
 
 
+# One profile row per k, written from the exact counts: numerator and
+# denominator are P_k(v) / P_k reduced by gcd, and a / b on ints is
+# correctly rounded, so the decimal is float(Fraction(a, b))'s. The JSON
+# layout is json.dump(rows, indent=2)'s.
+_ROW_FORMATS = {
+    "csv": ("vertex,k,numerator,denominator,decimal\n", "%d,%d,%d,%d,%.6f", "\n", "\n"),
+    "json": (
+        "[\n",
+        '  {\n    "vertex": %d,\n    "k": %d,\n    "numerator": %d,\n'
+        '    "denominator": %d,\n    "decimal": "%.6f"\n  }',
+        ",\n",
+        "\n]\n",
+    ),
+}
+
+
+def _write_profile_rows(out, fmt: str, Pk: Sequence[int], rows) -> None:
+    """Write each (vertex, P_k(v) row) of rows as profile rows in fmt, one
+    write per vertex. Pk and every row run over k = 0..d."""
+    head, row, sep, tail = _ROW_FORMATS[fmt]
+    for v, Pkv in rows:
+        cells = []
+        for k in range(2, len(Pk)):
+            a, b = Pkv[k], Pk[k]
+            g = gcd(a, b)
+            cells.append(row % (v, k, a // g, b // g, a / b))
+        out.write(head + sep.join(cells))
+        head = sep
+    out.write(tail)
+
+
 def cmd_profile(args) -> int:
     tree = _load_tree(args.tree)
-    table = path_counts_fast(tree)
     if args.all:
-        profiles = all_profiles(tree, table)
+        table = path_counts_fast(tree)
+        Pk, rows = table.Pk, enumerate(table.Pkv)
     else:
-        profiles = [profile(tree, args.vertex, table)]
-    rows = [
-        {
-            "vertex": p.vertex,
-            "k": k,
-            "numerator": e.numerator,
-            "denominator": e.denominator,
-            "decimal": f"{float(e):.6f}",
-        }
-        for p in profiles
-        for k, e in zip(p.k_range(), p.entries)
-    ]
-    if args.format == "json":
-        json.dump(rows, sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        print("vertex,k,numerator,denominator,decimal")
-        for r in rows:
-            print(f"{r['vertex']},{r['k']},{r['numerator']},{r['denominator']},{r['decimal']}")
+        Pk, (row,) = prefix_counts(tree, [args.vertex])
+        rows = [(args.vertex, row)]
+    d = len(Pk) - 1
+    if d < 2:
+        raise DiameterTooSmallError(f"diameter {d} < 2: profile is empty")
+    _write_profile_rows(sys.stdout, args.format, Pk, rows)
     return 0
 
 

@@ -89,25 +89,32 @@ def _worker(args) -> int:
     return int(_trial_indicator(*args))
 
 
-def worker_count() -> int:
+# Tasks per pool submission; a pool of more workers than chunks idles.
+CHUNK = 64
+
+
+def worker_count(tasks: int) -> int:
+    """Pool size for `tasks` trials: BCPROF_THREADS (0 means every CPU),
+    capped at the CPU count and at the number of CHUNK-task chunks."""
     raw = os.environ.get("BCPROF_THREADS", "1")
     try:
         value = int(raw)
     except ValueError:
-        raise BadSpecError(f"BCPROF_THREADS must be an integer, got {raw!r}")
-    if value == 0:
-        return os.cpu_count() or 1
-    return max(1, value)
+        value = -1
+    if value < 0:
+        raise BadSpecError(f"BCPROF_THREADS must be a non-negative integer, got {raw!r}")
+    cpus = os.cpu_count() or 1
+    return min(value or cpus, cpus, -(-tasks // CHUNK))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     start = time.monotonic()
-    workers = worker_count()
     # One flat (x, trial) task list, so one pool serves the whole grid.
     tasks = [(cfg.which, x, cfg.fixed_n, cfg.seed, t) for x in cfg.grid for t in range(cfg.trials)]
-    if workers > 1 and tasks:
+    workers = worker_count(len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            indicators = list(pool.map(_worker, tasks, chunksize=64))
+            indicators = list(pool.map(_worker, tasks, chunksize=CHUNK))
     else:
         indicators = [_worker(task) for task in tasks]
     rows = []

@@ -7,6 +7,7 @@ betweenness values are `fractions.Fraction`; nothing here ever rounds.
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,21 +157,29 @@ def path_counts_naive(t: Tree) -> PathCountTable:
 # and * is their exact convolution.
 
 
+# Lane widths a memoryview can be cast to, with their format codes.
+_LANE_FORMATS = {16: "H", 32: "I", 64: "Q"}
+
+
 def _lane_bits(n: int) -> int:
-    """Lane width for a tree on n vertices.
+    """Lane width for a tree on n vertices: 16, 32 or 64 bits.
 
     Every lane counts vertex pairs, so it stays below n**2, which needs at
     most lane - 1 bits: no lane carries into the next, and bit_length() //
-    lane is the index of the highest non-zero lane.
+    lane is the index of the highest non-zero lane. Raises OutOfRangeError
+    when n**2 does not fit in 63 bits.
     """
-    return 8 * ((n * n).bit_length() // 8 + 1)
+    bits = (n * n).bit_length()
+    for lane in _LANE_FORMATS:
+        if bits < lane:
+            return lane
+    raise OutOfRangeError(f"n={n} is too large: n**2 must fit in 63 bits")
 
 
 def _unpack(x: int, lane: int, count: int) -> list[int]:
     """Lanes 0..count-1 of x; x must have no non-zero lane past them."""
-    w = lane // 8
-    raw = x.to_bytes(count * w, "little")
-    return [int.from_bytes(raw[i : i + w], "little") for i in range(0, count * w, w)]
+    raw = x.to_bytes(count * lane // 8, sys.byteorder)
+    return memoryview(raw).cast(_LANE_FORMATS[lane]).tolist()
 
 
 def _pair_branches(acc: int, branches: Iterable[int]) -> tuple[int, int]:

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import tempfile
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bcprof import all_profiles, build_tree, write_tree
 from bcprof.cli import main
 
 
@@ -89,6 +91,99 @@ class TestProfileCmd:
         code, _, _ = run_cli(capsys, "profile", "--tree", fan_tree,
                              "--vertex", "99")
         assert code == 12
+
+
+def _reference_profile_output(t, fmt, vertices):
+    """profile's stdout built the way it was before rows were written from
+    the counts: Fractions from all_profiles, one dict per row, json.dumps."""
+    rows = [
+        {
+            "vertex": p.vertex,
+            "k": k,
+            "numerator": e.numerator,
+            "denominator": e.denominator,
+            "decimal": f"{float(e):.6f}",
+        }
+        for p in all_profiles(t) if p.vertex in vertices
+        for k, e in zip(p.k_range(), p.entries)
+    ]
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    lines = ["vertex,k,numerator,denominator,decimal"]
+    lines += [f"{r['vertex']},{r['k']},{r['numerator']},{r['denominator']},{r['decimal']}"
+              for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestProfileBytes:
+    # sha256 of profile's stdout, recorded before profile wrote its rows
+    # straight from the counts. Trees come from `gen SPEC --seed 7`.
+    PINNED = {
+        ("path:40", "--all", "csv"):
+            "2538cf16903c580b8953817ea41c06c83fa2f599cb656bfa67acc504e76fca3c",
+        ("path:40", "--all", "json"):
+            "5ef138f413b647fe261f645ff8b417c517e82858e497b004df87c4f2c53bbef1",
+        ("gij:3,5", "--all", "csv"):
+            "b49ea79d0a30969bfc54c838da83ee5bfb2eed9d764643d66f69c824bae8f865",
+        ("gij:3,5", "--all", "json"):
+            "056a4b94ad18cfcf4ccb4643d7347330db712056ab2dff17a0025977de1120ed",
+        ("scale-free:200", "--all", "csv"):
+            "4ba7eb254109c2350f4d6e5c5546a5e7a8c38d0f5f5ab7bf876d1b0bf3a95780",
+        ("scale-free:200", "--all", "json"):
+            "be41c49b5257a3e38a8828bd6c84889e2e6c3cc3d0a9fd1a2be32845a757b4bc",
+        ("gij:3,5", "--vertex=3", "csv"):
+            "e6c190d62c199a4ce4bd607a720143e649b6f016d0f2bba1140f0a8fa471f589",
+        ("gij:3,5", "--vertex=3", "json"):
+            "8b4ab7d73ecd33eaf21bcec9c3604d1bfb89ccc5c578229f65791db26bde4c06",
+    }
+
+    @pytest.mark.parametrize("spec, select, fmt", sorted(PINNED))
+    def test_pinned_bytes(self, tmp_path, capsys, spec, select, fmt):
+        tree = tmp_path / "t.tree"
+        run_cli(capsys, "gen", spec, "--seed", "7", "--out", str(tree))
+        code, out, _ = run_cli(capsys, "profile", "--tree", str(tree), select, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[spec, select, fmt]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_fraction_rows(self, data):
+        n = data.draw(st.integers(3, 60))
+        kind = data.draw(st.sampled_from(("random", "path", "star")))
+        if kind == "path":
+            edges = [(i, i + 1) for i in range(n - 1)]
+        elif kind == "star":  # d = 2: one k per vertex
+            edges = [(0, i) for i in range(1, n)]
+        else:
+            rng = random.Random(data.draw(st.integers(0, 2**32)))
+            edges = [(i + 1, rng.randrange(i + 1)) for i in range(n - 1)]
+        t = build_tree(n, edges)
+        v = data.draw(st.integers(0, n - 1))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.tree"
+            path.write_text(write_tree(t))
+            for fmt in ("csv", "json"):
+                for select, vertices in ((["--all"], range(n)), (["--vertex", str(v)], [v])):
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        code = main(["profile", "--tree", str(path), *select, "--format", fmt])
+                    assert code == 0
+                    assert out.getvalue() == _reference_profile_output(t, fmt, vertices)
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    @pytest.mark.parametrize("select, exit_code", [
+        (("--all",), 15),
+        (("--vertex", "1"), 15),
+        (("--vertex", "2"), 12),  # the vertex is checked before the diameter
+    ])
+    def test_two_vertex_tree_writes_nothing(self, tmp_path, capsys, fmt, select, exit_code):
+        tree = tmp_path / "two.tree"
+        tree.write_text("2\n0 1\n")
+        code, out, err = run_cli(capsys, "profile", "--tree", str(tree), *select,
+                                 "--format", fmt)
+        assert code == exit_code and out == ""
+        if exit_code == 15:
+            assert "diameter 1 < 2: profile is empty" in err
 
 
 class TestAnalyzeCmd:

@@ -18,6 +18,7 @@ from bcprof.experiments import (
     default_grid,
     render_csv,
     run_experiment,
+    worker_count,
     write_csv,
     write_manifest,
 )
@@ -131,6 +132,30 @@ class TestDeterminism:
         monkeypatch.setenv("BCPROF_THREADS", "3")
         parallel = render_csv(run_experiment(cfg))
         assert serial == parallel
+
+
+class TestWorkerCount:
+    # No experiment runs here: the pool size is computed, never started.
+    @pytest.mark.parametrize("raw, cpus, tasks, expected", [
+        ("1", 8, 1000, 1),
+        ("0", 8, 1000, 8),
+        ("99999", 8, 1000, 8),  # capped at the CPU count
+        ("99999", 8, 3 * 64, 3),  # capped at the number of 64-task chunks
+        ("2", 8, 65, 2),
+        ("2", 8, 64, 1),
+        ("0", 4, 0, 0),
+    ])
+    def test_pool_size(self, monkeypatch, raw, cpus, tasks, expected):
+        monkeypatch.setenv("BCPROF_THREADS", raw)
+        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        assert worker_count(tasks) == expected
+
+    @pytest.mark.parametrize("raw", ("-1", "-99999", "x", "1.5", ""))
+    def test_rejects_negative_and_non_integer(self, monkeypatch, raw):
+        monkeypatch.setenv("BCPROF_THREADS", raw)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        with pytest.raises(BadSpecError, match="BCPROF_THREADS"):
+            worker_count(1000)
 
 
 class TestOutput:

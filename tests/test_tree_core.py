@@ -13,6 +13,7 @@ from bcprof import (
     DuplicateEdgeError,
     OutOfRangeError,
     SelfLoopError,
+    Tree,
     WrongEdgeCountError,
     all_profiles,
     bfs_distances,
@@ -25,6 +26,7 @@ from bcprof import (
     read_tree,
     write_tree,
 )
+from bcprof.tree_core import _lane_bits
 
 
 def random_tree(n: int, rng: random.Random):
@@ -185,6 +187,29 @@ class TestPathCounts:
         # -1 must not index from the end: it names no vertex.
         with pytest.raises(OutOfRangeError):
             prefix_counts(build_tree(4, [(0, 1), (1, 2), (2, 3)]), [0, v])
+
+
+class TestLaneWidth:
+    @pytest.mark.parametrize("n, lane", [
+        (1, 16), (181, 16), (182, 32), (46340, 32), (46341, 64), (3_037_000_499, 64),
+    ])
+    def test_steps(self, n, lane):
+        # n**2 must fit in lane - 1 bits, on both sides of each step.
+        assert (n * n).bit_length() < lane
+        assert _lane_bits(n) == lane
+
+    def test_rejects_n_squared_beyond_63_bits(self):
+        with pytest.raises(OutOfRangeError):
+            _lane_bits(3_037_000_500)
+
+    def test_rejects_huge_n_before_any_work(self):
+        # adj is empty: any pass over the tree would raise IndexError.
+        t = Tree(n=4 * 10**9, adj=())
+        with pytest.raises(OutOfRangeError):
+            path_counts_fast(t)
+        for vertices in ((), (0,)):
+            with pytest.raises(OutOfRangeError):
+                prefix_counts(t, vertices)
 
 
 class TestProfile:
