@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+import time
 from math import gcd
 from typing import Sequence
 
@@ -179,13 +180,17 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    start = time.perf_counter()
     report = run_check(args.check, args.max_size)
+    seconds = time.perf_counter() - start
     for case in report.cases:
         status = "PASS" if case.passed else "FAIL"
         suffix = f": {case.detail}" if case.detail else ""
         print(f"{status} {report.check} {case.name}{suffix}")
     print(f"{report.check}: {'pass' if report.passed else 'FAIL'} "
           f"({len(report.cases)} cases)")
+    # Stdout carries only the cases; the timing goes to stderr.
+    print(f"{report.check}: {seconds:.3f} s", file=sys.stderr)
     return 0 if report.passed else 1
 
 

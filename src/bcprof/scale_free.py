@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -155,49 +156,85 @@ def path_probability(sig: PathSignature) -> Fraction:
     return prob
 
 
-def enumerate_histories(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """All attachment histories with their exact probabilities."""
+def _history_numerators(n: int) -> tuple[int, Iterator[tuple[tuple[int, ...], int]]]:
+    """(D, every attachment history with its probability's numerator over D).
+
+    D = prod_{t=2..n} (2t - 3) is the product of the total attachment
+    weights, so a history's numerator is the product of the weights its
+    chosen parents had when chosen.
+    """
     if n > MAX_EXACT_N:
         raise NTooLargeError(f"exact enumeration capped at n={MAX_EXACT_N}, got {n}")
     if n < 1:
         raise OutOfRangeError(f"need n >= 1, got {n}")
 
-    def rec(t: int, parents: list[int], weights: list[int], prob: Fraction):
+    def rec(t: int, parents: list[int], weights: list[int], num: int):
         if t > n:
-            yield tuple(parents), prob
+            yield tuple(parents), num
             return
-        total = 2 * (t - 1) - 1
         for cand in range(1, t):
+            w = weights[cand]
             parents.append(cand)
-            weights[cand] += 1
+            weights[cand] = w + 1
             weights[t] = 1
-            yield from rec(t + 1, parents, weights, prob * Fraction(weights[cand] - 1, total))
+            yield from rec(t + 1, parents, weights, num * w)
             parents.pop()
-            weights[cand] -= 1
+            weights[cand] = w
             weights[t] = 0
 
     # weights[i] = attachment weight of label i (degree, +1 virtual for 1)
     weights = [0] * (n + 1)
     weights[1] = 1
-    yield from rec(2, [], weights, Fraction(1))
+    return math.prod(2 * t - 3 for t in range(2, n + 1)), rec(2, [], weights, 1)
 
 
-def _history_edges(parents: tuple[int, ...]) -> set[frozenset[int]]:
-    return {frozenset((t, p)) for t, p in enumerate(parents, start=2)}
+def enumerate_histories(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
+    """All attachment histories with their exact probabilities."""
+    denominator, histories = _history_numerators(n)
+    for parents, num in histories:
+        yield parents, Fraction(num, denominator)
+
+
+@lru_cache(maxsize=None)
+def _presence_table(n: int) -> dict[tuple[int, ...], Fraction]:
+    """Presence probability of every path that occurs in some history.
+
+    Each history's numerator is added to every path of its tree, keyed by
+    the path's labels from the smaller endpoint, as `all_candidate_paths`
+    writes them. A parent's label is below its child's, so the path from
+    a to b climbs from the larger current label until the two meet.
+    """
+    denominator, histories = _history_numerators(n)
+    sums: defaultdict[tuple[int, ...], int] = defaultdict(int)
+    for parents, num in histories:
+        parent = (0, 0) + parents  # parent[t] for labels t >= 2
+        for b in range(2, n + 1):
+            for a in range(1, b):
+                left, right = [a], [b]
+                x, y = a, b
+                while x != y:
+                    if x > y:
+                        x = parent[x]
+                        left.append(x)
+                    else:
+                        y = parent[y]
+                        right.append(y)
+                sums[tuple(left + right[-2::-1])] += num
+    return {path: Fraction(num, denominator) for path, num in sums.items()}
 
 
 def exact_path_presence_prob(n: int, vertices: Sequence[int]) -> Fraction:
-    """Oracle: total probability of histories realizing the given path."""
-    seq = list(vertices)
-    if any(x > n for x in seq):
-        raise OutOfRangeError(f"label above n={n} in {seq}")
-    needed = [frozenset(e) for e in zip(seq, seq[1:])]
-    total = Fraction(0)
-    for parents, prob in enumerate_histories(n):
-        edges = _history_edges(parents)
-        if all(e in edges for e in needed):
-            total += prob
-    return total
+    """Oracle: total probability of the histories whose tree has this path.
+
+    The labels must be at least two, distinct and in 1..n. A simple
+    sequence that is a path of no recursive tree has probability 0.
+    """
+    seq = tuple(vertices)
+    if len(seq) < 2 or len(set(seq)) != len(seq):
+        raise NotASimplePathError(f"not a simple path: {list(seq)}")
+    if not all(1 <= x <= n for x in seq):
+        raise OutOfRangeError(f"labels must lie in 1..{n}: {list(seq)}")
+    return _presence_table(n).get(min(seq, seq[::-1]), Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -221,35 +258,38 @@ def all_candidate_paths(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
+def _interior_sums(weighted_paths) -> dict[tuple[int, int], Fraction]:
+    """Each path's weight summed into (v, k) for every interior v; k is its length."""
+    sums: defaultdict[tuple[int, int], Fraction] = defaultdict(Fraction)
+    for path, weight in weighted_paths:
+        for v in path[1:-1]:
+            sums[v, len(path) - 1] += weight
+    return sums
+
+
 @lru_cache(maxsize=None)
-def _history_length_counts(n: int):
-    """Per history: probability and the tree's exact path-count table."""
-    rows = []
-    for parents, prob in enumerate_histories(n):
-        tree = RecursiveTree(n=n, parents=parents).tree()
-        table = path_counts_fast(tree) if tree.n > 1 else None
-        rows.append((prob, table))
-    return tuple(rows)
+def _expected_pk_tables(n: int) -> tuple[dict, dict]:
+    """E[p_k(v)] keyed by (v, k): from the history presence table, and from
+    the closed form, computed once per candidate path."""
+    by_history = _interior_sums(_presence_table(n).items())
+    by_paths = _interior_sums(
+        (path, path_probability(signature_of_path(path))) for path in all_candidate_paths(n)
+    )
+    return by_history, by_paths
 
 
 def exact_expected_pk(n: int, v: int, k: int) -> Fraction:
     """E[count of length-k paths with v interior], by two independent routes.
 
-    Route one sums over enumerated histories; route two sums the
-    closed-form presence probability over candidate paths. They must agree.
+    Route one sums presence probabilities from enumerated histories; route
+    two sums the closed-form presence probability over candidate paths.
+    They must agree.
     """
     if n > MAX_EXACT_N:
         raise NTooLargeError(f"exact expectation capped at n={MAX_EXACT_N}, got {n}")
     if not (1 <= v <= n):
         raise OutOfRangeError(f"vertex {v} out of range for n={n}")
-    by_history = Fraction(0)
-    for prob, table in _history_length_counts(n):
-        if table is not None and 2 <= k <= table.d:
-            by_history += prob * table.pv[v - 1][k]
-    by_paths = Fraction(0)
-    for seq in all_candidate_paths(n):
-        if len(seq) == k + 1 and v in seq[1:-1]:
-            by_paths += path_probability(signature_of_path(seq))
+    by_history, by_paths = (table.get((v, k), Fraction(0)) for table in _expected_pk_tables(n))
     if by_history != by_paths:
         raise AssertionError(f"n={n}, v={v}, k={k}: {by_history} by history, {by_paths} by paths")
     return by_history

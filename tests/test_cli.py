@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import tempfile
 from pathlib import Path
 
@@ -235,6 +236,14 @@ class TestVerifyCmd:
         code, _, err = run_cli(capsys, "verify", "--check", "bogus")
         assert code == 25 and "unknown check" in err
 
+    def test_seconds_on_stderr_only(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--check", "lemma1", "--max-size", "4")
+        assert code == 0
+        # The bytes verify wrote before it reported its time.
+        assert out == ("PASS lemma1 n=2\nPASS lemma1 n=3\nPASS lemma1 n=4\n"
+                       "lemma1: pass (3 cases)\n")
+        assert re.fullmatch(r"lemma1: \d+\.\d{3} s\n", err)
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("argv, tree_bytes, named", [
@@ -307,6 +316,22 @@ class TestExpectCmd:
     def test_exact_cap(self, capsys):
         code, out, _ = run_cli(capsys, "expect", "--n", "12", "--k", "3", "--exact")
         assert code == 22 and out == ""
+
+    # sha256 of `expect --exact` stdout, recorded before the history
+    # enumeration moved to one presence table per n.
+    PINNED_EXACT = {
+        (1, 2): "d34bb3fda3fdb366bb41df3106896c0fe5bc0d65839e107e55a9c5e5dcb439fa",
+        (4, 2): "52e895e0ab8e0706589936ca9d727a5da0be84761dc2c2a1aa7f028dfc52f574",
+        (7, 3): "43c6815dc5038eab26757ab7581d810a365e1fcd1d556b546a8a8a4e3c605e7b",
+        (8, 4): "610c695c8ae4692ea963d85cfe501ce463456fa36a2accec4684ad74dd7aae3b",
+        (5, 9): "78762056aab75969426bb8616334a3457aefd8ab419a67f4d12c56d4f6b6d35b",  # k > d
+    }
+
+    @pytest.mark.parametrize("n, k", sorted(PINNED_EXACT))
+    def test_exact_pinned_bytes(self, capsys, n, k):
+        code, out, _ = run_cli(capsys, "expect", "--n", str(n), "--k", str(k), "--exact")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_EXACT[n, k]
 
     def test_monte_carlo(self, capsys):
         code, out, _ = run_cli(capsys, "expect", "--n", "5", "--k", "2",

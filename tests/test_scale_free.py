@@ -15,6 +15,7 @@ import bcprof
 from bcprof import (
     NotASimplePathError,
     NTooLargeError,
+    OutOfRangeError,
     PreconditionViolatedError,
     RecursiveTree,
     all_candidate_paths,
@@ -32,6 +33,9 @@ from bcprof import (
     splitmix64,
     substream_seed,
 )
+from bcprof import scale_free
+from bcprof.scale_free import _presence_table
+from bcprof.verify import run_check
 
 
 class TestRng:
@@ -138,6 +142,59 @@ class TestSignatures:
                 )
 
 
+def _presence_by_edge_sets(n, seq):
+    """Reference oracle: sum the histories whose edge set holds every edge
+    of the path, one pass over the histories per path."""
+    needed = [frozenset(e) for e in zip(seq, seq[1:])]
+    total = Fraction(0)
+    for parents, prob in enumerate_histories(n):
+        edges = {frozenset((t, p)) for t, p in enumerate(parents, start=2)}
+        if all(e in edges for e in needed):
+            total += prob
+    return total
+
+
+class TestPresenceTable:
+    def test_equals_per_path_oracle(self):
+        for n in range(1, 7):
+            for seq in all_candidate_paths(n):
+                want = _presence_by_edge_sets(n, seq)
+                assert exact_path_presence_prob(n, seq) == want, seq
+                assert exact_path_presence_prob(n, seq[::-1]) == want, seq
+
+    def test_sums_to_pair_count(self):
+        # Every history's tree has exactly one path per pair of vertices.
+        for n in range(1, 9):
+            assert sum(_presence_table(n).values()) == n * (n - 1) // 2
+
+    def test_keys_are_candidate_paths(self):
+        for n in range(1, 9):
+            assert set(_presence_table(n)) <= set(all_candidate_paths(n))
+
+    def test_lemma1_suite_at_eight(self):
+        report = run_check("lemma1", max_size=8)
+        assert report.passed and len(report.cases) == 7
+
+    @pytest.mark.parametrize("seq", ([1, 2, 1], [3], [], [4, 4]))
+    def test_rejects_non_simple(self, seq):
+        with pytest.raises(NotASimplePathError):
+            exact_path_presence_prob(5, seq)
+
+    @pytest.mark.parametrize("seq", ([0, 1], [2, -1, 3], [1, 6]))
+    def test_rejects_labels_outside_one_to_n(self, seq):
+        with pytest.raises(OutOfRangeError):
+            exact_path_presence_prob(5, seq)
+
+    def test_impossible_simple_sequence_is_zero(self):
+        # After the minimum, labels must ascend: 3 then 2 cannot occur.
+        assert exact_path_presence_prob(5, [1, 3, 2]) == 0
+        assert exact_path_presence_prob(5, [2, 3, 1]) == 0
+
+    def test_cap(self):
+        with pytest.raises(NTooLargeError):
+            exact_path_presence_prob(10, [1, 2])
+
+
 class TestExpectations:
     def test_reference_values_n4_k2(self):
         assert exact_expected_pk(4, 1, 2) == Fraction(8, 5)
@@ -154,6 +211,20 @@ class TestExpectations:
     def test_cap(self):
         with pytest.raises(NTooLargeError):
             exact_expected_pk(12, 1, 3)
+
+    def test_routes_disagreeing_raises(self, monkeypatch):
+        # Skew the closed form on one path: the history route must catch it.
+        def skewed(sig):
+            return path_probability(sig) + (sig == signature_of_path((2, 1, 3)))
+
+        monkeypatch.setattr(scale_free, "path_probability", skewed)
+        scale_free._expected_pk_tables.cache_clear()
+        try:
+            with pytest.raises(AssertionError):
+                exact_expected_pk(4, 1, 2)
+            assert exact_expected_pk(4, 2, 2) == Fraction(11, 15)
+        finally:
+            scale_free._expected_pk_tables.cache_clear()
 
 
 def _interior_shift_domain(max_label):
