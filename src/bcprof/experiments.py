@@ -11,7 +11,9 @@ from __future__ import annotations
 import datetime
 import json
 import os
+import platform
 import random
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -22,7 +24,6 @@ from . import __version__
 from .errors import BadSpecError, OutOfRangeError
 from .profile_analysis import count_crossings, is_monotone
 from .scale_free import sample_tree, substream_seed
-from .tree_core import prefix_counts
 
 EXPERIMENT_KINDS = (
     "no_cross_12_vs_n",
@@ -36,6 +37,11 @@ DEFAULT_FIXED_N = 250
 DEFAULT_N_GRID = (10, 25, 50, 100, 150, 200)
 DEFAULT_I_GRID = (1, 2, 5, 10, 25, 50, 100, 150, 200, 249)
 
+# Trial t of grid point x draws substream (x << TRIAL_BITS) + t, so each
+# grid point owns 2**TRIAL_BITS streams and no two points share one.
+TRIAL_BITS = 24
+MAX_TRIALS = 1 << TRIAL_BITS
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -48,8 +54,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.which not in EXPERIMENT_KINDS:
             raise BadSpecError(f"unknown experiment {self.which!r}")
-        if self.trials < 1:
-            raise OutOfRangeError(f"need trials >= 1, got {self.trials}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise OutOfRangeError(f"need 1 <= trials <= {MAX_TRIALS}, got {self.trials}")
         if self.which.endswith("_vs_n"):
             if any(n < 3 for n in self.grid):
                 raise OutOfRangeError("vertex counts must be >= 3")
@@ -63,6 +69,7 @@ class ExperimentResult:
     config: ExperimentConfig
     rows: tuple[dict, ...]
     wall_seconds: float = field(compare=False, default=0.0)
+    workers: int = field(compare=False, default=1)
 
 
 def default_grid(which: str) -> tuple[int, ...]:
@@ -70,16 +77,15 @@ def default_grid(which: str) -> tuple[int, ...]:
 
 
 def _trial_indicator(which: str, x: int, fixed_n: int, seed: int, trial: int) -> bool:
-    rng = random.Random(substream_seed(seed, (x << 24) + trial))
+    rng = random.Random(substream_seed(seed, (x << TRIAL_BITS) + trial))
     n = x if which.endswith("_vs_n") else fixed_n
-    t = sample_tree(n, rng).tree()
     if which == "no_cross_12_vs_n":
         vertices = (0, 1)
     elif which == "no_cross_ii1_vs_i":
         vertices = (x - 1, x)
     else:
         vertices = (0,) if which == "monotone_1_vs_n" else (x - 1,)
-    Pk, rows = prefix_counts(t, vertices)
+    Pk, rows = sample_tree(n, rng).prefix_counts(vertices)
     if len(rows) == 2:
         return count_crossings(rows[0][2:], rows[1][2:]).count == 0
     return is_monotone(tuple(Fraction(pv, pk) for pv, pk in zip(rows[0][2:], Pk[2:])))
@@ -132,7 +138,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             }
         )
     return ExperimentResult(
-        config=cfg, rows=tuple(rows), wall_seconds=time.monotonic() - start
+        config=cfg, rows=tuple(rows), wall_seconds=time.monotonic() - start, workers=workers
     )
 
 
@@ -152,6 +158,7 @@ def write_csv(res: ExperimentResult, path: str) -> None:
 
 
 def write_manifest(res: ExperimentResult, path: str) -> None:
+    trials = res.config.trials * len(res.config.grid)
     manifest = {
         "which": res.config.which,
         "grid": list(res.config.grid),
@@ -160,6 +167,10 @@ def write_manifest(res: ExperimentResult, path: str) -> None:
         "seed": res.config.seed,
         "version": __version__,
         "wall_seconds": res.wall_seconds,
+        "workers": res.workers,
+        "trials_per_s": trials / res.wall_seconds if res.wall_seconds > 0 else 0.0,
+        "python": platform.python_version(),
+        "platform": sys.platform,
         "generated": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     with open(path, "w") as fh:

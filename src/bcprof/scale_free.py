@@ -15,7 +15,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     NotASimplePathError,
@@ -23,7 +23,7 @@ from .errors import (
     OutOfRangeError,
     PreconditionViolatedError,
 )
-from .tree_core import Tree, path_counts_fast
+from .tree_core import Tree, _ordered_prefix_counts, path_counts_fast
 
 MAX_EXACT_N = 9  # product of (t-1) histories; 9 keeps it at 8! = 40320
 
@@ -71,6 +71,14 @@ class RecursiveTree:
             adj[u].append(p - 1)
             adj[p - 1].append(u)
         return Tree(self.n, tuple(map(tuple, adj)))
+
+    def prefix_counts(self, vertices: Iterable[int]) -> tuple[list[int], list[list[int]]]:
+        """Exactly tree_core.prefix_counts(self.tree(), vertices), with no Tree.
+
+        Labels are already a topological order, so the count runs straight
+        over the 0-based parent array.
+        """
+        return _ordered_prefix_counts([-1, *(p - 1 for p in self.parents)], vertices)
 
 
 def sample_tree(n: int, rng: random.Random) -> RecursiveTree:

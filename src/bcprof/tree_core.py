@@ -195,32 +195,35 @@ def _pair_branches(acc: int, branches: Iterable[int]) -> tuple[int, int]:
     return pairs, acc
 
 
-def _rooted(t: Tree, root: int, lane: int) -> tuple[list[int], list[int], list[int], int]:
-    """One BFS order from root, then one bottom-up pass.
-
-    Returns (order, parent, down, pairs): down[u] is the packed depth
-    histogram of u's subtree (lane 0 is u itself) and pairs the packed
-    histogram of all vertex pairs by distance.
-    """
+def _bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
+    """(order, parent): a BFS order from root and each vertex's parent in
+    it (parent[root] = -1). Every vertex comes after its parent."""
     order, parent = [root], [-1] * t.n
     for u in order:
         for w in t.adj[u]:
             if w != parent[u]:
                 parent[w] = u
                 order.append(w)
-    down = [0] * t.n
+    return order, parent
+
+
+def _merge_up(order: Sequence[int], parent: Sequence[int], lane: int) -> tuple[list[int], int]:
+    """One bottom-up pass over a parent array; order[0] is the root and
+    every other vertex comes after its parent.
+
+    Returns (down, pairs): down[u] is the packed depth histogram of u's
+    subtree (lane 0 is u itself) and pairs the packed histogram of all
+    vertex pairs by distance. Each branch pairs with everything merged into
+    its parent before it, u itself included.
+    """
+    down = [1] * len(parent)
     pairs = 0
-    for u in reversed(order):
-        # _pair_branches from acc = 1 (u itself, so u pairs with each child
-        # branch too), inlined: a call per vertex costs more than the pairing.
-        acc = 1
-        for w in t.adj[u]:
-            if w != parent[u]:
-                h = down[w] << lane
-                pairs += acc * h
-                acc += h
-        down[u] = acc
-    return order, parent, down, pairs
+    for u in order[:0:-1]:
+        p = parent[u]
+        h = down[u] << lane
+        pairs += down[p] * h
+        down[p] += h
+    return down, pairs
 
 
 def _diameter_and_lengths(n: int, pairs: int, lane: int) -> tuple[int, list[int]]:
@@ -233,6 +236,21 @@ def _diameter_and_lengths(n: int, pairs: int, lane: int) -> tuple[int, list[int]
     return d, _unpack(pairs - ((n - 1) << lane), lane, d + 1)
 
 
+def _check_vertices(n: int, vertices: Iterable[int]) -> list[int]:
+    vertices = list(vertices)
+    for v in vertices:
+        if not 0 <= v < n:
+            raise OutOfRangeError(f"vertex {v} out of range for n={n}")
+    return vertices
+
+
+def _prefix_rows(n: int, lane: int, pairs: int, through: list[int]) -> tuple[list[int], list[list[int]]]:
+    """(P_k, one P_k(v) row per packed histogram in through), k = 0..d."""
+    d, p = _diameter_and_lengths(n, pairs, lane)
+    rows = [list(itertools.accumulate(_unpack(x, lane, d + 1))) for x in through]
+    return list(itertools.accumulate(p)), rows
+
+
 def prefix_counts(t: Tree, vertices: Iterable[int]) -> tuple[list[int], list[list[int]]]:
     """(P_k, [P_k(v) for v in vertices]), each for k = 0..d (zero below 2).
 
@@ -242,22 +260,46 @@ def prefix_counts(t: Tree, vertices: Iterable[int]) -> tuple[list[int], list[lis
     The all-pairs histogram is the same from every root, so P_k comes from
     the first pass (from a pass rooted at 0 when no vertex is listed).
     """
-    vertices = list(vertices)
-    for v in vertices:
-        if not 0 <= v < t.n:
-            raise OutOfRangeError(f"vertex {v} out of range for n={t.n}")
+    vertices = _check_vertices(t.n, vertices)
     lane = _lane_bits(t.n)
     pairs, through = None, []
     for v in vertices:
-        _, _, down, all_pairs = _rooted(t, v, lane)
+        down, all_pairs = _merge_up(*_bfs_order(t, v), lane)
         if pairs is None:
             pairs = all_pairs
         through.append(_pair_branches(0, (down[w] << lane for w in t.adj[v]))[0])
     if pairs is None:
-        *_, pairs = _rooted(t, 0, lane)
-    d, p = _diameter_and_lengths(t.n, pairs, lane)
-    rows = [list(itertools.accumulate(_unpack(x, lane, d + 1))) for x in through]
-    return list(itertools.accumulate(p)), rows
+        _, pairs = _merge_up(*_bfs_order(t, 0), lane)
+    return _prefix_rows(t.n, lane, pairs, through)
+
+
+def _ordered_prefix_counts(
+    parent: Sequence[int], vertices: Iterable[int]
+) -> tuple[list[int], list[list[int]]]:
+    """prefix_counts of the tree given by a parent array in topological
+    order (parent[0] = -1 and parent[u] < u), with no adjacency or BFS.
+
+    One merge rooted at 0 gives every down[u]. A listed v pairs its child
+    branches with up[v], the packed histogram, by distance from v, of the
+    vertices outside v's subtree; up[v] follows path_counts_fast's
+    recurrence down the chain of v's ancestors, so it costs v's depth.
+    """
+    n = len(parent)
+    vertices = _check_vertices(n, vertices)
+    lane = _lane_bits(n)
+    down, pairs = _merge_up(range(n), parent, lane)
+    through = []
+    for v in vertices:
+        chain = [v]
+        while chain[-1]:
+            chain.append(parent[chain[-1]])
+        up = 0
+        for w in reversed(chain[:-1]):
+            p = parent[w]
+            up = (up + down[p] - (down[w] << lane)) << lane
+        children = (down[u] << lane for u in range(v + 1, n) if parent[u] == v)
+        through.append(_pair_branches(up, children)[0])
+    return _prefix_rows(n, lane, pairs, through)
 
 
 def path_counts_fast(t: Tree) -> PathCountTable:
@@ -270,7 +312,8 @@ def path_counts_fast(t: Tree) -> PathCountTable:
     the subtraction never borrows.
     """
     lane = _lane_bits(t.n)
-    order, parent, down, pairs = _rooted(t, 0, lane)
+    order, parent = _bfs_order(t, 0)
+    down, pairs = _merge_up(order, parent, lane)
     d, p = _diameter_and_lengths(t.n, pairs, lane)
     up = [0] * t.n
     pv: list[list[int]] = [[]] * t.n

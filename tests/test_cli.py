@@ -370,3 +370,14 @@ class TestExperimentCmd:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
+
+    def test_trials_beyond_substream_width_exit_12(self, capsys, monkeypatch):
+        # The config check must fire before the task list is built.
+        def no_run(cfg):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("bcprof.cli.run_experiment", no_run)
+        code, out, err = run_cli(capsys, "experiment", "--which", "no_cross_12_vs_n",
+                                 "--trials", "16777217")
+        assert (code, out) == (12, "")
+        assert "trials" in err

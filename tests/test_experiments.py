@@ -13,6 +13,7 @@ from bcprof import (
     profile,
 )
 from bcprof.experiments import (
+    MAX_TRIALS,
     ExperimentConfig,
     _trial_indicator,
     default_grid,
@@ -23,7 +24,7 @@ from bcprof.experiments import (
     write_manifest,
 )
 from bcprof.profile_analysis import count_crossings, is_monotone
-from bcprof.scale_free import sample_tree, substream_seed
+from bcprof.scale_free import RecursiveTree, sample_tree, substream_seed
 
 
 class TestConfig:
@@ -38,6 +39,14 @@ class TestConfig:
     def test_rejects_vertex_beyond_fixed_n(self):
         with pytest.raises(OutOfRangeError):
             ExperimentConfig(which="monotone_i_vs_i", grid=(250,), fixed_n=250)
+
+    def test_rejects_trials_beyond_substream_width(self):
+        # Trial t of grid point x seeds substream (x << 24) + t, so trial
+        # 2**24 of x = 1 would replay trial 0 of x = 2. Only configs are built.
+        cfg = ExperimentConfig(which="no_cross_12_vs_n", grid=(10,), trials=1 << 24)
+        assert cfg.trials == MAX_TRIALS
+        with pytest.raises(OutOfRangeError, match="trials"):
+            ExperimentConfig(which="no_cross_12_vs_n", grid=(10,), trials=(1 << 24) + 1)
 
     def test_default_grids(self):
         assert default_grid("no_cross_12_vs_n")[0] >= 3
@@ -124,6 +133,18 @@ class TestDeterminism:
         cfg = ExperimentConfig(which=which, grid=grid, trials=200, seed=11)
         assert render_csv(run_experiment(cfg)) == "x,estimate,stderr,trials,seed\n" + rows
 
+    @pytest.mark.parametrize("which", sorted(PINNED_CSV))
+    def test_trials_never_build_a_tree(self, monkeypatch, which):
+        # Trials count straight from the attachment order; no Tree is built.
+        def no_tree(self):
+            raise AssertionError("a trial built a Tree")
+
+        monkeypatch.setattr(RecursiveTree, "tree", no_tree)
+        monkeypatch.setenv("BCPROF_THREADS", "1")
+        grid, rows = self.PINNED_CSV[which]
+        cfg = ExperimentConfig(which=which, grid=grid, trials=200, seed=11)
+        assert render_csv(run_experiment(cfg)) == "x,estimate,stderr,trials,seed\n" + rows
+
     def test_worker_count_invariant(self, monkeypatch):
         # 3 x 70 trials in chunks of 64: chunks straddle grid points.
         cfg = ExperimentConfig(which="monotone_1_vs_n", grid=(10, 4, 25), trials=70, seed=6)
@@ -179,9 +200,12 @@ class TestOutput:
         write_csv(res, str(path))
         assert path.read_text() == "x,estimate,stderr,trials,seed\n"
 
-    def test_manifest(self, tmp_path):
+    def test_manifest(self, tmp_path, monkeypatch):
         import json
+        import platform
+        import sys
 
+        monkeypatch.setenv("BCPROF_THREADS", "1")
         cfg = ExperimentConfig(which="monotone_1_vs_n", grid=(4,), trials=5, seed=2)
         res = run_experiment(cfg)
         path = tmp_path / "run.manifest.json"
@@ -191,6 +215,10 @@ class TestOutput:
         assert manifest["grid"] == [4]
         assert manifest["trials"] == 5
         assert "version" in manifest and "wall_seconds" in manifest
+        assert manifest["workers"] == res.workers == 1
+        assert manifest["trials_per_s"] == pytest.approx(5 / res.wall_seconds)
+        assert manifest["python"] == platform.python_version()
+        assert manifest["platform"] == sys.platform
 
     def test_stderr_formula(self):
         cfg = ExperimentConfig(which="no_cross_12_vs_n", grid=(6,), trials=40, seed=8)

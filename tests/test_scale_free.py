@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bcprof
 from bcprof import (
@@ -27,7 +29,9 @@ from bcprof import (
     injection_case,
     injection_f,
     injection_ratio,
+    path_counts_naive,
     path_probability,
+    prefix_counts,
     sample_tree,
     signature_of_path,
     splitmix64,
@@ -94,6 +98,32 @@ class TestRecursiveTreeInvariant:
         for rec in recs:
             edges = [(t - 1, p - 1) for t, p in enumerate(rec.parents, start=2)]
             assert rec.tree() == build_tree(rec.n, edges)
+
+
+class TestParentArrayCounts:
+    """RecursiveTree.prefix_counts runs the merge over the parent array."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_equals_tree_route_and_oracle(self, data):
+        # Sizes reach past the 16 -> 32-bit lane step between n=181 and 182.
+        n = data.draw(st.one_of(st.sampled_from((181, 182)), st.integers(1, 200)))
+        rng = random.Random(data.draw(st.integers(0, 2**32)))
+        if data.draw(st.booleans()):
+            rt = sample_tree(n, rng)
+        else:
+            rt = RecursiveTree(n=n, parents=tuple(rng.randint(1, t - 1) for t in range(2, n + 1)))
+        vs = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+        vs += data.draw(st.sampled_from(([], [0], vs[:1])))  # repeats and vertex 0
+        t = rt.tree()
+        Pk, rows = rt.prefix_counts(vs)
+        assert (Pk, rows) == prefix_counts(t, vs)
+        naive = path_counts_naive(t)
+        assert Pk == list(naive.Pk)
+        assert rows == [list(naive.Pkv[v]) for v in vs]
+        for v in (-1, n):
+            with pytest.raises(OutOfRangeError):
+                rt.prefix_counts([0, v])
 
 
 class TestHistories:
