@@ -213,8 +213,8 @@ def _merge_up(order: Sequence[int], parent: Sequence[int], lane: int) -> tuple[l
 
     Returns (down, pairs): down[u] is the packed depth histogram of u's
     subtree (lane 0 is u itself) and pairs the packed histogram of all
-    vertex pairs by distance. Each branch pairs with everything merged into
-    its parent before it, u itself included.
+    vertex pairs by distance. Each branch pairs with everything already
+    merged into its parent, the parent itself included.
     """
     down = [1] * len(parent)
     pairs = 0
