@@ -215,7 +215,7 @@ def cmd_expect(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    if args.grid:
+    if args.grid is not None:
         grid = tuple(_parse_ints(args.grid.split(","), args.grid))
     else:
         grid = default_grid(args.which)

@@ -23,7 +23,7 @@ from .errors import (
     OutOfRangeError,
     PreconditionViolatedError,
 )
-from .tree_core import Tree, _ordered_prefix_counts, path_counts_fast
+from .tree_core import Tree, _check_vertices, _counts, _lane_bits, _prefix_rows
 
 MAX_EXACT_N = 9  # product of (t-1) histories; 9 keeps it at 8! = 40320
 
@@ -76,9 +76,11 @@ class RecursiveTree:
         """Exactly tree_core.prefix_counts(self.tree(), vertices), with no Tree.
 
         Labels are already a topological order, so the count runs straight
-        over the 0-based parent array.
+        over the 0-based parent array, rooted at vertex 0.
         """
-        return _ordered_prefix_counts([-1, *(p - 1 for p in self.parents)], vertices)
+        vertices = _check_vertices(self.n, vertices)
+        parent = [-1, *(p - 1 for p in self.parents)]
+        return _prefix_rows(*_counts(range(self.n), parent, _lane_bits(self.n), vertices))
 
 
 def sample_tree(n: int, rng: random.Random) -> RecursiveTree:
@@ -365,15 +367,16 @@ def estimate_expected_profiles(
         raise OutOfRangeError(f"need n >= 3 for nonempty profiles, got {n}")
     if trials < 1:
         raise OutOfRangeError(f"need trials >= 1, got {trials}")
-    # Keep only d, Pk and Pkv of each trial: p and pv are never read, and
-    # holding them for every trial would grow memory with the trial count.
+    # Keep only d, Pk and Pkv of each trial, as tuples: lists built by
+    # accumulate over-allocate, and every trial's rows are held to the end.
     tables = []
     max_d = 2
     for trial in range(trials):
         rng = random.Random(substream_seed(seed, trial))
-        table = path_counts_fast(sample_tree(n, rng).tree())
-        max_d = max(max_d, table.d)
-        tables.append((table.d, table.Pk, table.Pkv))
+        Pk, Pkv = sample_tree(n, rng).prefix_counts(range(n))
+        d = len(Pk) - 1
+        max_d = max(max_d, d)
+        tables.append((d, tuple(Pk), tuple(map(tuple, Pkv))))
 
     def held_ratios(d: int, Pk: tuple, Pkv: tuple, v: int) -> list[float]:
         """BC_k(v) for k = 2..max_d, held at its value past the table's d."""

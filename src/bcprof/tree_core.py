@@ -182,19 +182,6 @@ def _unpack(x: int, lane: int, count: int) -> list[int]:
     return memoryview(raw).cast(_LANE_FORMATS[lane]).tolist()
 
 
-def _pair_branches(acc: int, branches: Iterable[int]) -> tuple[int, int]:
-    """(histogram of pairs across distinct parts, acc + every branch).
-
-    acc is the part already merged; each branch pairs with everything
-    merged before it.
-    """
-    pairs = 0
-    for h in branches:
-        pairs += acc * h
-        acc += h
-    return pairs, acc
-
-
 def _bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
     """(order, parent): a BFS order from root and each vertex's parent in
     it (parent[root] = -1). Every vertex comes after its parent."""
@@ -207,21 +194,28 @@ def _bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
     return order, parent
 
 
-def _merge_up(order: Sequence[int], parent: Sequence[int], lane: int) -> tuple[list[int], int]:
+def _merge_up(
+    order: Sequence[int], parent: Sequence[int], lane: int, top: dict[int, int]
+) -> tuple[list[int], int]:
     """One bottom-up pass over a parent array; order[0] is the root and
     every other vertex comes after its parent.
 
     Returns (down, pairs): down[u] is the packed depth histogram of u's
     subtree (lane 0 is u itself) and pairs the packed histogram of all
     vertex pairs by distance. Each branch pairs with everything already
-    merged into its parent, the parent itself included.
+    merged into its parent, the parent itself included. For each key v of
+    top (all 0 on entry), top[v] gathers the pairs formed at v: those whose
+    highest vertex is v.
     """
     down = [1] * len(parent)
     pairs = 0
     for u in order[:0:-1]:
         p = parent[u]
         h = down[u] << lane
-        pairs += down[p] * h
+        formed = down[p] * h
+        pairs += formed
+        if p in top:
+            top[p] += formed
         down[p] += h
     return down, pairs
 
@@ -236,6 +230,39 @@ def _diameter_and_lengths(n: int, pairs: int, lane: int) -> tuple[int, list[int]
     return d, _unpack(pairs - ((n - 1) << lane), lane, d + 1)
 
 
+def _counts(
+    order: Sequence[int], parent: Sequence[int], lane: int, vertices: Sequence[int]
+) -> tuple[list[int], list[list[int]]]:
+    """(p_l, [p_l(v) for v in vertices]), l = 0..d, from one merge up to
+    order[0] (see _merge_up for order and parent).
+
+    A path through v has its endpoints in two distinct branches of v. With
+    b = down[v] - 1, the depth histogram of v's subtree without v itself:
+    top[v] - b are the pairs across two child branches, and up[v] * b those
+    with one endpoint outside v's subtree. up[v] is the packed histogram, by
+    distance from v, of the vertices outside v's subtree; it is memoised
+    down each listed vertex's ancestor chain, so listing every vertex costs
+    one pass down. Every lane of down[q] - (down[w] << lane) is a count of
+    vertices, so the subtraction never borrows.
+    """
+    top = dict.fromkeys(vertices, 0)
+    down, pairs = _merge_up(order, parent, lane, top)
+    d, p = _diameter_and_lengths(len(parent), pairs, lane)
+    up = {order[0]: 0}
+    rows = []
+    for v in vertices:
+        chain, w = [], v
+        while w not in up:
+            chain.append(w)
+            w = parent[w]
+        for w in reversed(chain):
+            q = parent[w]
+            up[w] = (up[q] + down[q] - (down[w] << lane)) << lane
+        b = down[v] - 1
+        rows.append(_unpack(top[v] - b + up[v] * b, lane, d + 1))
+    return p, rows
+
+
 def _check_vertices(n: int, vertices: Iterable[int]) -> list[int]:
     vertices = list(vertices)
     for v in vertices:
@@ -244,87 +271,29 @@ def _check_vertices(n: int, vertices: Iterable[int]) -> list[int]:
     return vertices
 
 
-def _prefix_rows(n: int, lane: int, pairs: int, through: list[int]) -> tuple[list[int], list[list[int]]]:
-    """(P_k, one P_k(v) row per packed histogram in through), k = 0..d."""
-    d, p = _diameter_and_lengths(n, pairs, lane)
-    rows = [list(itertools.accumulate(_unpack(x, lane, d + 1))) for x in through]
-    return list(itertools.accumulate(p)), rows
+def _prefix_rows(p: list[int], rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """(P_k, [P_k(v)...]): the running sums of _counts's per-length rows."""
+    return list(itertools.accumulate(p)), [list(itertools.accumulate(row)) for row in rows]
 
 
 def prefix_counts(t: Tree, vertices: Iterable[int]) -> tuple[list[int], list[list[int]]]:
     """(P_k, [P_k(v) for v in vertices]), each for k = 0..d (zero below 2).
 
-    One pass rooted at each listed vertex: a path of length l through v
-    picks one endpoint in each of two distinct branches of v at distances
-    a + b = l, so the branches' depth histograms are paired with each other.
-    The all-pairs histogram is the same from every root, so P_k comes from
-    the first pass (from a pass rooted at 0 when no vertex is listed).
+    One pass, rooted at the first listed vertex (at 0 when none is listed),
+    so a single vertex needs no walk down its ancestor chain.
     """
     vertices = _check_vertices(t.n, vertices)
     lane = _lane_bits(t.n)
-    pairs, through = None, []
-    for v in vertices:
-        down, all_pairs = _merge_up(*_bfs_order(t, v), lane)
-        if pairs is None:
-            pairs = all_pairs
-        through.append(_pair_branches(0, (down[w] << lane for w in t.adj[v]))[0])
-    if pairs is None:
-        _, pairs = _merge_up(*_bfs_order(t, 0), lane)
-    return _prefix_rows(t.n, lane, pairs, through)
-
-
-def _ordered_prefix_counts(
-    parent: Sequence[int], vertices: Iterable[int]
-) -> tuple[list[int], list[list[int]]]:
-    """prefix_counts of the tree given by a parent array in topological
-    order (parent[0] = -1 and parent[u] < u), with no adjacency or BFS.
-
-    One merge rooted at 0 gives every down[u]. A listed v pairs its child
-    branches with up[v], the packed histogram, by distance from v, of the
-    vertices outside v's subtree; up[v] follows path_counts_fast's
-    recurrence down the chain of v's ancestors, so it costs v's depth.
-    """
-    n = len(parent)
-    vertices = _check_vertices(n, vertices)
-    lane = _lane_bits(n)
-    down, pairs = _merge_up(range(n), parent, lane)
-    through = []
-    for v in vertices:
-        chain = [v]
-        while chain[-1]:
-            chain.append(parent[chain[-1]])
-        up = 0
-        for w in reversed(chain[:-1]):
-            p = parent[w]
-            up = (up + down[p] - (down[w] << lane)) << lane
-        children = (down[u] << lane for u in range(v + 1, n) if parent[u] == v)
-        through.append(_pair_branches(up, children)[0])
-    return _prefix_rows(n, lane, pairs, through)
+    order, parent = _bfs_order(t, vertices[0] if vertices else 0)
+    return _prefix_rows(*_counts(order, parent, lane, vertices))
 
 
 def path_counts_fast(t: Tree) -> PathCountTable:
-    """Same table as path_counts_naive: one pass up to root 0, one back down.
-
-    The pass up gives down[u], the packed depth histogram of u's subtree;
-    the pass down gives up[u], the packed histogram, by distance from u, of
-    the vertices outside u's subtree. Row u pairs u's child branches
-    together with up[u]. Every lane of rest - h is a count of vertices, so
-    the subtraction never borrows.
-    """
+    """Same table as path_counts_naive: one pass up to root 0, one back down."""
     lane = _lane_bits(t.n)
     order, parent = _bfs_order(t, 0)
-    down, pairs = _merge_up(order, parent, lane)
-    d, p = _diameter_and_lengths(t.n, pairs, lane)
-    up = [0] * t.n
-    pv: list[list[int]] = [[]] * t.n
-    for u in order:
-        children = [(w, down[w] << lane) for w in t.adj[u] if w != parent[u]]
-        through, rest = _pair_branches(up[u], (h for _, h in children))
-        pv[u] = _unpack(through, lane, d + 1)
-        rest += 1
-        for w, h in children:
-            up[w] = (rest - h) << lane
-    return _finish_table(d, p, pv)
+    p, pv = _counts(order, parent, lane, range(t.n))
+    return _finish_table(len(p) - 1, p, pv)
 
 
 @dataclass(frozen=True)

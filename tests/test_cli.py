@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcprof import all_profiles, build_tree, write_tree
+from bcprof import RecursiveTree, all_profiles, build_tree, write_tree
 from bcprof.cli import main
 
 
@@ -350,6 +350,14 @@ class TestExpectCmd:
             "6a867888745333af260718bd2f0b58b2251dea0618335f705e8b166788ed3f5e"
         )
 
+    def test_monte_carlo_never_builds_a_tree(self, capsys, monkeypatch):
+        # Each trial counts straight from the attachment order.
+        def no_tree(self):
+            raise AssertionError("a trial built a Tree")
+
+        monkeypatch.setattr(RecursiveTree, "tree", no_tree)
+        self.test_monte_carlo_pinned_bytes(capsys)
+
 
 class TestExperimentCmd:
     def test_csv_and_manifest(self, tmp_path, capsys):
@@ -381,3 +389,14 @@ class TestExperimentCmd:
                                  "--trials", "16777217")
         assert (code, out) == (12, "")
         assert "trials" in err
+
+    def test_empty_grid_exit_24(self, capsys, monkeypatch):
+        # An empty --grid is a bad spec, not a request for the default grid.
+        def no_run(cfg):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("bcprof.cli.run_experiment", no_run)
+        code, out, err = run_cli(capsys, "experiment", "--which", "no_cross_12_vs_n",
+                                 "--grid", "", "--trials", "1")
+        assert (code, out) == (24, "")
+        assert "''" in err

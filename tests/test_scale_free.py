@@ -29,6 +29,7 @@ from bcprof import (
     injection_case,
     injection_f,
     injection_ratio,
+    path_counts_fast,
     path_counts_naive,
     path_probability,
     prefix_counts,
@@ -121,6 +122,9 @@ class TestParentArrayCounts:
         naive = path_counts_naive(t)
         assert Pk == list(naive.Pk)
         assert rows == [list(naive.Pkv[v]) for v in vs]
+        # Listing every vertex gives path_counts_fast's table.
+        table = path_counts_fast(t)
+        assert rt.prefix_counts(range(n)) == (list(table.Pk), [list(row) for row in table.Pkv])
         for v in (-1, n):
             with pytest.raises(OutOfRangeError):
                 rt.prefix_counts([0, v])

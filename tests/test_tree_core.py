@@ -26,6 +26,7 @@ from bcprof import (
     read_tree,
     write_tree,
 )
+from bcprof import tree_core
 from bcprof.tree_core import _lane_bits
 
 
@@ -129,6 +130,11 @@ class TestPathCounts:
         t = draw_tree(data, st.one_of(LANE_STEP, st.integers(1, 40)))
         naive = path_counts_naive(t)
         assert prefix_counts(t, range(t.n)) == as_lists(naive)
+        # The pass is rooted at the first listed vertex, so list one other
+        # than 0 first; the others are reached down the chain from it.
+        first = data.draw(st.integers(min(1, t.n - 1), t.n - 1))
+        vs = [first] + data.draw(st.lists(st.integers(0, t.n - 1), min_size=1, max_size=4))
+        assert prefix_counts(t, vs) == (list(naive.Pk), [list(naive.Pkv[v]) for v in vs])
         for v in (-1, t.n):
             with pytest.raises(OutOfRangeError):
                 prefix_counts(t, [v])
@@ -181,6 +187,21 @@ class TestPathCounts:
             assert prefix_counts(t, range(t.n)) == as_lists(table)
             # Rows follow the listed order, repeats included.
             assert prefix_counts(t, [2, 0, 2])[1] == [list(table.Pkv[v]) for v in (2, 0, 2)]
+
+    def test_prefix_counts_makes_one_pass(self, monkeypatch):
+        # One BFS for the whole list, not one per listed vertex.
+        calls = []
+
+        def counted(t, root):
+            calls.append(root)
+            return bfs_order(t, root)
+
+        t = build_tree(11, FAN_EDGES)
+        table = path_counts_fast(t)
+        bfs_order = tree_core._bfs_order
+        monkeypatch.setattr(tree_core, "_bfs_order", counted)
+        assert prefix_counts(t, [8, 2, 5]) == (list(table.Pk), [list(table.Pkv[v]) for v in (8, 2, 5)])
+        assert calls == [8]
 
     @pytest.mark.parametrize("v", (-1, 4))
     def test_prefix_counts_rejects_out_of_range(self, v):
