@@ -40,6 +40,7 @@ from .tree_core import (
     prefix_counts,
     profile,
     read_tree,
+    tree_from_parents,
     write_tree,
 )
 from .profile_analysis import (

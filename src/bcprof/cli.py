@@ -195,6 +195,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_expect(args) -> int:
+    # Paths of length 0 or 1 have no interior vertex, so k starts at 2.
+    if args.k is not None and args.k < 2:
+        raise OutOfRangeError(f"--k must be >= 2, got {args.k}")
     if args.exact:
         if args.k is None:
             raise BadSpecError("--exact requires --k")
@@ -229,7 +232,7 @@ def cmd_experiment(args) -> int:
     res = run_experiment(cfg)
     if args.out:
         write_csv(res, args.out)
-        write_manifest(res, args.out + ".manifest.json")
+        write_manifest(res, args.out + ".manifest.json", args.argv)
     else:
         sys.stdout.write(render_csv(res))
     return 0
@@ -291,7 +294,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     args = parser.parse_args(argv)
+    args.argv = list(argv)  # the experiment manifest records it for reruns
     try:
         return args.func(args)
     except BcprofError as exc:

@@ -19,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import sqrt
+from typing import Sequence
 
 from . import __version__
 from .errors import BadSpecError, OutOfRangeError
@@ -157,9 +158,12 @@ def write_csv(res: ExperimentResult, path: str) -> None:
         fh.write(render_csv(res))
 
 
-def write_manifest(res: ExperimentResult, path: str) -> None:
+def write_manifest(res: ExperimentResult, path: str, argv: Sequence[str] = ()) -> None:
+    """The run's config, timings and environment as JSON. argv is the
+    command line that produced it, so `main(argv)` reruns it."""
     trials = res.config.trials * len(res.config.grid)
     manifest = {
+        "argv": list(argv),
         "which": res.config.which,
         "grid": list(res.config.grid),
         "trials": res.config.trials,

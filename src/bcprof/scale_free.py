@@ -23,7 +23,7 @@ from .errors import (
     OutOfRangeError,
     PreconditionViolatedError,
 )
-from .tree_core import Tree, _check_vertices, _counts, _lane_bits, _prefix_rows
+from .tree_core import Tree, _parent_prefix_counts, tree_from_parents
 
 MAX_EXACT_N = 9  # product of (t-1) histories; 9 keeps it at 8! = 40320
 
@@ -61,16 +61,8 @@ class RecursiveTree:
             raise OutOfRangeError(f"parents must satisfy 1 <= parents[t-2] < t: {self.parents}")
 
     def tree(self) -> Tree:
-        """The 0-based Tree view, built straight from the validated parents.
-
-        A parent's id is below its child's, so appending in label order
-        keeps every adjacency list sorted.
-        """
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, p in enumerate(self.parents, start=1):
-            adj[u].append(p - 1)
-            adj[p - 1].append(u)
-        return Tree(self.n, tuple(map(tuple, adj)))
+        """The 0-based Tree view, built straight from the parents."""
+        return tree_from_parents(self._parent_array())
 
     def prefix_counts(self, vertices: Iterable[int]) -> tuple[list[int], list[list[int]]]:
         """Exactly tree_core.prefix_counts(self.tree(), vertices), with no Tree.
@@ -78,9 +70,11 @@ class RecursiveTree:
         Labels are already a topological order, so the count runs straight
         over the 0-based parent array, rooted at vertex 0.
         """
-        vertices = _check_vertices(self.n, vertices)
-        parent = [-1, *(p - 1 for p in self.parents)]
-        return _prefix_rows(*_counts(range(self.n), parent, _lane_bits(self.n), vertices))
+        return _parent_prefix_counts(self._parent_array(), vertices)
+
+    def _parent_array(self) -> list[int]:
+        """0-based parents: -1 for vertex 0, then parents[t-2] - 1 for id t - 1."""
+        return [-1, *(p - 1 for p in self.parents)]
 
 
 def sample_tree(n: int, rng: random.Random) -> RecursiveTree:

@@ -65,6 +65,27 @@ def build_tree(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
     return tree
 
 
+def tree_from_parents(parent: Sequence[int]) -> Tree:
+    """The tree of a 0-based parent array: parent[0] = -1 and
+    0 <= parent[y] < y for every other y.
+
+    Such an array is connected and acyclic by construction, so no edge set
+    or BFS is needed. Appending in y order keeps every adjacency list
+    sorted: y's parent comes first, then its children in increasing order.
+    """
+    n = len(parent)
+    if n < 1 or parent[0] != -1:
+        raise OutOfRangeError(f"a parent array starts with -1, got {list(parent[:1])}")
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for y in range(1, n):
+        p = parent[y]
+        if not 0 <= p < y:
+            raise OutOfRangeError(f"parent[{y}] = {p} is not in 0..{y - 1}")
+        adj[y].append(p)
+        adj[p].append(y)
+    return Tree(n, tuple(map(tuple, adj)))
+
+
 def bfs_distances(t: Tree, source: int) -> list[int]:
     """Hop distances from source; -1 for unreachable vertices."""
     if not 0 <= source < t.n:
@@ -286,6 +307,19 @@ def prefix_counts(t: Tree, vertices: Iterable[int]) -> tuple[list[int], list[lis
     lane = _lane_bits(t.n)
     order, parent = _bfs_order(t, vertices[0] if vertices else 0)
     return _prefix_rows(*_counts(order, parent, lane, vertices))
+
+
+def _parent_prefix_counts(
+    parent: Sequence[int], vertices: Iterable[int]
+) -> tuple[list[int], list[list[int]]]:
+    """Exactly prefix_counts(tree_from_parents(parent), vertices), with no Tree.
+
+    The array is not checked (its caller built or validated it): with
+    parent[y] < y, range(n) is already an order rooted at 0, so no BFS runs.
+    """
+    n = len(parent)
+    vertices = _check_vertices(n, vertices)
+    return _prefix_rows(*_counts(range(n), parent, _lane_bits(n), vertices))
 
 
 def path_counts_fast(t: Tree) -> PathCountTable:

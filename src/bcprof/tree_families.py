@@ -3,6 +3,10 @@
 Families: simple paths, brooms, double brooms, the dip construction
 (central path with paired branches), and the crossing construction (two
 sets of leaf-tipped brooms hanging off a u-v path).
+
+Every family is numbered so that each vertex after 0 hangs off an older
+one, so each is built as a 0-based parent array (parent[0] = -1 and
+parent[y] < y) and turned into a Tree by tree_from_parents.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from .errors import (
     OutOfTabulatedRangeError,
     SearchCapExceededError,
 )
-from .tree_core import Tree, build_tree, prefix_counts
+from .tree_core import Tree, _parent_prefix_counts, tree_from_parents
 
 SEARCH_CAP = 10**9
 
@@ -28,7 +32,7 @@ def make_path(n: int) -> Tree:
     """Path with n edges, vertices 0..n."""
     if n < 1:
         raise OutOfRangeError(f"path length must be >= 1, got {n}")
-    return build_tree(n + 1, [(i, i + 1) for i in range(n)])
+    return tree_from_parents(range(-1, n))
 
 
 def make_broom(m: int, n: int) -> tuple[Tree, int]:
@@ -38,9 +42,7 @@ def make_broom(m: int, n: int) -> tuple[Tree, int]:
     """
     if m < 1 or n < 1:
         raise OutOfRangeError(f"broom needs m >= 1 and n >= 1, got m={m}, n={n}")
-    edges = [(i, i + 1) for i in range(m)]
-    edges += [(m, m + 1 + i) for i in range(n)]
-    return build_tree(m + 1 + n, edges), m
+    return tree_from_parents([*range(-1, m), *[m] * n]), m
 
 
 def make_double_broom(m: int, n: int) -> tuple[Tree, int]:
@@ -54,15 +56,7 @@ def make_double_broom(m: int, n: int) -> tuple[Tree, int]:
         raise OddMError(f"double broom needs even m, got {m}")
     if n < 1:
         raise OutOfRangeError(f"double broom needs n >= 1, got {n}")
-    edges = [(i, i + 1) for i in range(m)]
-    nxt = m + 1
-    for _ in range(n):
-        edges.append((0, nxt))
-        nxt += 1
-    for _ in range(n):
-        edges.append((m, nxt))
-        nxt += 1
-    return build_tree(nxt, edges), m // 2
+    return tree_from_parents([*range(-1, m), *[0] * n, *[m] * n]), m // 2
 
 
 def make_gij(i: int, j: int) -> tuple[Tree, int]:
@@ -73,18 +67,15 @@ def make_gij(i: int, j: int) -> tuple[Tree, int]:
     """
     if i < 1 or j < 1:
         raise OutOfRangeError(f"construction needs i >= 1 and j >= 1, got i={i}, j={j}")
-    central_len = i * (j + 1) + 2
-    edges = [(p, p + 1) for p in range(central_len)]
-    nxt = central_len + 1
+    parent = list(range(-1, i * (j + 1) + 2))
     for idx in range(i):
         attach = 3 + idx * (j + 1)
         for _ in range(2):
             prev = attach
             for _ in range(j):
-                edges.append((prev, nxt))
-                prev = nxt
-                nxt += 1
-    return build_tree(nxt, edges), 1
+                parent.append(prev)
+                prev = len(parent) - 1
+    return tree_from_parents(parent), 1
 
 
 @dataclass(frozen=True)
@@ -94,8 +85,8 @@ class TellChoice:
     strategy: str
 
 
-def _tell_build(l: int, a: list[int], b: list[int]) -> tuple[Tree, int, int]:
-    """Assemble the crossing-construction tree for given leaf counts.
+def _tell_parents(l: int, a: list[int], b: list[int]) -> tuple[list[int], int, int]:
+    """(parent array, u, v) of the crossing construction for given leaf counts.
 
     u = 0 and v = 2l sit on a central path of length 2l. Branch j on u's
     side is a path of 2j edges ending at a handle with a[j] leaves (the
@@ -103,36 +94,25 @@ def _tell_build(l: int, a: list[int], b: list[int]) -> tuple[Tree, int, int]:
     b[j] leaves. Zero leaf counts are allowed (partial trees during search).
     """
     u, v = 0, 2 * l
-    edges = [(p, p + 1) for p in range(2 * l)]
-    nxt = 2 * l + 1
+    parent = list(range(-1, 2 * l))
     for j in range(l):
-        handle = u
-        for _ in range(2 * j):
-            edges.append((handle, nxt))
-            handle = nxt
-            nxt += 1
-        for _ in range(a[j]):
-            edges.append((handle, nxt))
-            nxt += 1
-        handle = v
-        for _ in range(2 * j + 1):
-            edges.append((handle, nxt))
-            handle = nxt
-            nxt += 1
-        for _ in range(b[j]):
-            edges.append((handle, nxt))
-            nxt += 1
-    return build_tree(nxt, edges), u, v
+        for handle, length, leaves in ((u, 2 * j, a[j]), (v, 2 * j + 1, b[j])):
+            for _ in range(length):
+                parent.append(handle)
+                handle = len(parent) - 1
+            parent.extend([handle] * leaves)
+    return parent, u, v
 
 
 def _tell_margin(l: int, a: list[int], b: list[int], k: int, side: str, slot: int, val: int) -> int:
     """P_k(u) - P_k(v) (side 'a') or P_k(v) - P_k(u) (side 'b') with a trial leaf count."""
     aa, bb = list(a), list(b)
     (aa if side == "a" else bb)[slot] = val
-    t, u, v = _tell_build(l, aa, bb)
+    parent, u, v = _tell_parents(l, aa, bb)
     # Every tree here has d >= 4l-1 (u to the end of v's last branch), and
-    # the search asks for k <= 2l+1, so both rows reach k.
-    _, (Pu, Pv) = prefix_counts(t, (u, v))
+    # the search asks for k <= 2l+1, so both rows reach k. u = 0 is the
+    # root of the count, so only v walks its ancestor chain.
+    _, (Pu, Pv) = _parent_prefix_counts(parent, (u, v))
     return Pu[k] - Pv[k] if side == "a" else Pv[k] - Pu[k]
 
 
@@ -141,7 +121,7 @@ def _minimal_leaf_count(l, a, b, k, side, slot):
 
     The margin is a quadratic polynomial in the leaf count (linear except
     for leaves attached directly to u, whose pairs add a binomial term), so
-    three small builds determine it exactly; adding leaves to the favored
+    three small counts determine it exactly; adding leaves to the favored
     side never decreases the margin, so binary search applies.
     """
     g0 = _tell_margin(l, a, b, k, side, slot, 0)
@@ -226,8 +206,8 @@ def make_tell(l: int, strategy: str = "minimal_search") -> tuple[Tree, int, int,
         a, b = _tell_paper_bound(l)
     else:
         raise BadSpecError(f"unknown strategy {strategy!r}")
-    t, u, v = _tell_build(l, a, b)
-    return t, u, v, TellChoice(a=tuple(a), b=tuple(b), strategy=strategy)
+    parent, u, v = _tell_parents(l, a, b)
+    return tree_from_parents(parent), u, v, TellChoice(a=tuple(a), b=tuple(b), strategy=strategy)
 
 
 def closed_form_path_Pkv(n: int, i: int, k: int) -> int:

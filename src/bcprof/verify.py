@@ -22,7 +22,7 @@ from .scale_free import (
     path_probability,
     signature_of_path,
 )
-from .tree_core import path_counts_fast, path_counts_naive, prefix_counts
+from .tree_core import path_counts_naive, prefix_counts
 from .tree_families import (
     closed_form_gij_pk,
     closed_form_gij_Pk,
@@ -64,9 +64,9 @@ def check_prop1(max_size: int = 200) -> CheckReport:
     """Path profiles are non-decreasing and no vertex pair ever crosses."""
     cases = []
     for n in range(2, max_size + 1):
-        table = path_counts_fast(make_path(n))
-        Pk = table.Pk[2:]
-        rows = [row[2:] for row in table.Pkv]
+        Pk, Pkv = prefix_counts(make_path(n), range(n + 1))
+        Pk = Pk[2:]
+        rows = [row[2:] for row in Pkv]
         # BC_k <= BC_{k+1} by cross-multiplication (shared denominators).
         mono = all(
             a * pk1 <= b * pk0

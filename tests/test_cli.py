@@ -49,6 +49,20 @@ class TestGen:
         code, _, _ = run_cli(capsys, "gen", "wheel:5")
         assert code == 24
 
+    # sha256 of `gen tell:l` stdout, recorded before the tell search counted
+    # its candidates from parent arrays.
+    PINNED_TELL = {
+        8: "e3d1d8b59e450bc6f6736f96654a704f9f6f992418ae9496c72d243fc7b5f439",
+        14: "4e9b32bd4244183be5cc4bf266f9213daf897e6d672a351b9d3e1246f8531644",
+        18: "6dd934c30b4adc47088b9f94caf74e62a75f3e6664a909e303cf9322ba7309b0",
+    }
+
+    @pytest.mark.parametrize("l", sorted(PINNED_TELL))
+    def test_tell_pinned_bytes(self, capsys, l):
+        code, out, _ = run_cli(capsys, "gen", f"tell:{l}")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_TELL[l]
+
 
 class TestProfileCmd:
     @pytest.fixture()
@@ -313,6 +327,20 @@ class TestExpectCmd:
         code, out, err = run_cli(capsys, "expect", "--n", n, "--k", "2", "--exact")
         assert code == 12 and out == "" and "--n" in err
 
+    @pytest.mark.parametrize("route", ((), ("--exact",)))
+    @pytest.mark.parametrize("k", ("1", "0", "-3"))
+    def test_k_below_two_exit_12(self, capsys, monkeypatch, route, k):
+        # No path of length below 2 has an interior vertex; the check must
+        # fire before any sampling or enumeration.
+        def no_run(*args):
+            raise AssertionError("expect sampled or enumerated")
+
+        monkeypatch.setattr("bcprof.cli.estimate_expected_profiles", no_run)
+        monkeypatch.setattr("bcprof.cli.exact_expected_pk", no_run)
+        code, out, err = run_cli(capsys, "expect", "--n", "5", "--k", k, *route)
+        assert (code, out) == (12, "")
+        assert "--k" in err
+
     def test_exact_cap(self, capsys):
         code, out, _ = run_cli(capsys, "expect", "--n", "12", "--k", "3", "--exact")
         assert code == 22 and out == ""
@@ -371,6 +399,19 @@ class TestExperimentCmd:
         assert out.read_text().splitlines()[0] == "x,estimate,stderr,trials,seed"
         manifest = json.loads((tmp_path / "curve.csv.manifest.json").read_text())
         assert manifest["trials"] == 10
+
+    def test_manifest_argv_reruns(self, tmp_path, capsys):
+        # The manifest's argv, with a fresh --out, reproduces the CSV bytes.
+        argv = ["experiment", "--which", "no_cross_ii1_vs_i", "--grid", "3,7",
+                "--trials", "12", "--seed", "4", "--fixed-n", "20",
+                "--out", str(tmp_path / "first.csv")]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "first.csv.manifest.json").read_text())
+        assert manifest["argv"] == argv
+        rerun = list(manifest["argv"])
+        rerun[rerun.index("--out") + 1] = str(tmp_path / "second.csv")
+        assert main(rerun) == 0
+        assert (tmp_path / "second.csv").read_bytes() == (tmp_path / "first.csv").read_bytes()
 
     def test_rerun_identical(self, tmp_path, capsys):
         args = ("experiment", "--which", "monotone_1_vs_n", "--grid", "6",

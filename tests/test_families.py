@@ -5,7 +5,9 @@ from math import comb
 
 import pytest
 
+from bcprof import tree_core, tree_families
 from bcprof import (
+    build_tree,
     OddMError,
     OutOfDomainError,
     OutOfRangeError,
@@ -61,6 +63,48 @@ class TestMakers:
         t, _ = make_gij(3, 5)
         assert t.n == 51
         assert path_counts_naive(t).p[2] == 58
+
+
+class TestMakersAsParentArrays:
+    """Every maker builds through tree_from_parents; the Trees must equal
+    what build_tree makes of the same edges."""
+
+    @staticmethod
+    def assert_same_as_build_tree(t):
+        assert t == build_tree(t.n, t.edges())
+
+    def test_path(self):
+        for n in range(1, 40):
+            self.assert_same_as_build_tree(make_path(n))
+
+    def test_brooms(self):
+        for m in range(1, 9):
+            for n in range(1, 6):
+                self.assert_same_as_build_tree(make_broom(m, n)[0])
+                if m % 2 == 0:
+                    self.assert_same_as_build_tree(make_double_broom(m, n)[0])
+
+    def test_gij(self):
+        for i in range(1, 6):
+            for j in range(1, 8):
+                self.assert_same_as_build_tree(make_gij(i, j)[0])
+
+    @pytest.mark.parametrize("l", range(1, 9))
+    def test_tell(self, l):
+        self.assert_same_as_build_tree(make_tell(l)[0])
+
+    def test_tell_search_builds_no_tree(self, monkeypatch):
+        # The search counts each candidate straight from its parent array:
+        # no build_tree and no BFS order.
+        want = make_tell(6)
+
+        def boom(*args):
+            raise AssertionError("the tell search built a Tree or ran a BFS")
+
+        monkeypatch.setattr(tree_core, "build_tree", boom)
+        monkeypatch.setattr(tree_families, "build_tree", boom, raising=False)
+        monkeypatch.setattr(tree_core, "_bfs_order", boom)
+        assert make_tell(6) == want
 
 
 class TestPathClosedForms:

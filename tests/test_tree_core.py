@@ -1,12 +1,17 @@
 """Tree construction, BFS, and exact path counting (fast vs naive oracle)."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bcprof
 from bcprof import (
     DiameterTooSmallError,
     DisconnectedError,
@@ -24,6 +29,7 @@ from bcprof import (
     prefix_counts,
     profile,
     read_tree,
+    tree_from_parents,
     write_tree,
 )
 from bcprof import tree_core
@@ -89,6 +95,31 @@ class TestBuildTree:
     def test_adjacency_sorted(self):
         t = build_tree(4, [(0, 3), (0, 1), (0, 2)])
         assert t.adj[0] == (1, 2, 3)
+
+
+class TestTreeFromParents:
+    @pytest.mark.parametrize("parent", (
+        [-1, 0, 2],  # parent[y] == y
+        [-1, 0, 3, 1],  # parent[y] > y
+        [-1, -1],  # a second root
+        [-1, 0, -2],
+        [0, 0],  # parent[0] is not -1
+        [],
+    ))
+    def test_rejects_bad_entries(self, parent):
+        with pytest.raises(OutOfRangeError):
+            tree_from_parents(parent)
+
+    @pytest.mark.parametrize("parent", ("[-1, 0, 2]", "[-1, 0, -1]"))
+    def test_bad_entries_rejected_under_optimize(self, parent):
+        # `python -O` strips asserts; the parent check must survive it.
+        src = str(Path(bcprof.__file__).resolve().parents[1])
+        code = f"from bcprof import tree_from_parents; tree_from_parents({parent})"
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", code], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 1 and "OutOfRangeError" in proc.stderr
 
 
 class TestBfsAndDiameter:
