@@ -7,13 +7,13 @@ import pytest
 
 from bcprof import tree_core, tree_families
 from bcprof import (
-    build_tree,
     OddMError,
     OutOfDomainError,
     OutOfRangeError,
     OutOfTabulatedRangeError,
     SearchCapExceededError,
     BadSpecError,
+    build_tree,
     closed_form_gij_pk,
     closed_form_gij_Pk,
     closed_form_gij_Pkv,
