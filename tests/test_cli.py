@@ -50,9 +50,21 @@ class TestGen:
         assert code == 24
 
     # sha256 of `gen tell:l` stdout, recorded before the tell search counted
-    # its candidates from parent arrays.
+    # its candidates from parent arrays (l = 8, 14, 18) and before it kept
+    # its leaf counts in one list (l = 1..12).
     PINNED_TELL = {
+        1: "e2af76187b2f5f89c941864da1bd0af26c3bf524305419c419771c59dee5b1e0",
+        2: "5383c5ad589228e886db9e0ca06ff52b8e4b16007e3b47967c894cdca60822ad",
+        3: "62ded3121a3c5d42ba8436b1b6a5ecdcce06b8372e8bafa501aaa00063933308",
+        4: "481519203e23a40d3724592aa672bd93d42632417490b989e2d783c1cb6ce0c3",
+        5: "2830c106c2ca89b405595e2386996e85de03c243013fed3b1db139d3bfad36cb",
+        6: "851d3933a47f06ef5367001112869d7c89203a8d18064c9ba7827f9cb6c5b2de",
+        7: "86a1259098e75443d45f0837f78034343ae297176e70899187c7a1dc4b47c3a6",
         8: "e3d1d8b59e450bc6f6736f96654a704f9f6f992418ae9496c72d243fc7b5f439",
+        9: "729befbe97e9a9a96684d9fa9f76d446eb2785f3be48b4fd8f6c03d70a0ff741",
+        10: "1f6ae37b1151a6ba3e3c15ffa432c075fa9abb4baef266ca70cdbcd0d6ae19e7",
+        11: "3138014459ed5915bbc991c61bd0abbb0c7f6076f68c4a9ae3d8a949d0899895",
+        12: "279fe33814029ae56e23a701d7dfd210ff1bf97183d4b692ba75d2506161eaed",
         14: "4e9b32bd4244183be5cc4bf266f9213daf897e6d672a351b9d3e1246f8531644",
         18: "6dd934c30b4adc47088b9f94caf74e62a75f3e6664a909e303cf9322ba7309b0",
     }
@@ -62,6 +74,18 @@ class TestGen:
         code, out, _ = run_cli(capsys, "gen", f"tell:{l}")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_TELL[l]
+
+    @pytest.mark.parametrize(
+        "l, message",
+        [
+            (3, "b[1] = 2496001604 exceeds 1000000000"),
+            (4, "a[2] = 4035773671173485152159 exceeds 1000000000"),
+        ],
+    )
+    def test_tell_paper_bound_over_cap(self, capsys, l, message):
+        code, out, err = run_cli(capsys, "gen", f"tell:{l},paper_bound")
+        assert code == 20 and out == ""
+        assert message in err
 
 
 class TestProfileCmd:

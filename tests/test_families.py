@@ -185,6 +185,11 @@ class TestTell:
 
         assert bfs_distances(t, u)[v] == 4
 
+    @pytest.mark.parametrize("l, a, b", [(1, (1,), (1,)), (2, (3, 1), (59, 1))])
+    def test_paper_bound_pinned(self, l, a, b):
+        _, _, _, choice = make_tell(l, strategy="paper_bound")
+        assert (choice.a, choice.b) == (a, b)
+
     def test_paper_bound_small(self):
         t, u, v, choice = make_tell(2, strategy="paper_bound")
         assert choice.strategy == "paper_bound"
