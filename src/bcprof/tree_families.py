@@ -80,53 +80,58 @@ def make_gij(i: int, j: int) -> tuple[Tree, int]:
 
 @dataclass(frozen=True)
 class TellChoice:
+    """Leaf counts of the crossing construction: a[i] tips u's branch with
+    2i edges, b[i] tips v's branch with 2i + 1 edges."""
+
     a: tuple[int, ...]
     b: tuple[int, ...]
     strategy: str
 
 
-def _tell_parents(l: int, a: list[int], b: list[int]) -> tuple[list[int], int, int]:
+def _tell_parents(l: int, leaves: list[int]) -> tuple[list[int], int, int]:
     """(parent array, u, v) of the crossing construction for given leaf counts.
 
-    u = 0 and v = 2l sit on a central path of length 2l. Branch j on u's
-    side is a path of 2j edges ending at a handle with a[j] leaves (the
-    handle is u itself for j=0); on v's side the path has 2j+1 edges and
-    b[j] leaves. Zero leaf counts are allowed (partial trees during search).
+    u = 0 and v = 2l sit on a central path of length 2l. Branch j, for
+    j = 0..2l-1, hangs off u for even j and off v for odd j: a path of j
+    edges ending at a handle with leaves[j] leaves (the handle is u itself
+    for j = 0). Zero leaf counts are allowed (partial trees during search).
     """
     u, v = 0, 2 * l
     parent = list(range(-1, 2 * l))
-    for j in range(l):
-        for handle, length, leaves in ((u, 2 * j, a[j]), (v, 2 * j + 1, b[j])):
-            for _ in range(length):
-                parent.append(handle)
-                handle = len(parent) - 1
-            parent.extend([handle] * leaves)
+    for j, count in enumerate(leaves):
+        handle = v if j % 2 else u
+        for _ in range(j):
+            parent.append(handle)
+            handle = len(parent) - 1
+        parent.extend([handle] * count)
     return parent, u, v
 
 
-def _tell_margin(l: int, a: list[int], b: list[int], k: int, side: str, slot: int, val: int) -> int:
-    """P_k(u) - P_k(v) (side 'a') or P_k(v) - P_k(u) (side 'b') with a trial leaf count."""
-    aa, bb = list(a), list(b)
-    (aa if side == "a" else bb)[slot] = val
-    parent, u, v = _tell_parents(l, aa, bb)
+def _tell_margin(l: int, leaves: list[int], k: int, val: int) -> int:
+    """How far u leads v at k (v leads u for odd k) with leaves[k-2] = val.
+
+    Constraint k tunes branch k - 2, which hangs off the vertex that must
+    lead at k: u for even k, v for odd k.
+    """
+    trial = list(leaves)
+    trial[k - 2] = val
+    parent, u, v = _tell_parents(l, trial)
     # Every tree here has d >= 4l-1 (u to the end of v's last branch), and
     # the search asks for k <= 2l+1, so both rows reach k. u = 0 is the
     # root of the count, so only v walks its ancestor chain.
     _, (Pu, Pv) = _parent_prefix_counts(parent, (u, v))
-    return Pu[k] - Pv[k] if side == "a" else Pv[k] - Pu[k]
+    return Pv[k] - Pu[k] if k % 2 else Pu[k] - Pv[k]
 
 
-def _minimal_leaf_count(l, a, b, k, side, slot):
-    """Smallest positive leaf count making the margin positive, or None.
+def _minimal_leaf_count(l: int, leaves: list[int], k: int) -> int | None:
+    """Smallest positive leaves[k-2] making the margin at k positive, or None.
 
     The margin is a quadratic polynomial in the leaf count (linear except
     for leaves attached directly to u, whose pairs add a binomial term), so
     three small counts determine it exactly; adding leaves to the favored
     side never decreases the margin, so binary search applies.
     """
-    g0 = _tell_margin(l, a, b, k, side, slot, 0)
-    g1 = _tell_margin(l, a, b, k, side, slot, 1)
-    g2 = _tell_margin(l, a, b, k, side, slot, 2)
+    g0, g1, g2 = (_tell_margin(l, leaves, k, t) for t in range(3))
     d1, d2 = g1 - g0, g2 - 2 * g1 + g0
 
     def g(t: int) -> int:
@@ -146,54 +151,43 @@ def _minimal_leaf_count(l, a, b, k, side, slot):
     return lo
 
 
-def _tell_minimal_search(l: int) -> tuple[list[int], list[int]]:
-    a, b = [0] * l, [0] * l
+def _tell_minimal_search(l: int) -> list[int]:
+    leaves = [0] * (2 * l)
     for k in range(2, 2 * l):
-        if k % 2 == 0:
-            side, slot = "a", k // 2 - 1
-        else:
-            side, slot = "b", (k - 1) // 2 - 1
-        val = _minimal_leaf_count(l, a, b, k, side, slot)
+        val = _minimal_leaf_count(l, leaves, k)
         if val is None:
-            raise SearchCapExceededError(f"no {side}[{slot}] below {SEARCH_CAP} works at k={k}")
-        (a if side == "a" else b)[slot] = val
-    if a[l - 1] == 0:
-        a[l - 1] = 1
-    # The final b slot is unconstrained by the alternation inequalities;
-    # extend the alternation one step past the u-v distance if affordable.
-    val = _minimal_leaf_count(l, a, b, 2 * l + 1, "b", l - 1)
-    b[l - 1] = val if val is not None else 1
-    return a, b
+            slot = f"{'ab'[k % 2]}[{(k - 2) // 2}]"
+            raise SearchCapExceededError(f"no {slot} below {SEARCH_CAP} works at k={k}")
+        leaves[k - 2] = val
+    # No constraint tunes the last two branches. The one off u gets a single
+    # leaf; the one off v extends the alternation one step past the u-v
+    # distance if affordable.
+    leaves[-2] = 1
+    leaves[-1] = _minimal_leaf_count(l, leaves, 2 * l + 1) or 1
+    return leaves
 
 
-def _tell_paper_bound(l: int) -> tuple[list[int], list[int]]:
-    a, b = [0] * l, [0] * l
-    a[0] = comb(l + 1, 2)
+def _tell_paper_bound(l: int) -> list[int]:
+    # Branches no constraint tunes (the last two) keep one leaf. Constraint
+    # k reads only branches below k - 2, which are already set.
+    leaves = [1] * (2 * l)
+    leaves[0] = comb(l + 1, 2)
 
-    def upper_v(m: int) -> int:
-        return (sum(b[j] for j in range(-(-m // 2) - 1)) + (l + 1) * (m - 1)) ** 2
-
-    def upper_u(m: int) -> int:
-        return (sum(a[j] for j in range(m // 2)) + (l + 1) * (m - 1)) ** 2
+    def upper(m: int, side: int) -> int:
+        """The bound from side's branches (0: u, 1: v) with under m - 1 edges."""
+        return (sum(leaves[side : m - 1 : 2]) + (l + 1) * (m - 1)) ** 2
 
     for k in range(3, 2 * l):
-        if k % 2 == 0:
-            slot = k // 2 - 1
-            s_k = sum(upper_v(m) for m in range(2, k + 1))
-            a[slot] = max(1, s_k - 2 * sum(a[:slot]))
-        else:
-            slot = (k - 1) // 2 - 1
-            s_k = sum(upper_u(m) for m in range(2, k + 1))
-            b[slot] = max(1, -((2 * sum(b[:slot]) - s_k) // 2))
-    if a[l - 1] == 0:
-        a[l - 1] = 1
-    if b[l - 1] == 0:
-        b[l - 1] = 1
-    for side, vals in (("a", a), ("b", b)):
+        side = k % 2
+        s_k = sum(upper(m, 1 - side) for m in range(2, k + 1))
+        # ceil((s_k - 2 * own) / (1 + side)), own being the leaves already on side
+        own = sum(leaves[side : k - 2 : 2])
+        leaves[k - 2] = max(1, -((2 * own - s_k) // (1 + side)))
+    for name, vals in (("a", leaves[0::2]), ("b", leaves[1::2])):
         for slot, val in enumerate(vals):
             if val > SEARCH_CAP:
-                raise SearchCapExceededError(f"{side}[{slot}] = {val} exceeds {SEARCH_CAP}")
-    return a, b
+                raise SearchCapExceededError(f"{name}[{slot}] = {val} exceeds {SEARCH_CAP}")
+    return leaves
 
 
 def make_tell(l: int, strategy: str = "minimal_search") -> tuple[Tree, int, int, TellChoice]:
@@ -201,13 +195,14 @@ def make_tell(l: int, strategy: str = "minimal_search") -> tuple[Tree, int, int,
     if l < 1:
         raise OutOfRangeError(f"construction needs l >= 1, got {l}")
     if strategy == "minimal_search":
-        a, b = _tell_minimal_search(l)
+        leaves = _tell_minimal_search(l)
     elif strategy == "paper_bound":
-        a, b = _tell_paper_bound(l)
+        leaves = _tell_paper_bound(l)
     else:
         raise BadSpecError(f"unknown strategy {strategy!r}")
-    parent, u, v = _tell_parents(l, a, b)
-    return tree_from_parents(parent), u, v, TellChoice(a=tuple(a), b=tuple(b), strategy=strategy)
+    parent, u, v = _tell_parents(l, leaves)
+    choice = TellChoice(a=tuple(leaves[0::2]), b=tuple(leaves[1::2]), strategy=strategy)
+    return tree_from_parents(parent), u, v, choice
 
 
 def closed_form_path_Pkv(n: int, i: int, k: int) -> int:
