@@ -30,9 +30,6 @@ class Tree:
     n: int
     adj: tuple[tuple[int, ...], ...]
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def edges(self) -> list[tuple[int, int]]:
         """All edges as (u, v) with u < v, sorted lexicographically."""
         return sorted(
@@ -342,8 +339,7 @@ class Profile:
 
 
 def profile(t: Tree, v: int, table: PathCountTable | None = None) -> Profile:
-    if not 0 <= v < t.n:
-        raise OutOfRangeError(f"vertex {v} out of range for n={t.n}")
+    _check_vertices(t.n, (v,))
     if table is None:
         table = path_counts_fast(t)
     if table.d < 2:
@@ -354,9 +350,8 @@ def profile(t: Tree, v: int, table: PathCountTable | None = None) -> Profile:
     return Profile(vertex=v, entries=entries)
 
 
-def all_profiles(t: Tree, table: PathCountTable | None = None) -> list[Profile]:
-    if table is None:
-        table = path_counts_fast(t)
+def all_profiles(t: Tree) -> list[Profile]:
+    table = path_counts_fast(t)
     return [profile(t, v, table) for v in range(t.n)]
 
 

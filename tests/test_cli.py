@@ -392,6 +392,18 @@ class TestExpectCmd:
         assert out.splitlines()[0] == "vertex,k,mean,stderr,trials"
         assert all(ln.endswith(",20") for ln in out.splitlines()[1:])
 
+    def test_monte_carlo_k_past_every_diameter(self, capsys):
+        # The largest sampled diameter here is 4, and BC_K = BC_d for K >= d.
+        argv = ("expect", "--n", "5", "--trials", "20", "--seed", "3", "--k")
+        code9, out9, _ = run_cli(capsys, *argv, "9")
+        code4, out4, _ = run_cli(capsys, *argv, "4")
+        assert code9 == code4 == 0
+        rows9 = [ln.split(",") for ln in out9.splitlines()[1:]]
+        rows4 = [ln.split(",") for ln in out4.splitlines()[1:]]
+        assert len(rows9) == 5
+        assert [r[1] for r in rows9] == ["9"] * 5
+        assert [r[:1] + r[2:] for r in rows9] == [r[:1] + r[2:] for r in rows4]
+
     def test_monte_carlo_pinned_bytes(self, capsys):
         # Digest of the 1846 stdout bytes recorded before the per-table ratio
         # rows replaced the per-(vertex, k) table lookups.

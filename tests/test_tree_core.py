@@ -33,7 +33,7 @@ from bcprof import (
     write_tree,
 )
 from bcprof import tree_core
-from bcprof.tree_core import _lane_bits
+from bcprof.tree_core import _lane_bits, _parent_prefix_counts
 
 
 def random_tree(n: int, rng: random.Random):
@@ -59,6 +59,36 @@ LANE_STEP = st.sampled_from((181, 182))
 def as_lists(table):
     """A table's (Pk, Pkv) in prefix_counts's shape, for every vertex."""
     return list(table.Pk), [list(row) for row in table.Pkv]
+
+
+def rooted_level_sequences(n: int):
+    """Every rooted unlabeled tree on n vertices, once each, as a preorder
+    level sequence (root at level 0), by Beyer and Hedetniemi's successor
+    rule starting from the path."""
+    levels = list(range(n))
+    while True:
+        yield levels
+        p = n - 1
+        while p > 0 and levels[p] == 1:
+            p -= 1
+        if p == 0:
+            return
+        q = p - 1
+        while levels[q] != levels[p] - 1:
+            q -= 1
+        levels = list(levels)
+        for i in range(p, n):
+            levels[i] = levels[i - p + q]
+
+
+def preorder_parents(levels) -> list[int]:
+    """The parent array of a preorder level sequence: parent[y] < y."""
+    last = {}
+    parent = []
+    for y, level in enumerate(levels):
+        parent.append(last.get(level - 1, -1))
+        last[level] = y
+    return parent
 
 
 # An 11-vertex reference tree: a length-4 path into a 3-way fan, each fan
@@ -234,6 +264,23 @@ class TestPathCounts:
         assert prefix_counts(t, [8, 2, 5]) == (list(table.Pk), [list(table.Pkv[v]) for v in (8, 2, 5)])
         assert calls == [8]
 
+    def test_every_rooted_tree_up_to_10_vertices(self):
+        # Exhaustive: every shape once, with every vertex listed, against
+        # the oracle along each counting route.
+        counts = []
+        for n in range(1, 11):
+            trees = [preorder_parents(levels) for levels in rooted_level_sequences(n)]
+            counts.append(len(trees))
+            for parent in trees:
+                t = tree_from_parents(parent)
+                naive = path_counts_naive(t)
+                Pk, Pkv = as_lists(naive)
+                assert prefix_counts(t, range(n)) == (Pk, Pkv)
+                assert prefix_counts(t, reversed(range(n))) == (Pk, Pkv[::-1])
+                assert _parent_prefix_counts(parent, range(n)) == (Pk, Pkv)
+                assert path_counts_fast(t) == naive
+        assert counts == [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
+
     @pytest.mark.parametrize("v", (-1, 4))
     def test_prefix_counts_rejects_out_of_range(self, v):
         # -1 must not index from the end: it names no vertex.
@@ -289,10 +336,11 @@ class TestProfile:
         with pytest.raises(DiameterTooSmallError):
             profile(t, 0)
 
-    def test_vertex_out_of_range(self):
+    @pytest.mark.parametrize("v", (-1, 3))
+    def test_vertex_out_of_range(self, v):
         t = build_tree(3, [(0, 1), (1, 2)])
-        with pytest.raises(OutOfRangeError):
-            profile(t, 3)
+        with pytest.raises(OutOfRangeError, match=f"^vertex {v} out of range for n=3$"):
+            profile(t, v)
 
 
 class TestTreeIo:
