@@ -108,7 +108,7 @@ def _tell_parents(l: int, leaves: list[int]) -> tuple[list[int], int, int]:
 
 
 def _tell_margin(l: int, leaves: list[int], k: int, val: int) -> int:
-    """How far u leads v at k (v leads u for odd k) with leaves[k-2] = val.
+    """P_k(u) - P_k(v) for even k, P_k(v) - P_k(u) for odd k, with leaves[k-2] = val.
 
     Constraint k tunes branch k - 2, which hangs off the vertex that must
     lead at k: u for even k, v for odd k.
