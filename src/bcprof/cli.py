@@ -208,11 +208,7 @@ def cmd_expect(args) -> int:
         for v, e in enumerate(values, start=1):
             print(f"{v},{args.k},{e.numerator}/{e.denominator},{float(e):.6f}")
         return 0
-    max_d, rows = estimate_expected_profiles(args.n, args.trials, args.seed)
-    if args.k is not None:
-        # P_K = P_d for every K >= d, so past the largest sampled diameter
-        # the K column is the max_d column.
-        rows = [{**r, "k": args.k} for r in rows if r["k"] == min(args.k, max_d)]
+    _, rows = estimate_expected_profiles(args.n, args.trials, args.seed, args.k)
     print("vertex,k,mean,stderr,trials")
     for r in rows:
         print(f"{r['vertex']},{r['k']},{r['mean']:.6f},{r['stderr']:.6f},{r['trials']}")

@@ -61,6 +61,12 @@ class ExperimentConfig:
             if any(n < 3 for n in self.grid):
                 raise OutOfRangeError("vertex counts must be >= 3")
         else:
+            # Below 3 vertices every tree has diameter 1 and every profile is
+            # empty. The floor rejects only that case: at 3 vertices every
+            # tree is a path with the single entry k = 2, so both indicators
+            # still read 1.
+            if self.fixed_n < 3:
+                raise OutOfRangeError(f"fixed vertex count must be >= 3, got {self.fixed_n}")
             if any(not 1 <= i < self.fixed_n for i in self.grid):
                 raise OutOfRangeError(f"vertex indices must be in [1, {self.fixed_n})")
 

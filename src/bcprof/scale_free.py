@@ -349,18 +349,22 @@ def injection_ratio(v: int, case: int) -> Fraction:
 
 
 def estimate_expected_profiles(
-    n: int, trials: int, seed: int
+    n: int, trials: int, seed: int, k: int | None = None
 ) -> tuple[int, list[dict]]:
     """Monte Carlo mean BC_k per vertex with standard errors.
 
     Returns (max_k, rows); rows carry 1-based attachment-order vertex labels.
     BC_k is extended past a sampled tree's diameter by truncation at d,
-    so every trial contributes to every k.
+    so every trial contributes to every k. Given `k`, only the rows of the
+    min(k, max_k) column are returned, labelled `k`: P_K = P_d for K >= d.
     """
     if n < 3:
         raise OutOfRangeError(f"need n >= 3 for nonempty profiles, got {n}")
     if trials < 1:
         raise OutOfRangeError(f"need trials >= 1, got {trials}")
+    # Paths of length 0 or 1 have no interior vertex.
+    if k is not None and k < 2:
+        raise OutOfRangeError(f"need k >= 2, got {k}")
     # Keep only d, Pk and Pkv of each trial, as tuples: lists built by
     # accumulate over-allocate, and every trial's rows are held to the end.
     tables = []
@@ -381,7 +385,9 @@ def estimate_expected_profiles(
     for v in range(n):
         # Each column holds one value per table, in trial order.
         columns = zip(*(held_ratios(*table, v) for table in tables))
-        for k, values in enumerate(columns, start=2):
+        for col, values in enumerate(columns, start=2):
+            if k is not None and col != min(k, max_d):
+                continue
             mean = sum(values) / trials
             if trials > 1:
                 var = sum((x - mean) ** 2 for x in values) / (trials - 1)
@@ -389,6 +395,7 @@ def estimate_expected_profiles(
             else:
                 stderr = 0.0
             rows.append(
-                {"vertex": v + 1, "k": k, "mean": mean, "stderr": stderr, "trials": trials}
+                {"vertex": v + 1, "k": col if k is None else k, "mean": mean,
+                 "stderr": stderr, "trials": trials}
             )
     return max_d, rows

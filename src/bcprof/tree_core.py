@@ -31,10 +31,12 @@ class Tree:
     adj: tuple[tuple[int, ...], ...]
 
     def edges(self) -> list[tuple[int, int]]:
-        """All edges as (u, v) with u < v, sorted lexicographically."""
-        return sorted(
-            (min(u, v), max(u, v)) for u in range(self.n) for v in self.adj[u] if u < v
-        )
+        """All edges as (u, v) with u < v, sorted lexicographically.
+
+        Both builders leave every adjacency list sorted, so scanning u in
+        increasing order already yields that order.
+        """
+        return [(u, v) for u in range(self.n) for v in self.adj[u] if u < v]
 
 
 def build_tree(n: int, edges: Iterable[tuple[int, int]]) -> Tree:

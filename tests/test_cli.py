@@ -467,6 +467,19 @@ class TestExperimentCmd:
         assert (code, out) == (12, "")
         assert "trials" in err
 
+    @pytest.mark.parametrize("which", ("monotone_i_vs_i", "no_cross_ii1_vs_i"))
+    def test_fixed_n_below_three_exit_12(self, capsys, monkeypatch, which):
+        # On two vertices every profile is empty and the estimate would read
+        # 1 for a vacuous indicator.
+        def no_run(cfg):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("bcprof.cli.run_experiment", no_run)
+        code, out, err = run_cli(capsys, "experiment", "--which", which,
+                                 "--fixed-n", "2", "--grid", "1", "--trials", "10")
+        assert (code, out) == (12, "")
+        assert "fixed vertex count" in err
+
     def test_empty_grid_exit_24(self, capsys, monkeypatch):
         # An empty --grid is a bad spec, not a request for the default grid.
         def no_run(cfg):

@@ -40,6 +40,11 @@ class TestConfig:
         with pytest.raises(OutOfRangeError):
             ExperimentConfig(which="monotone_i_vs_i", grid=(250,), fixed_n=250)
 
+    @pytest.mark.parametrize("which", ("no_cross_12_vs_n", "monotone_1_vs_n"))
+    def test_vs_n_ignores_fixed_n(self, which):
+        # Only the _vs_i kinds sample trees of fixed_n vertices.
+        assert ExperimentConfig(which=which, grid=(3,), fixed_n=2).fixed_n == 2
+
     def test_rejects_trials_beyond_substream_width(self):
         # Trial t of grid point x seeds substream (x << 24) + t, so trial
         # 2**24 of x = 1 would replay trial 0 of x = 2. Only configs are built.

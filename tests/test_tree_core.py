@@ -126,6 +126,16 @@ class TestBuildTree:
         t = build_tree(4, [(0, 3), (0, 1), (0, 2)])
         assert t.adj[0] == (1, 2, 3)
 
+    @given(st.data())
+    def test_edges_sorted_from_either_builder(self, data):
+        # edges() does no sort of its own; it relies on sorted adjacency.
+        n = data.draw(st.integers(1, 30))
+        parent = [-1] + [data.draw(st.integers(0, y - 1)) for y in range(1, n)]
+        want = sorted((parent[y], y) for y in range(1, n))
+        shuffled = data.draw(st.permutations([e[::-1] for e in want]))
+        assert build_tree(n, shuffled).edges() == want
+        assert tree_from_parents(parent).edges() == want
+
 
 class TestTreeFromParents:
     @pytest.mark.parametrize("parent", (

@@ -1,0 +1,236 @@
+"""The verify suites: pinned reports, and the failure each injected fault gives."""
+
+import dataclasses
+import hashlib
+from types import SimpleNamespace
+
+import pytest
+
+import bcprof.verify as verify
+from bcprof.cli import main
+from bcprof.verify import CHECK_NAMES, CheckCase, run_check
+
+
+def run_verify(capsys, *argv):
+    code = main(["verify", "--check", *argv])
+    return code, capsys.readouterr().out
+
+
+# sha256 of `bcprof verify --check <suite>` stdout at the suite's default
+# size, recorded before the suites became case generators. Each digest also
+# fixes the case count in the summary line.
+PINNED = {
+    "prop1": "f0a1b7a4e6987d76fb4285c11a9ad03f297adda96929e7f1dfaec7510b401553",
+    "corollary1": "8a4fa0b5d0942c932003e01c7bbeaec95ffe2517f01221818fa2c2e16b2ab4c2",
+    "gij-tables": "110c908322dfd0eeebef393e3a931cd4e5918d1d1ba833bf97a9491d9a35ec40",
+    "theorem1": "cc219dd3572cba20c502cf7d9fbc003dc681264a3c00257b89177c30ff58dca8",
+    "tell": "4d851c511f2848e8daba75e88d8e07d962c31304af192fbb67eaa033a5da9883",
+    "prop2": "b81457ce95a21fecf0451131990f19472141b89bc1bbd7bfbed269713c42ba1b",
+    "lemma1": "dd6108e231138b7caaaaed6b36ed1ae4b8a85c9c1229c2f79cbb4822bad7b9cb",
+    "theorem3": "2a67a0c630775819702c37c08e6acb1774880e5c344f4145e4e7297720bad5bc",
+}
+
+
+def test_pinned_covers_every_suite():
+    assert sorted(PINNED) == sorted(CHECK_NAMES)
+
+
+@pytest.mark.parametrize("suite", sorted(PINNED))
+def test_default_size_pinned_bytes(capsys, suite):
+    code, out = run_verify(capsys, suite)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[suite]
+
+
+@pytest.mark.parametrize("suite, size, out", [
+    ("prop1", "-3", "prop1: FAIL (0 cases)\n"),
+    ("corollary1", "1", "corollary1: FAIL (0 cases)\n"),
+    ("gij-tables", "2", "gij-tables: FAIL (0 cases)\n"),
+    ("theorem1", "2", "theorem1: FAIL (0 cases)\n"),
+    ("tell", "0", "tell: FAIL (0 cases)\n"),
+    ("lemma1", "1", "lemma1: FAIL (0 cases)\n"),
+    ("theorem3", "1", "FAIL theorem3 injection labels <= 1: no (path, v) pair to check\n"
+                      "theorem3: FAIL (1 cases)\n"),
+    ("theorem3", "2", "FAIL theorem3 injection labels <= 2: no (path, v) pair to check\n"
+                      "theorem3: FAIL (1 cases)\n"),
+])
+def test_sizes_that_check_nothing_fail(capsys, suite, size, out):
+    assert run_verify(capsys, suite, "--max-size", size) == (1, out)
+
+
+# Each fault replaces one name in bcprof.verify with `make(original)`.
+
+def _pk2_one(orig):
+    def f(t, vs):
+        Pk, rows = orig(t, vs)
+        return [*Pk[:2], 1, *Pk[3:]], rows
+    return f
+
+
+def _leaf_instead_of_v(orig):
+    return lambda i, j: (orig(i, j)[0], 0)
+
+
+def _swap_uv(orig):
+    def f(l):
+        t, u, v, choice = orig(l)
+        return t, v, u, choice
+    return f
+
+
+def _zero_v_row(orig):
+    def f(t, vs):
+        Pk, (Pu, Pv) = orig(t, vs)
+        return Pk, (Pu, [0] * len(Pv))
+    return f
+
+
+def _flat_profile(orig):
+    def f(t, vs):
+        Pk, _ = orig(t, vs)
+        return Pk, (Pk,)
+    return f
+
+
+def _extra_label(orig):
+    def f(sig, v):
+        img = orig(sig, v)
+        return dataclasses.replace(img, R=img.R | {99})
+    return f
+
+
+def _shared_image(orig):
+    # Pairs with the same v, length, case and probability share one image,
+    # so only the injectivity test can tell them apart.
+    seen = {}
+
+    def f(sig, v):
+        key = (v, sig.length, verify.injection_case(sig, v), verify.path_probability(sig))
+        return seen.setdefault(key, orig(sig, v))
+    return f
+
+
+def _no_dips(orig):
+    return lambda seq: SimpleNamespace(count=0)
+
+
+def _no_crossings(orig):
+    return lambda su, sv: SimpleNamespace(count=0)
+
+
+SIG_13 = "PathSignature(a=1, b=3, c=1, L=frozenset(), R=frozenset({2}))"
+
+# (suite, max size, name, make, case count, [(failing case, detail)])
+FAULTS = {
+    "prop1-crossing": ("prop1", 4, "dominates", lambda orig: lambda hi, lo: False, 3, [
+        ("path n=2", "monotone=True, no_cross=False"),
+        ("path n=3", "monotone=True, no_cross=False"),
+        ("path n=4", "monotone=True, no_cross=False"),
+    ]),
+    "prop1-monotone": ("prop1", 5, "prefix_counts", _pk2_one, 4, [
+        ("path n=3", "monotone=False, no_cross=True"),
+        ("path n=4", "monotone=False, no_cross=True"),
+        ("path n=5", "monotone=False, no_cross=True"),
+    ]),
+    "corollary1-Pkv": (
+        "corollary1", 8, "closed_form_path_Pkv",
+        lambda orig: lambda n, i, k: orig(n, i, k) + ((n, i, k) == (7, 2, 5)),
+        7, [("path n=7", "i=2, k=5: 8 != 7")]),
+    "corollary1-bck": (
+        "corollary1", 6, "closed_form_path_bck",
+        lambda orig: lambda n, i, k: orig(n, i, k) + ((n, i, k) == (5, 1, 3)),
+        5, [("path n=5", "i=1, k=3: 2 != 2")]),
+    "gij-tables-pk": (
+        "gij-tables", 5, "closed_form_gij_pk",
+        lambda orig: lambda i, j, k: orig(i, j, k) + ((i, j) == (4, 6)),
+        9, [("G(i=4, j=6)", "p_k mismatch at k=2: 90 != 89")]),
+    "gij-tables-Pkv": (
+        "gij-tables", 5, "closed_form_gij_Pkv",
+        lambda orig: lambda i, j, r: tuple(x + ((i, j, r) == (5, 7, 3)) for x in orig(i, j, r)),
+        9, [("G(i=5, j=7)", "r=3: P_k (4744, 4888, 5025) vs (4744, 4888, 5025), "
+                            "P_k(v) (68, 69, 72) vs (67, 68, 71)")]),
+    "theorem1-leaf": ("theorem1", 5, "make_gij", _leaf_instead_of_v, 3, [
+        ("G(i=3, j=5)", "dip count 0 < 1"),
+        ("G(i=4, j=5)", "r=2: left=False, right=False"),
+        ("G(i=5, j=5)", "r=2: left=False, right=False"),
+    ]),
+    "theorem1-dips": ("theorem1", 5, "count_dips", _no_dips, 3, [
+        ("G(i=3, j=5)", "dip count 0 < 1"),
+        ("G(i=4, j=5)", "dip count 0 < 2"),
+        ("G(i=5, j=5)", "dip count 0 < 3"),
+    ]),
+    "tell-u": ("tell", 3, "make_tell", _swap_uv, 3, [
+        ("l=2", "P_2(u) <= P_2(v)"),
+        ("l=3", "P_2(u) <= P_2(v)"),
+    ]),
+    "tell-v": ("tell", 3, "prefix_counts", _zero_v_row, 3, [
+        ("l=2", "P_3(v) <= P_3(u)"),
+        ("l=3", "P_3(v) <= P_3(u)"),
+    ]),
+    "tell-crossings": ("tell", 3, "count_crossings", _no_crossings, 3, [
+        ("l=2", "crossings 0 < 1"),
+        ("l=3", "crossings 0 < 3"),
+    ]),
+    "prop2": ("prop2", None, "prefix_counts", _flat_profile, 2, [
+        ("double broom m=10, n=1000", "ratio >= 1/10 at some k < d"),
+        ("broom m=1000, n=50", "ratio <= 2 at k=2"),
+    ]),
+    "lemma1": (
+        "lemma1", 6, "path_probability",
+        lambda orig: lambda sig: orig(sig) * (1 + ((sig.a, sig.b) == (3, 5))),
+        5, [
+            ("n=5", "path (3, 1, 2, 4, 5): 4/105 != 2/105"),
+            ("n=6", "path (3, 1, 2, 4, 5): 4/105 != 2/105"),
+        ]),
+    "theorem3-order": (
+        "theorem3", 4, "exact_expected_pk",
+        lambda orig: lambda n, v, k: orig(n, n + 1 - v, k),
+        3, [
+            ("expectation order n=3", "k=2: E[p_k(v)] not strictly decreasing: "
+                                      "[Fraction(0, 1), Fraction(1, 3), Fraction(2, 3)]"),
+            ("expectation order n=4", "k=2: E[p_k(v)] not strictly decreasing: "
+                                      "[Fraction(0, 1), Fraction(1, 5), Fraction(11, 15), "
+                                      "Fraction(8, 5)]"),
+        ]),
+    "theorem3-length": ("theorem3", 4, "injection_f", _extra_label, 3, [
+        ("injection labels <= 4", f"f not length-preserving on {SIG_13}, v=1"),
+    ]),
+    "theorem3-interior": ("theorem3", 4, "injection_f", lambda orig: lambda sig, v: sig, 3, [
+        ("injection labels <= 4", f"v=1 not interior in image of {SIG_13}"),
+    ]),
+    "theorem3-ratio": (
+        "theorem3", 4, "injection_ratio", lambda orig: lambda v, case: 2 * orig(v, case),
+        3, [("injection labels <= 4", f"ratio mismatch (case 5) on {SIG_13}, v=1")]),
+    "theorem3-injective": ("theorem3", 5, "injection_f", _shared_image, 4, [
+        ("injection labels <= 5",
+         "f not injective at v=1: "
+         "PathSignature(a=3, b=5, c=1, L=frozenset({2}), R=frozenset({4})) and "
+         "PathSignature(a=4, b=5, c=1, L=frozenset({2, 3}), R=frozenset()) -> "
+         "PathSignature(a=3, b=5, c=1, L=frozenset({2}), R=frozenset({4}))"),
+    ]),
+}
+
+
+def test_faults_cover_every_suite():
+    assert {row[0] for row in FAULTS.values()} == set(CHECK_NAMES)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_fault_gives_its_failures(monkeypatch, fault):
+    suite, size, name, make, count, failures = FAULTS[fault]
+    monkeypatch.setattr(verify, name, make(getattr(verify, name)))
+    report = run_check(suite, size)
+    assert len(report.cases) == count
+    assert [(c.name, c.detail) for c in report.cases if not c.passed] == failures
+    # A passing case carries no text; a failing one always does.
+    assert all(c.passed == (c.detail == "") for c in report.cases)
+    assert not report.passed
+
+
+def test_check_case_is_keyword_only():
+    # A positional (name, passed) call from before `passed` became a property
+    # must not build a case whose detail is a bool.
+    with pytest.raises(TypeError):
+        CheckCase("n=3", True)
+    assert CheckCase(name="n=3").passed
+    assert not CheckCase(name="n=3", detail="k=2: 1 > 0").passed
