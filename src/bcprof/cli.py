@@ -153,16 +153,12 @@ def _write_profile_rows(out, fmt: str, Pk: Sequence[int], rows) -> None:
 
 def cmd_profile(args) -> int:
     tree = _load_tree(args.tree)
-    if args.all:
-        table = path_counts_fast(tree)
-        Pk, rows = table.Pk, enumerate(table.Pkv)
-    else:
-        Pk, (row,) = prefix_counts(tree, [args.vertex])
-        rows = [(args.vertex, row)]
+    vertices = range(tree.n) if args.all else [args.vertex]
+    Pk, Pkv = prefix_counts(tree, vertices)
     d = len(Pk) - 1
     if d < 2:
         raise DiameterTooSmallError(f"diameter {d} < 2: profile is empty")
-    _write_profile_rows(sys.stdout, args.format, Pk, rows)
+    _write_profile_rows(sys.stdout, args.format, Pk, zip(vertices, Pkv))
     return 0
 
 

@@ -26,12 +26,15 @@ from .errors import BadSpecError, OutOfRangeError
 from .profile_analysis import count_crossings, is_monotone
 from .scale_free import sample_tree, substream_seed
 
-EXPERIMENT_KINDS = (
-    "no_cross_12_vs_n",
-    "no_cross_ii1_vs_i",
-    "monotone_i_vs_i",
-    "monotone_1_vs_n",
-)
+# The 0-based vertices a trial of each kind lists at grid point x: two
+# vertices are tested for a crossing, one for monotonicity.
+_TRIAL_VERTICES = {
+    "no_cross_12_vs_n": lambda x: (0, 1),
+    "no_cross_ii1_vs_i": lambda x: (x - 1, x),
+    "monotone_i_vs_i": lambda x: (x - 1,),
+    "monotone_1_vs_n": lambda x: (0,),
+}
+EXPERIMENT_KINDS = tuple(_TRIAL_VERTICES)
 
 DEFAULT_TRIALS = 5000
 DEFAULT_FIXED_N = 250
@@ -62,9 +65,9 @@ class ExperimentConfig:
                 raise OutOfRangeError("vertex counts must be >= 3")
         else:
             # Below 3 vertices every tree has diameter 1 and every profile is
-            # empty. The floor rejects only that case: at 3 vertices every
-            # tree is a path with the single entry k = 2, so both indicators
-            # still read 1.
+            # empty, so no indicator would test anything. From 3 vertices on
+            # it tests a real profile. Up to 7 vertices every estimate is
+            # exactly 1 because every kind's exact probability is 1 there.
             if self.fixed_n < 3:
                 raise OutOfRangeError(f"fixed vertex count must be >= 3, got {self.fixed_n}")
             if any(not 1 <= i < self.fixed_n for i in self.grid):
@@ -86,13 +89,7 @@ def default_grid(which: str) -> tuple[int, ...]:
 def _trial_indicator(which: str, x: int, fixed_n: int, seed: int, trial: int) -> bool:
     rng = random.Random(substream_seed(seed, (x << TRIAL_BITS) + trial))
     n = x if which.endswith("_vs_n") else fixed_n
-    if which == "no_cross_12_vs_n":
-        vertices = (0, 1)
-    elif which == "no_cross_ii1_vs_i":
-        vertices = (x - 1, x)
-    else:
-        vertices = (0,) if which == "monotone_1_vs_n" else (x - 1,)
-    Pk, rows = sample_tree(n, rng).prefix_counts(vertices)
+    Pk, rows = sample_tree(n, rng).prefix_counts(_TRIAL_VERTICES[which](x))
     if len(rows) == 2:
         return count_crossings(rows[0][2:], rows[1][2:]).count == 0
     return is_monotone(tuple(Fraction(pv, pk) for pv, pk in zip(rows[0][2:], Pk[2:])))

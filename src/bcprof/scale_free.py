@@ -108,15 +108,12 @@ class PathSignature:
 
     @property
     def length(self) -> int:
-        if self.a == self.c:
-            return len(self.R) + 1
-        return len(self.L) + len(self.R) + 2
+        return len(self.interior) + 1
 
     @property
     def interior(self) -> frozenset[int]:
-        if self.a == self.c:
-            return self.R
-        return self.L | self.R | {self.c}
+        # When a == c, a is the minimum and L is empty.
+        return (self.L | self.R | {self.c}) - {self.a}
 
     @property
     def vertices(self) -> frozenset[int]:
@@ -172,24 +169,18 @@ def _history_numerators(n: int) -> tuple[int, Iterator[tuple[tuple[int, ...], in
     if n < 1:
         raise OutOfRangeError(f"need n >= 1, got {n}")
 
-    def rec(t: int, parents: list[int], weights: list[int], num: int):
-        if t > n:
-            yield tuple(parents), num
-            return
-        for cand in range(1, t):
-            w = weights[cand]
-            parents.append(cand)
-            weights[cand] = w + 1
-            weights[t] = 1
-            yield from rec(t + 1, parents, weights, num * w)
-            parents.pop()
-            weights[cand] = w
-            weights[t] = 0
+    def histories():
+        for parents in itertools.product(*(range(1, t) for t in range(2, n + 1))):
+            # weight[i] = attachment weight of label i: its degree, plus the
+            # virtual unit for label 1; each label arrives with weight 1.
+            weight = [0] + [1] * n
+            num = 1
+            for p in parents:
+                num *= weight[p]
+                weight[p] += 1
+            yield parents, num
 
-    # weights[i] = attachment weight of label i (degree, +1 virtual for 1)
-    weights = [0] * (n + 1)
-    weights[1] = 1
-    return math.prod(2 * t - 3 for t in range(2, n + 1)), rec(2, [], weights, 1)
+    return math.prod(2 * t - 3 for t in range(2, n + 1)), histories()
 
 
 def enumerate_histories(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
@@ -255,9 +246,10 @@ def all_candidate_paths(n: int) -> tuple[tuple[int, ...], ...]:
         for subset in itertools.combinations(labels, size):
             c, rest = subset[0], subset[1:]
             for bits in range(1 << len(rest)):
+                # rest is increasing, so both sides come out in order.
                 left = [x for i, x in enumerate(rest) if bits >> i & 1]
                 right = [x for i, x in enumerate(rest) if not bits >> i & 1]
-                seq = tuple(sorted(left, reverse=True)) + (c,) + tuple(sorted(right))
+                seq = (*left[::-1], c, *right)
                 out.add(min(seq, seq[::-1]))
     return tuple(sorted(out))
 

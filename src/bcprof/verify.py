@@ -135,6 +135,11 @@ def check_theorem1(max_size: int = 10) -> Cases:
     left inequality is exactly false once i >= 6 (e.g. i=6: BC_32 = 81/4506
     < BC_33 = 82/4560), so that value of r is excluded. The dip count of
     the full profile is still required to be at least i-2.
+
+    The default max_size 10 is the verified range. Past it the left
+    inequality also fails at r = i-2 from i = 11 and at r = i-3 from i = 15,
+    and the dip count for i = 10..15 is 10, 10, 11, 12, 12, 12, so it meets
+    i-2 up to i = 14 and falls short at i = 15 (12 < 13).
     """
 
     def failure(i: int) -> str:

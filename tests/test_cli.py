@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcprof import RecursiveTree, all_profiles, build_tree, write_tree
+from bcprof import RecursiveTree, all_profiles, build_tree, prefix_counts, write_tree
 from bcprof.cli import main
 
 
@@ -177,12 +177,25 @@ class TestProfileBytes:
     }
 
     @pytest.mark.parametrize("spec, select, fmt", sorted(PINNED))
-    def test_pinned_bytes(self, tmp_path, capsys, spec, select, fmt):
+    def test_pinned_bytes(self, tmp_path, capsys, monkeypatch, spec, select, fmt):
         tree = tmp_path / "t.tree"
         run_cli(capsys, "gen", spec, "--seed", "7", "--out", str(tree))
+        # Both selections count with one prefix_counts pass and build no table.
+        calls = []
+
+        def counted(t, vertices):
+            calls.append(vertices)
+            return prefix_counts(t, vertices)
+
+        def no_table(t):
+            raise AssertionError("profile built the full path-count table")
+
+        monkeypatch.setattr("bcprof.cli.prefix_counts", counted)
+        monkeypatch.setattr("bcprof.cli.path_counts_fast", no_table)
         code, out, _ = run_cli(capsys, "profile", "--tree", str(tree), select, "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[spec, select, fmt]
+        assert len(calls) == 1
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())

@@ -1,6 +1,8 @@
-"""Experiment harness: determinism, indicator consistency, CSV format."""
+"""Experiment harness: determinism, indicator consistency, exact curves, CSV format."""
 
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -9,8 +11,10 @@ from bcprof import (
     OutOfRangeError,
     bfs_distances,
     path_counts_fast,
+    path_counts_naive,
     prefix_counts,
     profile,
+    tree_from_parents,
 )
 from bcprof.experiments import (
     MAX_TRIALS,
@@ -24,7 +28,7 @@ from bcprof.experiments import (
     write_manifest,
 )
 from bcprof.profile_analysis import count_crossings, is_monotone
-from bcprof.scale_free import RecursiveTree, sample_tree, substream_seed
+from bcprof.scale_free import RecursiveTree, _history_numerators, sample_tree, substream_seed
 
 
 class TestConfig:
@@ -116,6 +120,91 @@ class TestIndicators:
         cfg = ExperimentConfig(which="monotone_1_vs_n", grid=(3,), trials=25, seed=0)
         res = run_experiment(cfg)
         assert res.rows[0]["estimate"] == 1.0
+
+
+def _no_crossing(pu, pv):
+    """True unless pu is above pv at one k and below it at another."""
+    return not (any(a > b for a, b in zip(pu, pv)) and any(a < b for a, b in zip(pu, pv)))
+
+
+def _monotone(p):
+    steps = list(zip(p, p[1:]))
+    return all(a <= b for a, b in steps) or all(a >= b for a, b in steps)
+
+
+# Each kind's indicator on the Fraction profiles (BC_2..BC_d, indexed by
+# 0-based vertex) of a tree with n vertices, at grid point x.
+_ORACLE_INDICATORS = {
+    "no_cross_12_vs_n": lambda bc, x: _no_crossing(bc[0], bc[1]),
+    "monotone_1_vs_n": lambda bc, x: _monotone(bc[0]),
+    "no_cross_ii1_vs_i": lambda bc, x: _no_crossing(bc[x - 1], bc[x]),
+    "monotone_i_vs_i": lambda bc, x: _monotone(bc[x - 1]),
+}
+
+
+@lru_cache(maxsize=None)
+def _history_profiles(n):
+    """(D, [(numerator, every vertex's Fraction profile)]) over every
+    attachment history of n vertices, counted by the brute-force oracle."""
+    D, histories = _history_numerators(n)
+    weighted = []
+    for parents, num in histories:
+        table = path_counts_naive(tree_from_parents([-1, *(p - 1 for p in parents)]))
+        bc = [[Fraction(row[k], table.Pk[k]) for k in range(2, table.d + 1)]
+              for row in table.Pkv]
+        weighted.append((num, bc))
+    return D, weighted
+
+
+def _exact_probability(which, n, x):
+    D, weighted = _history_profiles(n)
+    return Fraction(sum(num for num, bc in weighted if _ORACLE_INDICATORS[which](bc, x)), D)
+
+
+class TestExactCurves:
+    """Each Monte Carlo curve point against its exact value, summed over
+    every attachment history with n <= 8 (5040 histories at n = 8)."""
+
+    # Exact values at n = 8, to four places; every point at n <= 7 is 1.
+    AT_EIGHT = {
+        ("no_cross_12_vs_n", 8): 0.9833,
+        ("monotone_1_vs_n", 8): 0.9541,
+        **{("no_cross_ii1_vs_i", i): p
+           for i, p in enumerate((0.9833, 0.9900, 0.9936, 0.9960, 0.9984, 1, 1), start=1)},
+        **{("monotone_i_vs_i", i): p
+           for i, p in enumerate((0.9541, 0.9821, 0.9861, 0.9869, 0.9895, 0.9935, 0.9979),
+                                 start=1)},
+    }
+    GRIDS = {
+        "no_cross_12_vs_n": tuple(range(3, 9)),
+        "monotone_1_vs_n": tuple(range(3, 9)),
+        "no_cross_ii1_vs_i": tuple(range(1, 8)),
+        "monotone_i_vs_i": tuple(range(1, 8)),
+    }
+    # Chosen before the first run; never changed to make the test pass.
+    SEED, TRIALS = 13, 4000
+
+    def test_every_point_below_eight_is_one(self):
+        for n in range(3, 8):
+            for which in self.GRIDS:
+                for x in range(1, n) if which.endswith("_vs_i") else (n,):
+                    assert _exact_probability(which, n, x) == 1, (which, n, x)
+
+    @pytest.mark.parametrize("which", sorted(GRIDS))
+    def test_estimates_within_four_standard_errors(self, monkeypatch, which):
+        monkeypatch.setenv("BCPROF_THREADS", "1")
+        cfg = ExperimentConfig(which=which, grid=self.GRIDS[which], trials=self.TRIALS,
+                               fixed_n=8, seed=self.SEED)
+        for row in run_experiment(cfg).rows:
+            x = row["x"]
+            n = x if which.endswith("_vs_n") else 8
+            exact = _exact_probability(which, n, x)
+            assert round(float(exact), 4) == self.AT_EIGHT.get((which, x), 1), (x, exact)
+            if exact == 1:
+                assert row["estimate"] == 1, x
+            else:
+                sigma = (float(exact) * (1 - float(exact)) / self.TRIALS) ** 0.5
+                assert abs(row["estimate"] - float(exact)) <= 4 * sigma, (x, row, exact)
 
 
 class TestDeterminism:

@@ -1,5 +1,6 @@
 """Preferential-attachment sampling, exact enumeration, and the injection map."""
 
+import itertools
 import math
 import os
 import random
@@ -143,6 +144,52 @@ class TestHistories:
         with pytest.raises(NTooLargeError):
             list(enumerate_histories(10))
 
+    def test_same_histories_as_the_recursion(self):
+        # The same (parents, numerator) sequence, in the same order, and the
+        # same D as the backtracking enumeration that came before the loop.
+        for n in range(1, 10):
+            D, histories = scale_free._history_numerators(n)
+            want_D, want = _recursive_history_numerators(n)
+            assert (D, list(histories)) == (want_D, list(want)), n
+
+
+def _recursive_history_numerators(n):
+    """Reference: every attachment history by backtracking over shared
+    parents/weights lists, with the numerator of its probability over D."""
+
+    def rec(t, parents, weights, num):
+        if t > n:
+            yield tuple(parents), num
+            return
+        for cand in range(1, t):
+            w = weights[cand]
+            parents.append(cand)
+            weights[cand] = w + 1
+            weights[t] = 1
+            yield from rec(t + 1, parents, weights, num * w)
+            parents.pop()
+            weights[cand] = w
+            weights[t] = 0
+
+    weights = [0] * (n + 1)
+    weights[1] = 1
+    return math.prod(2 * t - 3 for t in range(2, n + 1)), rec(2, [], weights, 1)
+
+
+def _sorted_sides_candidate_paths(n):
+    """Reference: all_candidate_paths with both sides sorted explicitly."""
+    out = set()
+    labels = list(range(1, n + 1))
+    for size in range(2, n + 1):
+        for subset in itertools.combinations(labels, size):
+            c, rest = subset[0], subset[1:]
+            for bits in range(1 << len(rest)):
+                left = [x for i, x in enumerate(rest) if bits >> i & 1]
+                right = [x for i, x in enumerate(rest) if not bits >> i & 1]
+                seq = tuple(sorted(left, reverse=True)) + (c,) + tuple(sorted(right))
+                out.add(min(seq, seq[::-1]))
+    return tuple(sorted(out))
+
 
 class TestSignatures:
     def test_reference_probabilities(self):
@@ -167,6 +214,23 @@ class TestSignatures:
         by_sig = Counter(signature_of_path(seq) for seq in all_candidate_paths(7))
         for sig, mult in by_sig.items():
             assert mult == 2 ** len(sig.L), sig
+
+    def test_candidate_paths_match_the_sorted_reference(self):
+        for n in range(1, 10):
+            assert all_candidate_paths(n) == _sorted_sides_candidate_paths(n), n
+
+    def test_length_interior_vertices_match_the_case_split(self):
+        # The definitions that branched on a == c, on every candidate path's
+        # signature with n <= 8.
+        for seq in all_candidate_paths(8):
+            sig = signature_of_path(seq)
+            if sig.a == sig.c:
+                length, interior = len(sig.R) + 1, sig.R
+            else:
+                length, interior = len(sig.L) + len(sig.R) + 2, sig.L | sig.R | {sig.c}
+            assert (sig.length, sig.interior) == (length, interior), seq
+            assert sig.vertices == interior | {sig.a, sig.b}, seq
+            assert sig.length == len(seq) - 1, seq
 
     def test_lemma_matches_enumeration(self):
         for n in range(2, 7):

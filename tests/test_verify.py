@@ -2,12 +2,15 @@
 
 import dataclasses
 import hashlib
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 import bcprof.verify as verify
+from bcprof import make_gij, prefix_counts
 from bcprof.cli import main
+from bcprof.profile_analysis import count_dips
 from bcprof.verify import CHECK_NAMES, CheckCase, run_check
 
 
@@ -56,6 +59,38 @@ def test_default_size_pinned_bytes(capsys, suite):
 ])
 def test_sizes_that_check_nothing_fail(capsys, suite, size, out):
     assert run_verify(capsys, suite, "--max-size", size) == (1, out)
+
+
+# G(i, 5) past theorem1's default size 10: the dip count of v's profile, and
+# every r in 2..i-1 at which the left inequality BC_{6r+2} > BC_{6r+3} fails.
+# The right inequality BC_{6r+3} < BC_{6r+4} holds at every such r.
+THEOREM1_BEYOND_DEFAULT = {
+    10: (10, [9]),
+    11: (10, [9, 10]),
+    12: (11, [10, 11]),
+    13: (12, [11, 12]),
+    14: (12, [12, 13]),
+    15: (12, [12, 13, 14]),
+}
+
+
+@pytest.mark.parametrize("i", sorted(THEOREM1_BEYOND_DEFAULT))
+def test_theorem1_beyond_its_default_size(i):
+    t, v = make_gij(i, 5)
+    Pk, (Pkv,) = prefix_counts(t, [v])
+    bc = [Fraction(Pkv[k], Pk[k]) if Pk[k] else None for k in range(len(Pk))]
+    left_fails = [r for r in range(2, i) if not bc[6 * r + 2] > bc[6 * r + 3]]
+    assert all(bc[6 * r + 3] < bc[6 * r + 4] for r in range(2, i))
+    assert (count_dips(bc[2:]).count, left_fails) == THEOREM1_BEYOND_DEFAULT[i]
+
+
+def test_theorem1_fails_from_i_11():
+    # The suite skips r = i - 1, so its first failure is r = i - 2 at i = 11.
+    report = run_check("theorem1", 15)
+    assert [(c.name, c.detail) for c in report.cases if not c.passed] == [
+        (f"G(i={i}, j=5)", f"r={THEOREM1_BEYOND_DEFAULT[i][1][0]}: left=False, right=True")
+        for i in range(11, 16)
+    ]
 
 
 # Each fault replaces one name in bcprof.verify with `make(original)`.
