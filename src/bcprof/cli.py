@@ -204,7 +204,7 @@ def cmd_expect(args) -> int:
         for v, e in enumerate(values, start=1):
             print(f"{v},{args.k},{e.numerator}/{e.denominator},{float(e):.6f}")
         return 0
-    _, rows = estimate_expected_profiles(args.n, args.trials, args.seed, args.k)
+    rows = estimate_expected_profiles(args.n, args.trials, args.seed, args.k)
     print("vertex,k,mean,stderr,trials")
     for r in rows:
         print(f"{r['vertex']},{r['k']},{r['mean']:.6f},{r['stderr']:.6f},{r['trials']}")

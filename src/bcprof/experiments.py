@@ -95,10 +95,6 @@ def _trial_indicator(which: str, x: int, fixed_n: int, seed: int, trial: int) ->
     return is_monotone(tuple(Fraction(pv, pk) for pv, pk in zip(rows[0][2:], Pk[2:])))
 
 
-def _worker(args) -> int:
-    return int(_trial_indicator(*args))
-
-
 # Tasks per pool submission; a pool of more workers than chunks idles.
 CHUNK = 64
 
@@ -124,9 +120,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     workers = worker_count(len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            indicators = list(pool.map(_worker, tasks, chunksize=CHUNK))
+            indicators = list(pool.map(_trial_indicator, *zip(*tasks), chunksize=CHUNK))
     else:
-        indicators = [_worker(task) for task in tasks]
+        indicators = [_trial_indicator(*task) for task in tasks]
     rows = []
     for i, x in enumerate(cfg.grid):
         hits = sum(indicators[i * cfg.trials : (i + 1) * cfg.trials])

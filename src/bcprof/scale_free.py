@@ -281,8 +281,6 @@ def exact_expected_pk(n: int, v: int, k: int) -> Fraction:
     two sums the closed-form presence probability over candidate paths.
     They must agree.
     """
-    if n > MAX_EXACT_N:
-        raise NTooLargeError(f"exact expectation capped at n={MAX_EXACT_N}, got {n}")
     if not (1 <= v <= n):
         raise OutOfRangeError(f"vertex {v} out of range for n={n}")
     by_history, by_paths = (table.get((v, k), Fraction(0)) for table in _expected_pk_tables(n))
@@ -342,13 +340,14 @@ def injection_ratio(v: int, case: int) -> Fraction:
 
 def estimate_expected_profiles(
     n: int, trials: int, seed: int, k: int | None = None
-) -> tuple[int, list[dict]]:
+) -> list[dict]:
     """Monte Carlo mean BC_k per vertex with standard errors.
 
-    Returns (max_k, rows); rows carry 1-based attachment-order vertex labels.
-    BC_k is extended past a sampled tree's diameter by truncation at d,
-    so every trial contributes to every k. Given `k`, only the rows of the
-    min(k, max_k) column are returned, labelled `k`: P_K = P_d for K >= d.
+    Returns one row per vertex and k = 2..max_d, the largest sampled
+    diameter; rows carry 1-based attachment-order vertex labels. BC_k is
+    extended past a sampled tree's diameter by truncation at d, so every
+    trial contributes to every k. Given `k`, only the rows of the
+    min(k, max_d) column are returned, labelled `k`: P_K = P_d for K >= d.
     """
     if n < 3:
         raise OutOfRangeError(f"need n >= 3 for nonempty profiles, got {n}")
@@ -380,9 +379,17 @@ def estimate_expected_profiles(
         for col, values in enumerate(columns, start=2):
             if k is not None and col != min(k, max_d):
                 continue
-            mean = sum(values) / trials
+            # Left to right, as sum() added floats before Python 3.12 made
+            # it compensated, so every supported Python prints these bytes.
+            total = 0.0
+            for x in values:
+                total += x
+            mean = total / trials
             if trials > 1:
-                var = sum((x - mean) ** 2 for x in values) / (trials - 1)
+                total = 0.0
+                for x in values:
+                    total += (x - mean) ** 2
+                var = total / (trials - 1)
                 stderr = math.sqrt(var / trials)
             else:
                 stderr = 0.0
@@ -390,4 +397,4 @@ def estimate_expected_profiles(
                 {"vertex": v + 1, "k": col if k is None else k, "mean": mean,
                  "stderr": stderr, "trials": trials}
             )
-    return max_d, rows
+    return rows

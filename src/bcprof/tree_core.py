@@ -102,20 +102,6 @@ def bfs_distances(t: Tree, source: int) -> list[int]:
     return dist
 
 
-def bfs_parents(t: Tree, source: int) -> list[int]:
-    """BFS parent pointers from source (parent[source] = -1)."""
-    parent = [-2] * t.n
-    parent[source] = -1
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in t.adj[u]:
-            if parent[w] == -2:
-                parent[w] = u
-                queue.append(w)
-    return parent
-
-
 def diameter(t: Tree) -> int:
     """Max pairwise distance, by double BFS (exact on trees)."""
     d0 = bfs_distances(t, 0)
@@ -152,13 +138,14 @@ def _finish_table(d: int, p: list[int], pv: list[list[int]]) -> PathCountTable:
 
 
 def path_counts_naive(t: Tree) -> PathCountTable:
-    """Brute-force oracle: walk the unique path of every vertex pair."""
+    """Brute-force oracle: walk the unique path of every vertex pair, up
+    the parent array rooted at its source, which is unique on a tree."""
     n = t.n
     d = diameter(t)
     p = [0] * (d + 1)
     pv = [[0] * (d + 1) for _ in range(n)]
     for s in range(n):
-        parent = bfs_parents(t, s)
+        _, parent = _bfs_order(t, s)
         dist = bfs_distances(t, s)
         for u in range(s + 1, n):
             length = dist[u]

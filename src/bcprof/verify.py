@@ -187,8 +187,7 @@ def check_prop2() -> Cases:
     ok = all(bc / double[-1] < Fraction(1, 10) for bc in double[:-1])
     yield "double broom m=10, n=1000", "" if ok else "ratio >= 1/10 at some k < d"
     # delta = 0.05: check k <= delta^2 * m = 2.5, i.e. k = 2.
-    ok = all(broom[k - 2] / broom[-1] > 2 for k in (2,))
-    yield "broom m=1000, n=50", "" if ok else "ratio <= 2 at k=2"
+    yield "broom m=1000, n=50", "" if broom[0] / broom[-1] > 2 else "ratio <= 2 at k=2"
 
 
 def check_lemma1(max_size: int = 7) -> Cases:

@@ -87,6 +87,18 @@ class TestGen:
         assert code == 20 and out == ""
         assert message in err
 
+    # sha256 of `gen` stdout for a valid broom and double broom.
+    PINNED_BROOMS = {
+        "broom:3,2": "f10852378298a77dc8484d16f5efbc02a16ecd4a7cb064e0bb4c551f54520ab3",
+        "double-broom:2,2": "913eb143c9f3e6bfffee3ab2d9671961edbe589508e97d7871f5274dfd20dc8f",
+    }
+
+    @pytest.mark.parametrize("spec", sorted(PINNED_BROOMS))
+    def test_broom_pinned_bytes(self, capsys, spec):
+        code, out, _ = run_cli(capsys, "gen", spec)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_BROOMS[spec]
+
 
 class TestProfileCmd:
     @pytest.fixture()
@@ -379,8 +391,15 @@ class TestExpectCmd:
         assert "--k" in err
 
     def test_exact_cap(self, capsys):
-        code, out, _ = run_cli(capsys, "expect", "--n", "12", "--k", "3", "--exact")
+        code, out, err = run_cli(capsys, "expect", "--n", "12", "--k", "3", "--exact")
         assert code == 22 and out == ""
+        # The history enumeration states the cap for every exact route.
+        assert err == "error: exact enumeration capped at n=9, got 12\n"
+
+    def test_exact_cap_at_ten(self, capsys):
+        code, out, err = run_cli(capsys, "expect", "--n", "10", "--k", "2", "--exact")
+        assert (code, out) == (22, "")
+        assert "capped at n=9, got 10" in err
 
     # sha256 of `expect --exact` stdout, recorded before the history
     # enumeration moved to one presence table per n.
@@ -433,6 +452,16 @@ class TestExpectCmd:
             raise AssertionError("a trial built a Tree")
 
         monkeypatch.setattr(RecursiveTree, "tree", no_tree)
+        self.test_monte_carlo_pinned_bytes(capsys)
+
+    def test_monte_carlo_bytes_without_builtin_sum(self, capsys, monkeypatch):
+        # CPython 3.12 made sum() over floats compensated, so means and
+        # variances must be accumulated left to right for these bytes to
+        # hold on every supported Python.
+        def no_sum(*args):
+            raise AssertionError("the estimator called sum()")
+
+        monkeypatch.setattr("bcprof.scale_free.sum", no_sum, raising=False)
         self.test_monte_carlo_pinned_bytes(capsys)
 
 
@@ -503,3 +532,26 @@ class TestExperimentCmd:
                                  "--grid", "", "--trials", "1")
         assert (code, out) == (24, "")
         assert "''" in err
+
+
+class TestErrorExits:
+    # Each case's exit code, empty stdout and the start of its stderr.
+    CASES = (
+        (("expect", "--exact", "--n", "3"), 24, "error: --exact requires --k"),
+        (("expect", "--n", "2"), 12, "error: need n >= 3"),
+        (("expect", "--n", "5", "--trials", "0"), 12, "error: need trials >= 1"),
+        (("gen", "path:3", "--out", "{missing}/x.tree"), 3, "io error:"),
+        (("gen", "double-broom:3,1"), 24, "error: bad family spec 'double-broom:3,1'"),
+        (("gen", "double-broom:0,1"), 24, "error: bad family spec 'double-broom:0,1'"),
+        (("gen", "gij:0,5"), 24, "error: bad family spec 'gij:0,5'"),
+        (("gen", "broom:0,2"), 24, "error: bad family spec 'broom:0,2'"),
+    )
+
+    @pytest.mark.parametrize(
+        "argv, exit_code, prefix", CASES, ids=[" ".join(argv) for argv, _, _ in CASES]
+    )
+    def test_exit_code_and_stderr(self, tmp_path, capsys, argv, exit_code, prefix):
+        argv = [a.format(missing=tmp_path / "missing") for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (exit_code, "")
+        assert err.startswith(prefix)

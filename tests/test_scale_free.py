@@ -367,18 +367,19 @@ class TestInjection:
 
 class TestEstimateExpectedProfiles:
     def test_deterministic_and_shaped(self):
-        d1, rows1 = estimate_expected_profiles(6, trials=40, seed=5)
-        d2, rows2 = estimate_expected_profiles(6, trials=40, seed=5)
-        assert (d1, rows1) == (d2, rows2)
+        rows1 = estimate_expected_profiles(6, trials=40, seed=5)
+        rows2 = estimate_expected_profiles(6, trials=40, seed=5)
+        assert rows1 == rows2
         assert {r["vertex"] for r in rows1} == set(range(1, 7))
         assert all(0.0 <= r["mean"] <= 1.0 for r in rows1)
 
     def test_one_k_is_its_column_of_the_full_table(self):
-        max_d, rows = estimate_expected_profiles(12, trials=30, seed=3)
+        rows = estimate_expected_profiles(12, trials=30, seed=3)
+        max_d = max(r["k"] for r in rows)
         for k in (2, 3, max_d, max_d + 5):
             col = min(k, max_d)
             want = [{**r, "k": k} for r in rows if r["k"] == col]
-            assert estimate_expected_profiles(12, trials=30, seed=3, k=k) == (max_d, want)
+            assert estimate_expected_profiles(12, trials=30, seed=3, k=k) == want
 
     @pytest.mark.parametrize("k", (1, 0, -3))
     def test_k_below_two(self, k):
@@ -386,7 +387,7 @@ class TestEstimateExpectedProfiles:
             estimate_expected_profiles(6, trials=1, seed=0, k=k)
 
     def test_expected_ordering_shows_up(self):
-        _, rows = estimate_expected_profiles(20, trials=300, seed=11)
+        rows = estimate_expected_profiles(20, trials=300, seed=11)
         at_k2 = {r["vertex"]: r for r in rows if r["k"] == 2}
         gap = at_k2[1]["mean"] - at_k2[2]["mean"]
         combined = math.hypot(at_k2[1]["stderr"], at_k2[2]["stderr"])

@@ -1,5 +1,6 @@
 """Tree construction, BFS, and exact path counting (fast vs naive oracle)."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -290,6 +291,36 @@ class TestPathCounts:
                 assert _parent_prefix_counts(parent, range(n)) == (Pk, Pkv)
                 assert path_counts_fast(t) == naive
         assert counts == [1, 1, 2, 4, 9, 20, 48, 115, 286, 719]
+
+    def test_broken_bfs_order_fails_the_route_comparison(self, monkeypatch):
+        # _parent_prefix_counts runs no BFS, so a fault in _bfs_order must
+        # make some route of the exhaustive comparison above disagree with
+        # the oracle, on every labelled tree with 3 to 7 vertices. The fault
+        # re-parents the last vertex of the order, a leaf, to the root.
+        bfs_order = tree_core._bfs_order
+
+        def broken(t, root):
+            order, parent = bfs_order(t, root)
+            parent[order[-1]] = root
+            return order, parent
+
+        monkeypatch.setattr(tree_core, "_bfs_order", broken)
+        trees = 0
+        for n in range(3, 8):
+            for tail in itertools.product(*(range(y) for y in range(1, n))):
+                parent = [-1, *tail]
+                t = tree_from_parents(parent)
+                want = as_lists(path_counts_naive(t))
+                Pk, reversed_rows = prefix_counts(t, reversed(range(n)))
+                routes = (
+                    prefix_counts(t, range(n)),
+                    (Pk, reversed_rows[::-1]),
+                    _parent_prefix_counts(parent, range(n)),
+                    as_lists(path_counts_fast(t)),
+                )
+                assert any(route != want for route in routes), parent
+                trees += 1
+        assert trees == 2 + 6 + 24 + 120 + 720
 
     @pytest.mark.parametrize("v", (-1, 4))
     def test_prefix_counts_rejects_out_of_range(self, v):
