@@ -33,7 +33,7 @@ from .experiments import (
     write_csv,
     write_manifest,
 )
-from .scale_free import estimate_expected_profiles, exact_expected_pk, sample_tree
+from .scale_free import check_seed, estimate_expected_profiles, exact_expected_pk, sample_tree
 from .tree_core import path_counts_fast, prefix_counts, profile, read_tree, write_tree
 from .tree_families import (
     make_broom,
@@ -94,6 +94,7 @@ def build_family(spec: str, seed: int):
             ]
         if name == "scale-free":
             (n,) = _parse_ints(parts, spec)
+            check_seed(seed)
             tree = sample_tree(n, random.Random(seed)).tree()
             return tree, comments + [f"seed: {seed}"]
     except (ValueError, OutOfRangeError, OddMError) as exc:

@@ -3,7 +3,9 @@
 Each (grid point, trial) pair gets its own PRNG substream, so results are
 byte-identical regardless of worker count. Raw prefix counts P_k(v) share
 the tree-wide normalization P_k, so crossing indicators compare integer
-counts directly; monotonicity uses exact fractions.
+counts directly. Monotonicity compares BC_k(v) = P_k(v) / P_k with
+BC_{k+1}(v) by cross-multiplying, since P_k > 0 for 2 <= k <= d, so it is
+exact with no fractions.
 """
 
 from __future__ import annotations
@@ -16,15 +18,16 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from fractions import Fraction
+from itertools import islice, starmap
 from math import sqrt
 from typing import Sequence
 
 from . import __version__
 from .errors import BadSpecError, OutOfRangeError
-from .profile_analysis import count_crossings, is_monotone
-from .scale_free import sample_tree, substream_seed
+from .profile_analysis import count_crossings
+from .scale_free import check_seed, sample_tree, substream_seed
 
 # The 0-based vertices a trial of each kind lists at grid point x: two
 # vertices are tested for a crossing, one for monotonicity.
@@ -60,6 +63,7 @@ class ExperimentConfig:
             raise BadSpecError(f"unknown experiment {self.which!r}")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise OutOfRangeError(f"need 1 <= trials <= {MAX_TRIALS}, got {self.trials}")
+        check_seed(self.seed)
         if self.which.endswith("_vs_n"):
             if any(n < 3 for n in self.grid):
                 raise OutOfRangeError("vertex counts must be >= 3")
@@ -80,6 +84,8 @@ class ExperimentResult:
     rows: tuple[dict, ...]
     wall_seconds: float = field(compare=False, default=0.0)
     workers: int = field(compare=False, default=1)
+    # Seconds per grid point, in grid order (see run_experiment).
+    grid_seconds: tuple[float, ...] = field(compare=False, default=())
 
 
 def default_grid(which: str) -> tuple[int, ...]:
@@ -92,7 +98,10 @@ def _trial_indicator(which: str, x: int, fixed_n: int, seed: int, trial: int) ->
     Pk, rows = sample_tree(n, rng).prefix_counts(_TRIAL_VERTICES[which](x))
     if len(rows) == 2:
         return count_crossings(rows[0][2:], rows[1][2:]).count == 0
-    return is_monotone(tuple(Fraction(pv, pk) for pv, pk in zip(rows[0][2:], Pk[2:])))
+    # Step k has the sign of BC_{k+1}(v) - BC_k(v): a/p <= b/q iff a*q <= b*p.
+    Pkv = rows[0]
+    steps = [b * p - a * q for a, b, p, q in zip(Pkv[2:], Pkv[3:], Pk[2:], Pk[3:])]
+    return min(steps, default=0) >= 0 or max(steps, default=0) <= 0
 
 
 # Tasks per pool submission; a pool of more workers than chunks idles.
@@ -118,14 +127,24 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     # One flat (x, trial) task list, so one pool serves the whole grid.
     tasks = [(cfg.which, x, cfg.fixed_n, cfg.seed, t) for x in cfg.grid for t in range(cfg.trials)]
     workers = worker_count(len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            indicators = list(pool.map(_trial_indicator, *zip(*tasks), chunksize=CHUNK))
-    else:
-        indicators = [_trial_indicator(*task) for task in tasks]
+    point_hits = []
+    grid_seconds = []
+    with ExitStack() as stack:
+        if workers > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+            indicators = pool.map(_trial_indicator, *zip(*tasks), chunksize=CHUNK)
+        else:
+            indicators = starmap(_trial_indicator, tasks)
+        # Results arrive in task order, so a point's seconds run from the
+        # previous point's last indicator to its own.
+        last = start
+        for _ in cfg.grid:
+            point_hits.append(sum(islice(indicators, cfg.trials)))
+            now = time.monotonic()
+            grid_seconds.append(now - last)
+            last = now
     rows = []
-    for i, x in enumerate(cfg.grid):
-        hits = sum(indicators[i * cfg.trials : (i + 1) * cfg.trials])
+    for x, hits in zip(cfg.grid, point_hits):
         estimate = hits / cfg.trials
         stderr = sqrt(estimate * (1.0 - estimate) / cfg.trials)
         rows.append(
@@ -138,7 +157,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
             }
         )
     return ExperimentResult(
-        config=cfg, rows=tuple(rows), wall_seconds=time.monotonic() - start, workers=workers
+        config=cfg,
+        rows=tuple(rows),
+        wall_seconds=time.monotonic() - start,
+        workers=workers,
+        grid_seconds=tuple(grid_seconds),
     )
 
 
@@ -170,6 +193,7 @@ def write_manifest(res: ExperimentResult, path: str, argv: Sequence[str] = ()) -
         "seed": res.config.seed,
         "version": __version__,
         "wall_seconds": res.wall_seconds,
+        "grid_seconds": list(res.grid_seconds),
         "workers": res.workers,
         "trials_per_s": trials / res.wall_seconds if res.wall_seconds > 0 else 0.0,
         "python": platform.python_version(),

@@ -41,8 +41,18 @@ def substream_seed(master_seed: int, index: int) -> int:
     """Seed for the index-th substream: splitmix64 stream over the master.
 
     Fixed, published mixing function so parallel and serial runs agree.
+    splitmix64 reduces its input modulo 2**64, so callers take master
+    seeds through check_seed.
     """
-    return splitmix64((splitmix64(master_seed & _MASK64) + index) & _MASK64)
+    return splitmix64(splitmix64(master_seed) + index)
+
+
+def check_seed(seed: int) -> None:
+    """Reject a master seed outside [0, 2**64). Such a seed would repeat
+    another seed's draws: substream_seed reduces it modulo 2**64, and
+    random.Random seeds with its absolute value."""
+    if not 0 <= seed <= _MASK64:
+        raise OutOfRangeError(f"need 0 <= seed < 2**64, got {seed}")
 
 
 @dataclass(frozen=True)
@@ -86,10 +96,19 @@ def sample_tree(n: int, rng: random.Random) -> RecursiveTree:
     """
     if n < 1:
         raise OutOfRangeError(f"need n >= 1, got {n}")
+    # rng.randrange(m) without its argument checks: draw m.bit_length()
+    # bits and redraw while the draw is m or more, as CPython's
+    # _randbelow_with_getrandbits does, so every seed gives the same tree.
+    getrandbits = rng.getrandbits
     parents = []
     targets = [1]
     for t in range(2, n + 1):
-        p = targets[rng.randrange(len(targets))]
+        m = len(targets)
+        bits = m.bit_length()
+        r = getrandbits(bits)
+        while r >= m:
+            r = getrandbits(bits)
+        p = targets[r]
         parents.append(p)
         targets.append(t)
         targets.append(p)
@@ -356,6 +375,7 @@ def estimate_expected_profiles(
     # Paths of length 0 or 1 have no interior vertex.
     if k is not None and k < 2:
         raise OutOfRangeError(f"need k >= 2, got {k}")
+    check_seed(seed)
     # Keep only d, Pk and Pkv of each trial, as tuples: lists built by
     # accumulate over-allocate, and every trial's rows are held to the end.
     tables = []

@@ -545,6 +545,16 @@ class TestErrorExits:
         (("gen", "double-broom:0,1"), 24, "error: bad family spec 'double-broom:0,1'"),
         (("gen", "gij:0,5"), 24, "error: bad family spec 'gij:0,5'"),
         (("gen", "broom:0,2"), 24, "error: bad family spec 'broom:0,2'"),
+        # Seeds outside [0, 2**64) would repeat another seed's draws.
+        *((("experiment", "--which", "monotone_1_vs_n", "--grid", "5", "--trials", "3",
+            "--seed", seed), 12, f"error: need 0 <= seed < 2**64, got {seed}")
+          for seed in ("18446744073709551616", "-1")),
+        *((("expect", "--n", "5", "--trials", "3", "--seed", seed), 12,
+           f"error: need 0 <= seed < 2**64, got {seed}")
+          for seed in ("18446744073709551616", "-1")),
+        *((("gen", "scale-free:8", "--seed", seed), 24,
+           f"error: bad family spec 'scale-free:8': need 0 <= seed < 2**64, got {seed}")
+          for seed in ("18446744073709551616", "-1")),
     )
 
     @pytest.mark.parametrize(
@@ -555,3 +565,12 @@ class TestErrorExits:
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (exit_code, "")
         assert err.startswith(prefix)
+
+    @pytest.mark.parametrize("argv", (
+        ("experiment", "--which", "monotone_1_vs_n", "--grid", "5", "--trials", "3"),
+        ("expect", "--n", "5", "--trials", "3"),
+        ("gen", "scale-free:8"),
+    ), ids=lambda argv: argv[0])
+    def test_largest_seed_runs(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--seed", str(2**64 - 1))
+        assert (code, err) == (0, "") and out

@@ -57,6 +57,14 @@ class TestConfig:
         with pytest.raises(OutOfRangeError, match="trials"):
             ExperimentConfig(which="no_cross_12_vs_n", grid=(10,), trials=(1 << 24) + 1)
 
+    @pytest.mark.parametrize("seed", (-1, 2**64))
+    def test_rejects_seed_outside_64_bits(self, seed):
+        # substream_seed reduces seeds modulo 2**64, so 2**64 would repeat
+        # seed 0 and -1 would repeat 2**64 - 1.
+        with pytest.raises(OutOfRangeError, match="seed"):
+            ExperimentConfig(which="monotone_1_vs_n", grid=(5,), trials=1, seed=seed)
+        ExperimentConfig(which="monotone_1_vs_n", grid=(5,), trials=1, seed=2**64 - 1)
+
     def test_default_grids(self):
         assert default_grid("no_cross_12_vs_n")[0] >= 3
         assert max(default_grid("monotone_i_vs_i")) < 250
@@ -115,6 +123,42 @@ class TestIndicators:
                     == 0
                 )
             assert got == want, which
+
+    # Each kind's indicator on the sampled tree's Fraction profiles, decided
+    # by the analysis primitives; profile(v) gives vertex v's entries.
+    FRACTION_INDICATORS = {
+        "no_cross_12_vs_n": lambda profile, x: count_crossings(profile(0), profile(1)).count == 0,
+        "monotone_1_vs_n": lambda profile, x: is_monotone(profile(0)),
+        "no_cross_ii1_vs_i":
+            lambda profile, x: count_crossings(profile(x - 1), profile(x)).count == 0,
+        "monotone_i_vs_i": lambda profile, x: is_monotone(profile(x - 1)),
+    }
+
+    @pytest.mark.parametrize("which", sorted(FRACTION_INDICATORS))
+    def test_integer_indicator_equals_fraction_reference(self, which):
+        # The trial decides from integer counts (crossings directly,
+        # monotonicity by cross-multiplying); the reference builds Fraction
+        # profiles of the same tree. n = 3 has diameter 2, so one-entry
+        # profiles; at n = 30 both outcomes must occur, so no kind agrees
+        # vacuously.
+        seed, trials = 21, 200
+        if which.endswith("_vs_n"):
+            points = ((3, 3), (30, 30))
+        else:
+            points = ((3, 1), (3, 2), (30, 1), (30, 5))
+        outcomes = {3: set(), 30: set()}
+        for n, x in points:
+            for trial in range(trials):
+                rng = random.Random(substream_seed(seed, (x << 24) + trial))
+                t = sample_tree(n, rng).tree()
+                table = path_counts_fast(t)
+                want = self.FRACTION_INDICATORS[which](
+                    lambda v: profile(t, v, table).entries, x
+                )
+                got = _trial_indicator(which, x, n, seed, trial)
+                assert got == want, (n, x, trial)
+                outcomes[n].add(got)
+        assert outcomes == {3: {True}, 30: {True, False}}
 
     def test_monotone_trivial_at_n3(self):
         cfg = ExperimentConfig(which="monotone_1_vs_n", grid=(3,), trials=25, seed=0)
@@ -300,17 +344,22 @@ class TestOutput:
         import sys
 
         monkeypatch.setenv("BCPROF_THREADS", "1")
-        cfg = ExperimentConfig(which="monotone_1_vs_n", grid=(4,), trials=5, seed=2)
+        cfg = ExperimentConfig(which="monotone_1_vs_n", grid=(4, 60, 5), trials=5, seed=2)
         res = run_experiment(cfg)
         path = tmp_path / "run.manifest.json"
         write_manifest(res, str(path))
         manifest = json.loads(path.read_text())
         assert manifest["which"] == "monotone_1_vs_n"
-        assert manifest["grid"] == [4]
+        assert manifest["grid"] == [4, 60, 5]
         assert manifest["trials"] == 5
         assert "version" in manifest and "wall_seconds" in manifest
         assert manifest["workers"] == res.workers == 1
-        assert manifest["trials_per_s"] == pytest.approx(5 / res.wall_seconds)
+        assert manifest["trials_per_s"] == pytest.approx(15 / res.wall_seconds)
+        # One entry per grid point, none negative, within the wall time.
+        seconds = manifest["grid_seconds"]
+        assert seconds == list(res.grid_seconds) and len(seconds) == 3
+        assert min(seconds) >= 0
+        assert sum(seconds) <= manifest["wall_seconds"]
         assert manifest["python"] == platform.python_version()
         assert manifest["platform"] == sys.platform
 

@@ -69,6 +69,24 @@ class TestSampler:
         assert all(1 <= p < v for v, p in enumerate(t.parents, start=2))
         assert t.tree().n == 100
 
+    def test_draws_equal_randrange(self):
+        # sample_tree draws each parent as randrange does internally; this
+        # reference calls randrange, so a Python whose randrange draws
+        # differently fails here instead of changing every sampled tree.
+        def reference(n, rng):
+            parents, targets = [], [1]
+            for t in range(2, n + 1):
+                p = targets[rng.randrange(len(targets))]
+                parents.append(p)
+                targets += [t, p]
+            return tuple(parents)
+
+        for n in (1, 2, 3, 4, 17, 250):
+            for seed in range(500):
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                assert sample_tree(n, rng).parents == reference(n, ref_rng), (n, seed)
+                assert rng.getstate() == ref_rng.getstate(), (n, seed)
+
     def test_calibration_against_enumeration(self):
         # Observed history frequencies for n=4 match exact probabilities.
         n, trials = 4, 20000
