@@ -162,18 +162,24 @@ def signature_of_path(vertices: Sequence[int]) -> PathSignature:
 
 
 def path_probability(sig: PathSignature) -> Fraction:
-    """Probability that a path with this signature occurs (closed form)."""
-    prob = Fraction(1)
+    """Probability that a path with this signature occurs (closed form).
+
+    The factors are gathered into one integer numerator and denominator,
+    so a single Fraction reduces the product once.
+    """
+    num = den = 1
     for t in range(sig.a + 1, sig.b + 1):
-        prob *= Fraction(2 * t - 2, 2 * t - 3)
-    prob *= Fraction(1, 2 * sig.b - 2)
+        num *= 2 * t - 2
+        den *= 2 * t - 3
+    den *= 2 * sig.b - 2
     for i in sig.R:
-        prob *= Fraction(1, 2 * i - 2)
+        den *= 2 * i - 2
     if sig.a != sig.c:
-        prob *= Fraction(2, 2 * sig.c - 1)
+        num *= 2
+        den *= 2 * sig.c - 1
         for i in sig.L:
-            prob *= Fraction(1, 2 * i - 1)
-    return prob
+            den *= 2 * i - 1
+    return Fraction(num, den)
 
 
 def _history_numerators(n: int) -> tuple[int, Iterator[tuple[tuple[int, ...], int]]]:

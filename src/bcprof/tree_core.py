@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -187,6 +188,12 @@ def _unpack(x: int, lane: int, count: int) -> list[int]:
     """Lanes 0..count-1 of x; x must have no non-zero lane past them."""
     raw = x.to_bytes(count * lane // 8, sys.byteorder)
     return memoryview(raw).cast(_LANE_FORMATS[lane]).tolist()
+
+
+def _pack(values: Iterable[int], lane: int) -> int:
+    """The int whose lane j holds values[j]: the inverse of _unpack. Each
+    value must fit in the lane (array raises OverflowError otherwise)."""
+    return int.from_bytes(array(_LANE_FORMATS[lane], values).tobytes(), sys.byteorder)
 
 
 def _bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:

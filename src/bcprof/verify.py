@@ -9,12 +9,12 @@ the acceptance tests run.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BadSpecError, UnknownCheckError
-from .profile_analysis import count_crossings, count_dips, dominates
+from .errors import BadSpecError, OutOfRangeError, UnknownCheckError
+from .profile_analysis import count_crossings, count_dips
 from .scale_free import (
     all_candidate_paths,
     exact_expected_pk,
@@ -25,7 +25,7 @@ from .scale_free import (
     path_probability,
     signature_of_path,
 )
-from .tree_core import path_counts_naive, prefix_counts
+from .tree_core import _lane_bits, _pack, path_counts_naive, prefix_counts
 from .tree_families import (
     closed_form_gij_pk,
     closed_form_gij_Pk,
@@ -65,22 +65,60 @@ class CheckReport:
 Cases = Iterator[tuple[str, str]]
 
 
+def _prop1_lane(n: int) -> int:
+    """Lane width for path n's packed columns: every count is below n**2 / 2,
+    so a product of two stays below n**4 / 4 and keeps each lane's top bit
+    clear."""
+    try:
+        return _lane_bits(n * n)
+    except OutOfRangeError:
+        raise OutOfRangeError(f"prop1 max size {n} is too large: n**4 must fit in 63 bits") from None
+
+
+def _lanes_at_least(x: int, y: int, guard: int) -> bool:
+    """True iff every lane of x is >= the same lane of y. guard holds the top
+    bit of each lane, which x and y must leave clear: setting it in x lets
+    each lane subtract without borrowing from the next, and it survives
+    exactly where x's lane is not below y's."""
+    return ((x | guard) - y) & guard == guard
+
+
+def _packed_monotone(Pk: Sequence[int], columns: Sequence[int], guard: int) -> bool:
+    """True iff every lane's row is monotone: P_k(v) * P_{k+1} <= P_{k+1}(v) * P_k
+    for each k, where columns[k] packs the P_k(v) of every row."""
+    return all(
+        _lanes_at_least(pk0 * c1, pk1 * c0, guard)
+        for pk0, pk1, c0, c1 in zip(Pk, Pk[1:], columns, columns[1:])
+    )
+
+
+def _packed_chain(columns: Sequence[int], lane: int, guard: int) -> bool:
+    """True iff in every column each lane is at most the lane above it, so
+    the rows packed into the lanes form a chain under pointwise <=. The top
+    lane compares 0 with 0."""
+    low = (1 << guard.bit_length() - lane) - 1  # every lane but the top one
+    return all(_lanes_at_least(c >> lane, c & low, guard) for c in columns)
+
+
 def check_prop1(max_size: int = 200) -> Cases:
-    """Path profiles are non-decreasing and no vertex pair ever crosses."""
+    """Path profiles are non-decreasing and no vertex pair ever crosses.
+
+    Rows i and n - i of path n are equal, so only vertices 0..n//2 are
+    counted. Their rows are packed column by column, one lane per row, so
+    each k is decided for every row by one exact subtraction.
+    """
+    _prop1_lane(max_size)  # reject an oversized sweep before its first case
     for n in range(2, max_size + 1):
-        Pk, Pkv = prefix_counts(make_path(n), range(n + 1))
-        Pk = Pk[2:]
-        rows = [row[2:] for row in Pkv]
-        # BC_k <= BC_{k+1} by cross-multiplication (shared denominators).
-        mono = all(
-            a * pk1 <= b * pk0
-            for row in rows
-            for a, b, pk0, pk1 in zip(row, row[1:], Pk, Pk[1:])
-        )
+        Pk, rows = prefix_counts(make_path(n), range(n // 2 + 1))
         # A pair crosses iff its raw-count difference takes both signs, so
-        # no pair crosses iff the rows form a chain under pointwise <=.
+        # no pair crosses iff the rows, sorted by sum, form a chain.
         rows.sort(key=sum)
-        no_cross = all(dominates(hi, lo) for lo, hi in zip(rows, rows[1:]))
+        lane = _prop1_lane(n)
+        columns = [_pack(column, lane) for column in zip(*rows)][2:]
+        guard = _pack([1 << lane - 1] * len(rows), lane)
+        # BC_k <= BC_{k+1} by cross-multiplication (shared denominators).
+        mono = _packed_monotone(Pk[2:], columns, guard)
+        no_cross = _packed_chain(columns, lane, guard)
         yield f"path n={n}", "" if mono and no_cross else f"monotone={mono}, no_cross={no_cross}"
 
 
@@ -94,8 +132,9 @@ def check_corollary1(max_size: int = 50) -> Cases:
                 want_pkv = table.Pkv[i][k]
                 got_pkv = closed_form_path_Pkv(n, i, k)
                 got_bck = closed_form_path_bck(n, i, k)
-                want_bck = Fraction(want_pkv, table.Pk[k])
-                if got_pkv != want_pkv or got_bck != want_bck:
+                # got_bck == P_k(i) / P_k, cross-multiplied (P_k > 0 for k >= 2).
+                bck_ok = got_bck.numerator * table.Pk[k] == want_pkv * got_bck.denominator
+                if got_pkv != want_pkv or not bck_ok:
                     return f"i={i}, k={k}: {got_pkv} != {want_pkv}"
         return ""
 
@@ -218,6 +257,7 @@ def check_theorem3(max_size: int = 7) -> Cases:
     def injection_failure() -> str:
         images: dict[tuple[int, int, object], object] = {}
         for sig in map(signature_of_path, all_candidate_paths(max_size)):
+            prob = path_probability(sig)
             for w in sorted(sig.interior):
                 v = w - 1
                 if v < 1:
@@ -229,7 +269,7 @@ def check_theorem3(max_size: int = 7) -> Cases:
                 if v not in img.interior:
                     return f"v={v} not interior in image of {sig}"
                 ratio = injection_ratio(v, case)
-                if path_probability(img) != path_probability(sig) * ratio:
+                if path_probability(img) != prob * ratio:
                     return f"ratio mismatch (case {case}) on {sig}, v={v}"
                 key = (v, sig.length, img)
                 if key in images and images[key] != sig:

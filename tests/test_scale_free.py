@@ -250,6 +250,29 @@ class TestSignatures:
             assert sig.vertices == interior | {sig.a, sig.b}, seq
             assert sig.length == len(seq) - 1, seq
 
+    def test_probability_equals_factor_by_factor_product(self):
+        # Reference: Lemma 1's closed form, one Fraction multiply per factor.
+        def reference(sig):
+            prob = Fraction(1)
+            for t in range(sig.a + 1, sig.b + 1):
+                prob *= Fraction(2 * t - 2, 2 * t - 3)
+            prob *= Fraction(1, 2 * sig.b - 2)
+            for i in sig.R:
+                prob *= Fraction(1, 2 * i - 2)
+            if sig.a != sig.c:
+                prob *= Fraction(2, 2 * sig.c - 1)
+                for i in sig.L:
+                    prob *= Fraction(1, 2 * i - 1)
+            return prob
+
+        # Labels 1..9 hold every candidate path with n <= 9.
+        paths = all_candidate_paths(9)
+        assert len(paths) == 4916
+        for seq in paths:
+            sig = signature_of_path(seq)
+            got = path_probability(sig)
+            assert type(got) is Fraction and got == reference(sig), seq
+
     def test_lemma_matches_enumeration(self):
         for n in range(2, 7):
             for seq in all_candidate_paths(n):

@@ -2,16 +2,28 @@
 
 import dataclasses
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bcprof.verify as verify
-from bcprof import make_gij, prefix_counts
+from bcprof import OutOfRangeError, make_gij, make_path, prefix_counts
 from bcprof.cli import main
-from bcprof.profile_analysis import count_dips
-from bcprof.verify import CHECK_NAMES, CheckCase, run_check
+from bcprof.profile_analysis import count_dips, dominates
+from bcprof.tree_core import _pack
+from bcprof.verify import (
+    CHECK_NAMES,
+    CheckCase,
+    _lanes_at_least,
+    _packed_chain,
+    _packed_monotone,
+    _prop1_lane,
+    run_check,
+)
 
 
 def run_verify(capsys, *argv):
@@ -93,6 +105,130 @@ def test_theorem1_fails_from_i_11():
     ]
 
 
+# prop1 decides each k for all rows at once, on columns packed one lane per
+# row. These are the cell-by-cell definitions it replaced.
+
+def _cellwise_monotone(Pk, rows):
+    return all(
+        a * pk1 <= b * pk0
+        for row in rows
+        for a, b, pk0, pk1 in zip(row, row[1:], Pk, Pk[1:])
+    )
+
+
+def _cellwise_chain(rows):
+    rows = sorted(rows, key=sum)
+    return all(dominates(hi, lo) for lo, hi in zip(rows, rows[1:]))
+
+
+def _packed(rows, lane):
+    """prop1's layout: column k as one int whose lane j is rows[j][k], and
+    the guard holding each lane's top bit."""
+    return [_pack(col, lane) for col in zip(*rows)], _pack([1 << lane - 1] * len(rows), lane)
+
+
+LANES = st.sampled_from((16, 32, 64))
+
+
+def _entry(top):
+    # Small values make ties, equal rows and chains likely.
+    return st.integers(0, 3) | st.integers(0, top)
+
+
+@st.composite
+def _lane_and_pair(draw):
+    lane = draw(LANES)
+    top = (1 << lane - 1) - 1
+    x = draw(st.lists(_entry(top), min_size=1, max_size=6))
+    moves = st.lists(st.sampled_from((-1, 0, 1)), min_size=len(x), max_size=len(x))
+    y = draw(st.lists(_entry(top), min_size=len(x), max_size=len(x)) | moves.map(
+        lambda ds: [min(top, max(0, a + d)) for a, d in zip(x, ds)]))
+    return lane, x, y
+
+
+@st.composite
+def _lane_and_rows(draw, top_of):
+    """(lane, top, matrix) with entries in 0..top = top_of(lane): a chain
+    built by non-negative steps, with one cell moved by 1 half the time."""
+    lane = draw(LANES)
+    top = top_of(lane)
+    cols = draw(st.integers(1, 6))
+    row = draw(st.lists(_entry(top), min_size=cols, max_size=cols))
+    rows = [row]
+    for _ in range(draw(st.integers(0, 5))):
+        row = [min(top, a + draw(_entry(top))) for a in row]
+        rows.append(row)
+    if draw(st.booleans()):
+        j = draw(st.integers(0, len(rows) - 1))
+        k = draw(st.integers(0, cols - 1))
+        rows[j][k] = min(top, max(0, rows[j][k] + draw(st.sampled_from((-1, 1)))))
+    return lane, top, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lane_and_pair())
+def test_lanes_at_least_equals_per_lane_comparison(case):
+    lane, x, y = case
+    guard = _pack([1 << lane - 1] * len(x), lane)
+    assert _lanes_at_least(_pack(x, lane), _pack(y, lane), guard) == all(
+        a >= b for a, b in zip(x, y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lane_and_rows(lambda lane: (1 << lane - 1) - 1))
+def test_packed_chain_equals_dominates_over_sorted_rows(case):
+    lane, _, rows = case
+    columns, guard = _packed(sorted(rows, key=sum), lane)
+    assert _packed_chain(columns, lane, guard) == _cellwise_chain(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lane_and_rows(lambda lane: (1 << (lane - 1) // 2) - 1), st.data())
+def test_packed_monotone_equals_cross_multiplication(case, data):
+    # Monotonicity packs products of two entries, so entries stay below
+    # 2**((lane - 1) // 2) and every product fits in lane - 1 bits, which is
+    # what prop1's lane rule guarantees for path counts.
+    lane, top, rows = case
+    Pk = data.draw(st.lists(st.integers(1, 3) | st.integers(1, top),
+                            min_size=len(rows[0]), max_size=len(rows[0])))
+    columns, guard = _packed(rows, lane)
+    assert _packed_monotone(Pk, columns, guard) == _cellwise_monotone(Pk, rows)
+
+
+@pytest.mark.parametrize("lane", (16, 32, 64))
+def test_guard_bits_catch_a_lane_one_below(lane):
+    # Lane 0 of x is 1 below y's and lane 1 is above, so x > y as whole
+    # ints: only the guard bits see the low lane.
+    x, y = _pack([5, 9], lane), _pack([6, 3], lane)
+    assert x > y
+    assert not _lanes_at_least(x, y, _pack([1 << lane - 1] * 2, lane))
+    # prop1's monotonicity: row 0 drops from 5 to 4 while row 1 rises.
+    rows = [[5, 4], [3, 9]]
+    columns, guard = _packed(rows, lane)
+    assert columns[1] > columns[0]
+    assert not _packed_monotone([1, 1], columns, guard)
+    assert not _cellwise_monotone([1, 1], rows)
+    # prop1's chain: in the first column the second row (by sum) is 1
+    # below the first, while the third is above the second.
+    rows = [[4, 0], [3, 5], [9, 9]]
+    columns, guard = _packed(rows, lane)
+    low = (1 << 2 * lane) - 1
+    assert columns[0] >> lane > columns[0] & low
+    assert not _packed_chain(columns, lane, guard)
+    assert not _cellwise_chain(rows)
+
+
+def _rows_changed(f):
+    """A prefix_counts that applies f to every row. f sees only the row, so
+    mirrored vertices still get equal rows."""
+    def make(orig):
+        def counts(t, vs):
+            Pk, rows = orig(t, vs)
+            return Pk, [f(row) for row in rows]
+        return counts
+    return make
+
+
 # Each fault replaces one name in bcprof.verify with `make(original)`.
 
 def _pk2_one(orig):
@@ -157,7 +293,7 @@ SIG_13 = "PathSignature(a=1, b=3, c=1, L=frozenset(), R=frozenset({2}))"
 
 # (suite, max size, name, make, case count, [(failing case, detail)])
 FAULTS = {
-    "prop1-crossing": ("prop1", 4, "dominates", lambda orig: lambda hi, lo: False, 3, [
+    "prop1-crossing": ("prop1", 4, "_packed_chain", lambda orig: lambda *args: False, 3, [
         ("path n=2", "monotone=True, no_cross=False"),
         ("path n=3", "monotone=True, no_cross=False"),
         ("path n=4", "monotone=True, no_cross=False"),
@@ -269,3 +405,71 @@ def test_check_case_is_keyword_only():
         CheckCase("n=3", True)
     assert CheckCase(name="n=3").passed
     assert not CheckCase(name="n=3", detail="k=2: 1 > 0").passed
+
+
+# Changes to the counts prop1 reads, and the (monotone, no_cross) verdicts
+# they give over n = 2..60, so the oracle comparison meets all four.
+PROP1_ORACLE = {
+    "exact": (lambda orig: orig, {(True, True): 59}),
+    "P_2 = 1": (_pk2_one, {(False, True): 58, (True, True): 1}),
+    "rows reversed": (_rows_changed(lambda row: row[::-1]), {(False, True): 57, (True, True): 2}),
+    "odd-sum rows doubled": (
+        _rows_changed(lambda row: [2 * x if sum(row) % 2 else x for x in row]),
+        {(True, False): 38, (True, True): 21}),
+    "rows mod 97": (_rows_changed(lambda row: [x % 97 for x in row]),
+                    {(False, False): 41, (True, True): 18}),
+}
+
+
+@pytest.mark.parametrize("change", sorted(PROP1_ORACLE))
+def test_prop1_equals_cellwise_verdict_on_all_rows(monkeypatch, change):
+    make, verdicts = PROP1_ORACLE[change]
+    counts = make(prefix_counts)
+    monkeypatch.setattr(verify, "prefix_counts", counts)
+    seen = Counter()
+    for n, case in zip(range(2, 61), run_check("prop1", 60).cases, strict=True):
+        Pk, rows = counts(make_path(n), range(n + 1))
+        rows = [row[2:] for row in rows]
+        mono, no_cross = _cellwise_monotone(Pk[2:], rows), _cellwise_chain(rows)
+        want = "" if mono and no_cross else f"monotone={mono}, no_cross={no_cross}"
+        assert (case.name, case.detail) == (f"path n={n}", want)
+        seen[mono, no_cross] += 1
+    assert seen == verdicts
+
+
+def test_path_rows_are_mirror_symmetric():
+    # prop1 counts only vertices 0..n//2 because rows i and n - i are equal.
+    for n in range(2, 61):
+        _, rows = prefix_counts(make_path(n), range(n + 1))
+        assert all(rows[i] == rows[n - i] for i in range(n + 1)), n
+
+
+@pytest.mark.parametrize("n, lane", [
+    (2, 16), (13, 16), (14, 32), (215, 32), (216, 64), (55108, 64),
+])
+def test_prop1_lane_steps(n, lane):
+    # A product of two counts, each below n**2 / 2, fits in lane - 1 bits.
+    assert (n**4).bit_length() < lane
+    assert _prop1_lane(n) == lane
+
+
+def test_prop1_lane_rejects_n4_beyond_63_bits():
+    assert (55109**4).bit_length() == 64
+    with pytest.raises(OutOfRangeError, match="prop1 max size 55109 is too large"):
+        _prop1_lane(55109)
+
+
+def test_oversized_prop1_exits_before_its_first_case(monkeypatch, capsys):
+    def no_case(t, vs):
+        raise AssertionError("a case ran before the size check")
+    monkeypatch.setattr(verify, "prefix_counts", no_case)
+    assert main(["verify", "--check", "prop1", "--max-size", "55109"]) == OutOfRangeError.exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "prop1 max size 55109 is too large" in captured.err
+
+
+def test_prop1_past_the_default_size_uses_64_bit_lanes():
+    # The default sweep stops at n = 200; lanes are 64 bits from n = 216.
+    report = run_check("prop1", 220)
+    assert report.passed and len(report.cases) == 219
