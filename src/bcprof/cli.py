@@ -13,6 +13,7 @@ import random
 import sys
 import time
 from math import gcd
+from operator import floordiv, truediv
 from typing import Sequence
 
 from .errors import (
@@ -124,13 +125,14 @@ def _load_tree(path: str):
 # One profile row per k, written from the exact counts: numerator and
 # denominator are P_k(v) / P_k reduced by gcd, and a / b on ints is
 # correctly rounded, so the decimal is float(Fraction(a, b))'s. The JSON
-# layout is json.dump(rows, indent=2)'s.
+# layout is json.dump(rows, indent=2)'s. Each cell pattern takes the
+# vertex and k; its escaped fields (%%d, %%.6f) are left for the counts.
 _ROW_FORMATS = {
-    "csv": ("vertex,k,numerator,denominator,decimal\n", "%d,%d,%d,%d,%.6f", "\n", "\n"),
+    "csv": ("vertex,k,numerator,denominator,decimal\n", "%s,%d,%%d,%%d,%%.6f", "\n", "\n"),
     "json": (
         "[\n",
-        '  {\n    "vertex": %d,\n    "k": %d,\n    "numerator": %d,\n'
-        '    "denominator": %d,\n    "decimal": "%.6f"\n  }',
+        '  {\n    "vertex": %s,\n    "k": %d,\n    "numerator": %%d,\n'
+        '    "denominator": %%d,\n    "decimal": "%%.6f"\n  }',
         ",\n",
         "\n]\n",
     ),
@@ -139,15 +141,21 @@ _ROW_FORMATS = {
 
 def _write_profile_rows(out, fmt: str, Pk: Sequence[int], rows) -> None:
     """Write each (vertex, P_k(v) row) of rows as profile rows in fmt, one
-    write per vertex. Pk and every row run over k = 0..d."""
-    head, row, sep, tail = _ROW_FORMATS[fmt]
+    format call per vertex. Pk and every row run over k = 0..d."""
+    head, cell, sep, tail = _ROW_FORMATS[fmt]
+    P = Pk[2:]
+    # The vertex's cells with every k filled in, split where the vertex
+    # goes: str(v).join(pieces) is the vertex's template for its counts.
+    pieces = sep.join(cell % ("\0", k) for k in range(2, len(Pk))).split("\0")
+    args = [0] * (3 * len(P))
     for v, Pkv in rows:
-        cells = []
-        for k in range(2, len(Pk)):
-            a, b = Pkv[k], Pk[k]
-            g = gcd(a, b)
-            cells.append(row % (v, k, a // g, b // g, a / b))
-        out.write(head + sep.join(cells))
+        row = Pkv[2:]
+        g = list(map(gcd, row, P))
+        args[0::3] = map(floordiv, row, g)
+        args[1::3] = map(floordiv, P, g)
+        args[2::3] = map(truediv, row, P)
+        out.write(head)
+        out.write(str(v).join(pieces) % tuple(args))
         head = sep
     out.write(tail)
 

@@ -7,14 +7,24 @@ import json
 import random
 import re
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bcprof import RecursiveTree, all_profiles, build_tree, prefix_counts, write_tree
-from bcprof.cli import main
+from bcprof import (
+    RecursiveTree,
+    all_profiles,
+    build_tree,
+    make_gij,
+    make_path,
+    prefix_counts,
+    sample_tree,
+    write_tree,
+)
+from bcprof.cli import _write_profile_rows, main
 
 
 def run_cli(capsys, *argv):
@@ -144,19 +154,19 @@ class TestProfileCmd:
         assert code == 12
 
 
-def _reference_profile_output(t, fmt, vertices):
-    """profile's stdout built the way it was before rows were written from
-    the counts: Fractions from all_profiles, one dict per row, json.dumps."""
+def _reference_rows_text(entries, fmt):
+    """profile's stdout for (vertex, k, Fraction) entries, built the way it
+    was before rows were written from the counts: one dict per row, then
+    json.dumps or joined csv lines."""
     rows = [
         {
-            "vertex": p.vertex,
+            "vertex": v,
             "k": k,
             "numerator": e.numerator,
             "denominator": e.denominator,
             "decimal": f"{float(e):.6f}",
         }
-        for p in all_profiles(t) if p.vertex in vertices
-        for k, e in zip(p.k_range(), p.entries)
+        for v, k, e in entries
     ]
     if fmt == "json":
         return json.dumps(rows, indent=2) + "\n"
@@ -164,6 +174,15 @@ def _reference_profile_output(t, fmt, vertices):
     lines += [f"{r['vertex']},{r['k']},{r['numerator']},{r['denominator']},{r['decimal']}"
               for r in rows]
     return "\n".join(lines) + "\n"
+
+
+def _reference_profile_output(t, fmt, vertices):
+    """The reference text of profile on tree t, from all_profiles' Fractions."""
+    return _reference_rows_text(
+        ((p.vertex, k, e) for p in all_profiles(t) if p.vertex in vertices
+         for k, e in zip(p.k_range(), p.entries)),
+        fmt,
+    )
 
 
 class TestProfileBytes:
@@ -248,6 +267,96 @@ class TestProfileBytes:
         assert code == exit_code and out == ""
         if exit_code == 15:
             assert "diameter 1 < 2: profile is empty" in err
+
+
+class TestRenderLargeCounts:
+    """_write_profile_rows on counts far past 2**53, where a float taken of
+    either count alone would round: every cell must still be the reduced
+    Fraction and its correctly rounded decimal."""
+
+    @staticmethod
+    def _counts(rng, d, vertices):
+        # A common factor of 2**30 in every count makes the gcd reduction matter.
+        Pk = [0, 0] + [rng.randrange(2**58, 2**60) << 30 for _ in range(d - 1)]
+        rows = []
+        for i, v in enumerate(vertices):
+            if i == 1:
+                Pkv = [0] * (d + 1)  # a leaf
+            elif i == 2:
+                Pkv = list(Pk)  # on every path: 1/1
+            else:
+                Pkv = [0, 0] + [rng.randrange((b >> 30) + 1) << 30 for b in Pk[2:]]
+            rows.append((v, Pkv))
+        return Pk, rows
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    @pytest.mark.parametrize("d, vertices", [
+        (9, range(5)),
+        (2, range(4)),  # one column per vertex
+        (9, [7]),  # a one-vertex selection
+        (2, [123456]),
+    ])
+    def test_matches_fraction_reference(self, fmt, d, vertices):
+        Pk, rows = self._counts(random.Random(f"{d} {len(vertices)}"), d, vertices)
+        assert max(Pk) > 2**88
+        out = io.StringIO()
+        _write_profile_rows(out, fmt, Pk, rows)
+        expected = _reference_rows_text(
+            ((v, k, Fraction(Pkv[k], Pk[k])) for v, Pkv in rows for k in range(2, d + 1)),
+            fmt,
+        )
+        assert out.getvalue() == expected
+
+    def test_decimal_is_the_exact_quotients(self):
+        # The quotient sits just past a sixth-decimal half-point: dividing
+        # the rounded floats of a and b would print 0.436388.
+        a, b = 220522942136476445263986366, 505336282089185288447449536
+        assert f"{float(a) / float(b):.6f}" == "0.436388"
+        out = io.StringIO()
+        _write_profile_rows(out, "csv", [0, 0, b], [(0, [0, 0, a])])
+        f = Fraction(a, b)
+        assert out.getvalue().splitlines()[1] == f"0,2,{f.numerator},{f.denominator},0.436389"
+
+
+_GOLDENS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json").read_text()
+)["outputs"]
+
+
+def _golden_tree(spec):
+    """The tree of a benchmark input spec: path:<n>, gij:<i>,<j> or pa:<n>:<seed>."""
+    family, _, arg = spec.partition(":")
+    if family == "path":
+        return make_path(int(arg))
+    if family == "gij":
+        i, j = arg.split(",")
+        return make_gij(int(i), int(j))[0]
+    n, seed = arg.split(":")
+    return sample_tree(int(n), random.Random(int(seed))).tree()
+
+
+class TestBenchGoldens:
+    """profile --all on the benchmark's inputs, byte for byte as recorded in
+    perfbench/goldens.json, so a rendering change that would fail the
+    benchmark's output check fails here first."""
+
+    KEYS = sorted(key for key in _GOLDENS if key.startswith("profile "))
+
+    def test_every_profile_golden_is_covered(self):
+        assert len(self.KEYS) == 9
+
+    @pytest.mark.parametrize("key", KEYS)
+    def test_profile_all_bytes(self, tmp_path, key):
+        _, _, spec, *rest = key.split()
+        tree = tmp_path / "t.tree"
+        tree.write_text(write_tree(_golden_tree(spec)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["profile", "--tree", str(tree), *rest])
+        assert code == 0
+        data = out.getvalue().encode()
+        assert len(data) == _GOLDENS[key]["bytes"]
+        assert hashlib.sha256(data).hexdigest() == _GOLDENS[key]["sha256"]
 
 
 class TestAnalyzeCmd:
