@@ -125,38 +125,55 @@ def _load_tree(path: str):
 # One profile row per k, written from the exact counts: numerator and
 # denominator are P_k(v) / P_k reduced by gcd, and a / b on ints is
 # correctly rounded, so the decimal is float(Fraction(a, b))'s. The JSON
-# layout is json.dump(rows, indent=2)'s. Each cell pattern takes the
-# vertex and k; its escaped fields (%%d, %%.6f) are left for the counts.
+# layout is json.dump(rows, indent=2)'s. Each cell pattern takes k; its
+# escaped fields (%%d, %%.6f) are left for the vertex and the counts.
 _ROW_FORMATS = {
-    "csv": ("vertex,k,numerator,denominator,decimal\n", "%s,%d,%%d,%%d,%%.6f", "\n", "\n"),
+    "csv": ("vertex,k,numerator,denominator,decimal\n", "%%d,%d,%%d,%%d,%%.6f", "\n", "\n"),
     "json": (
         "[\n",
-        '  {\n    "vertex": %s,\n    "k": %d,\n    "numerator": %%d,\n'
+        '  {\n    "vertex": %%d,\n    "k": %d,\n    "numerator": %%d,\n'
         '    "denominator": %%d,\n    "decimal": "%%.6f"\n  }',
         ",\n",
         "\n]\n",
     ),
 }
 
+# A vertex's row is joined from pieces of at most this many characters,
+# each formatted by one %, and is allocated once at its exact size. A
+# piece stays within CPython's small-object allocator (512 bytes, 463 ASCII
+# characters) even when % grows its working buffer by a quarter. A row
+# formatted whole by one % comes out over-allocated and is then shrunk, and
+# the offcuts land between the rows that an in-memory stream keeps: peak
+# RSS of profile-deep then moved by a whole output (14 MB) from run to run.
+_PIECE_CHARS = 370
+
 
 def _write_profile_rows(out, fmt: str, Pk: Sequence[int], rows) -> None:
     """Write each (vertex, P_k(v) row) of rows as profile rows in fmt, one
-    format call per vertex. Pk and every row run over k = 0..d."""
+    exact-size write per vertex. Pk and every row run over k = 0..d."""
     head, cell, sep, tail = _ROW_FORMATS[fmt]
     P = Pk[2:]
-    # The vertex's cells with every k filled in, split where the vertex
-    # goes: str(v).join(pieces) is the vertex's template for its counts.
-    pieces = sep.join(cell % ("\0", k) for k in range(2, len(Pk))).split("\0")
-    args = [0] * (3 * len(P))
+    m = len(P)
+    cells = [sep + cell % k for k in range(2, len(Pk))]
+    # A cell prints at most 3 * digits(max P) characters more than its
+    # pattern while no count exceeds max(P) and the vertex has at most one
+    # digit more.
+    c = max(1, _PIECE_CHARS // (max(map(len, cells)) + 3 * len(str(max(P)))))
+    starts = range(0, m, c)
+    pieces = ["".join(cells[a:a + c]) for a in starts]
+    first = [head + pieces[0][len(sep):]] + pieces[1:]
+    spans = [slice(4 * a, 4 * (a + c)) for a in starts]
+    args = [0] * (4 * m)
     for v, Pkv in rows:
         row = Pkv[2:]
         g = list(map(gcd, row, P))
-        args[0::3] = map(floordiv, row, g)
-        args[1::3] = map(floordiv, P, g)
-        args[2::3] = map(truediv, row, P)
-        out.write(head)
-        out.write(str(v).join(pieces) % tuple(args))
-        head = sep
+        args[0::4] = [v] * m
+        args[1::4] = map(floordiv, row, g)
+        args[2::4] = map(floordiv, P, g)
+        args[3::4] = map(truediv, row, P)
+        flat = tuple(args)
+        out.write("".join(map(str.__mod__, first, map(flat.__getitem__, spans))))
+        first = pieces
     out.write(tail)
 
 
