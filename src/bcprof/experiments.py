@@ -18,7 +18,7 @@ import random
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import islice, starmap
 from math import sqrt
@@ -129,9 +129,8 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     workers = worker_count(len(tasks))
     point_hits = []
     grid_seconds = []
-    with ExitStack() as stack:
-        if workers > 1:
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        if pool:
             indicators = pool.map(_trial_indicator, *zip(*tasks), chunksize=CHUNK)
         else:
             indicators = starmap(_trial_indicator, tasks)

@@ -11,10 +11,12 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import truediv
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -382,29 +384,22 @@ def estimate_expected_profiles(
     if k is not None and k < 2:
         raise OutOfRangeError(f"need k >= 2, got {k}")
     check_seed(seed)
-    # Keep only d, Pk and Pkv of each trial, as tuples: lists built by
-    # accumulate over-allocate, and every trial's rows are held to the end.
-    tables = []
-    max_d = 2
+    # One row of doubles BC_k(v) = P_k(v) / P_k, k = 2..d, per vertex and
+    # trial; int / int rounds correctly. Every value is kept to the end,
+    # because the standard error needs the mean first.
+    ratios = []
     for trial in range(trials):
         rng = random.Random(substream_seed(seed, trial))
         Pk, Pkv = sample_tree(n, rng).prefix_counts(range(n))
-        d = len(Pk) - 1
-        max_d = max(max_d, d)
-        tables.append((d, tuple(Pk), tuple(map(tuple, Pkv))))
-
-    def held_ratios(d: int, Pk: tuple, Pkv: tuple, v: int) -> list[float]:
-        """BC_k(v) for k = 2..max_d, held at its value past the table's d."""
-        ratios = [pv / pk for pv, pk in zip(Pkv[v][2:], Pk[2:])]
-        return ratios + ratios[-1:] * (max_d - d)
-
+        ratios.append([array("d", map(truediv, row[2:], Pk[2:])) for row in Pkv])
+    max_d = 1 + max(len(r[0]) for r in ratios)
     rows = []
     for v in range(n):
-        # Each column holds one value per table, in trial order.
-        columns = zip(*(held_ratios(*table, v) for table in tables))
-        for col, values in enumerate(columns, start=2):
-            if k is not None and col != min(k, max_d):
-                continue
+        # Column k holds one value per trial, in trial order; past its
+        # diameter d a trial holds BC_d(v).
+        columns = list(zip(*(r[v] + r[v][-1:] * (max_d - 1 - len(r[v])) for r in ratios)))
+        for col in range(2, max_d + 1) if k is None else (min(k, max_d),):
+            values = columns[col - 2]
             # Left to right, as sum() added floats before Python 3.12 made
             # it compensated, so every supported Python prints these bytes.
             total = 0.0

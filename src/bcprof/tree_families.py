@@ -190,16 +190,16 @@ def _tell_paper_bound(l: int) -> list[int]:
     return leaves
 
 
+_TELL_STRATEGIES = {"minimal_search": _tell_minimal_search, "paper_bound": _tell_paper_bound}
+
+
 def make_tell(l: int, strategy: str = "minimal_search") -> tuple[Tree, int, int, TellChoice]:
     """Crossing construction with leaf counts chosen by the given strategy."""
     if l < 1:
         raise OutOfRangeError(f"construction needs l >= 1, got {l}")
-    if strategy == "minimal_search":
-        leaves = _tell_minimal_search(l)
-    elif strategy == "paper_bound":
-        leaves = _tell_paper_bound(l)
-    else:
+    if strategy not in _TELL_STRATEGIES:
         raise BadSpecError(f"unknown strategy {strategy!r}")
+    leaves = _TELL_STRATEGIES[strategy](l)
     parent, u, v = _tell_parents(l, leaves)
     choice = TellChoice(a=tuple(leaves[0::2]), b=tuple(leaves[1::2]), strategy=strategy)
     return tree_from_parents(parent), u, v, choice

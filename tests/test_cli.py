@@ -4,8 +4,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -13,7 +16,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_verify import PINNED as VERIFY_PINNED
 
+import bcprof
 from bcprof import (
     RecursiveTree,
     all_profiles,
@@ -336,27 +341,39 @@ def _golden_tree(spec):
 
 
 class TestBenchGoldens:
-    """profile --all on the benchmark's inputs, byte for byte as recorded in
-    perfbench/goldens.json, so a rendering change that would fail the
-    benchmark's output check fails here first."""
+    """profile --all and Monte Carlo expect on the benchmark's inputs, byte
+    for byte as recorded in perfbench/goldens.json, so a change that would
+    fail the benchmark's output check fails here first."""
 
     KEYS = sorted(key for key in _GOLDENS if key.startswith("profile "))
+    EXPECT_KEYS = sorted(key for key in _GOLDENS if key.startswith("expect "))
+
+    @staticmethod
+    def check_golden(key, argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        assert code == 0
+        data = out.getvalue().encode()
+        assert len(data) == _GOLDENS[key]["bytes"]
+        assert hashlib.sha256(data).hexdigest() == _GOLDENS[key]["sha256"]
 
     def test_every_profile_golden_is_covered(self):
         assert len(self.KEYS) == 9
+
+    def test_every_expect_golden_is_covered(self):
+        assert len(self.EXPECT_KEYS) == 18
 
     @pytest.mark.parametrize("key", KEYS)
     def test_profile_all_bytes(self, tmp_path, key):
         _, _, spec, *rest = key.split()
         tree = tmp_path / "t.tree"
         tree.write_text(write_tree(_golden_tree(spec)))
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(["profile", "--tree", str(tree), *rest])
-        assert code == 0
-        data = out.getvalue().encode()
-        assert len(data) == _GOLDENS[key]["bytes"]
-        assert hashlib.sha256(data).hexdigest() == _GOLDENS[key]["sha256"]
+        self.check_golden(key, ["profile", "--tree", str(tree), *rest])
+
+    @pytest.mark.parametrize("key", EXPECT_KEYS)
+    def test_expect_bytes(self, key):
+        self.check_golden(key, key.split())
 
 
 class TestAnalyzeCmd:
@@ -545,15 +562,15 @@ class TestExpectCmd:
         assert [r[1] for r in rows9] == ["9"] * 5
         assert [r[:1] + r[2:] for r in rows9] == [r[:1] + r[2:] for r in rows4]
 
+    # Digest of the 1846 stdout bytes recorded before the per-table ratio
+    # rows replaced the per-(vertex, k) table lookups.
+    MONTE_CARLO_ARGV = ("expect", "--n", "12", "--trials", "30", "--seed", "3")
+    MONTE_CARLO_SHA256 = "6a867888745333af260718bd2f0b58b2251dea0618335f705e8b166788ed3f5e"
+
     def test_monte_carlo_pinned_bytes(self, capsys):
-        # Digest of the 1846 stdout bytes recorded before the per-table ratio
-        # rows replaced the per-(vertex, k) table lookups.
-        code, out, _ = run_cli(capsys, "expect", "--n", "12", "--trials", "30",
-                               "--seed", "3")
+        code, out, _ = run_cli(capsys, *self.MONTE_CARLO_ARGV)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "6a867888745333af260718bd2f0b58b2251dea0618335f705e8b166788ed3f5e"
-        )
+        assert hashlib.sha256(out.encode()).hexdigest() == self.MONTE_CARLO_SHA256
 
     def test_monte_carlo_never_builds_a_tree(self, capsys, monkeypatch):
         # Each trial counts straight from the attachment order.
@@ -654,6 +671,7 @@ class TestErrorExits:
         (("gen", "double-broom:0,1"), 24, "error: bad family spec 'double-broom:0,1'"),
         (("gen", "gij:0,5"), 24, "error: bad family spec 'gij:0,5'"),
         (("gen", "broom:0,2"), 24, "error: bad family spec 'broom:0,2'"),
+        (("gen", "tell:2,nope"), 24, "error: unknown strategy 'nope'\n"),
         # Seeds outside [0, 2**64) would repeat another seed's draws.
         *((("experiment", "--which", "monotone_1_vs_n", "--grid", "5", "--trials", "3",
             "--seed", seed), 12, f"error: need 0 <= seed < 2**64, got {seed}")
@@ -683,3 +701,41 @@ class TestErrorExits:
     def test_largest_seed_runs(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--seed", str(2**64 - 1))
         assert (code, err) == (0, "") and out
+
+
+class TestOptimizedBytes:
+    """`python -O` strips every assert, so no output byte may depend on one.
+    One subprocess prints the digest of each run's stdout."""
+
+    SCRIPT = (
+        "import contextlib, hashlib, io, json, sys\n"
+        "from bcprof.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(argv)\n"
+        "    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
+    )
+    PROFILE_KEY = "profile --tree pa:1300:3 --all"
+
+    def test_pinned_digests_under_dash_o(self, tmp_path):
+        tree = tmp_path / "t.tree"
+        tree.write_text(write_tree(_golden_tree("pa:1300:3")))
+        runs = {
+            **{suite: ["verify", "--check", suite] for suite in VERIFY_PINNED},
+            "expect": list(TestExpectCmd.MONTE_CARLO_ARGV),
+            "profile": ["profile", "--tree", str(tree), "--all"],
+        }
+        src = str(Path(bcprof.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", self.SCRIPT, json.dumps(list(runs.values()))],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        got = dict(zip(runs, proc.stdout.splitlines()))
+        want = {
+            **{suite: f"0 {digest}" for suite, digest in VERIFY_PINNED.items()},
+            "expect": f"0 {TestExpectCmd.MONTE_CARLO_SHA256}",
+            "profile": f"0 {_GOLDENS[self.PROFILE_KEY]['sha256']}",
+        }
+        assert got == want

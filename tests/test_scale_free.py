@@ -1,12 +1,13 @@
 """Preferential-attachment sampling, exact enumeration, and the injection map."""
 
+import hashlib
 import itertools
 import math
 import os
 import random
 import subprocess
 import sys
-from collections import Counter
+from collections import Counter, defaultdict
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +42,7 @@ from bcprof import (
 )
 from bcprof import scale_free
 from bcprof.scale_free import _presence_table
+from bcprof.tree_core import _parent_prefix_counts
 from bcprof.verify import run_check
 
 
@@ -426,6 +428,52 @@ class TestEstimateExpectedProfiles:
     def test_k_below_two(self, k):
         with pytest.raises(OutOfRangeError, match="k >= 2"):
             estimate_expected_profiles(6, trials=1, seed=0, k=k)
+
+    def test_one_trial_rows(self):
+        assert repr(estimate_expected_profiles(3, trials=1, seed=0)) == (
+            "[{'vertex': 1, 'k': 2, 'mean': 1.0, 'stderr': 0.0, 'trials': 1}, "
+            "{'vertex': 2, 'k': 2, 'mean': 0.0, 'stderr': 0.0, 'trials': 1}, "
+            "{'vertex': 3, 'k': 2, 'mean': 0.0, 'stderr': 0.0, 'trials': 1}]"
+        )
+
+    # sha256 of repr(rows) at seed 3, recorded before each trial became one
+    # ratio row per vertex. k = 12 lies past every diameter of a 12-vertex tree.
+    PINNED_REPR = {
+        (12, 30, 3): "cd8f4f6618a4c32434977f31ccda82ef273de40189f60f64c824694090eab765",
+        (12, 30, 12): "fff43391c343bd69a80638821cacd50431307bd6e1dd0feb01867bc656bc7c41",
+        (250, 20, None): "a5b10ad73070e5d87316429b8e6168a034d90349bb4ae6a9cec6229b45b4e7c2",
+    }
+
+    @pytest.mark.parametrize("n, trials, k", sorted(PINNED_REPR, key=str))
+    def test_pinned_repr(self, n, trials, k):
+        rows = estimate_expected_profiles(n, trials=trials, seed=3, k=k)
+        digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+        assert digest == self.PINNED_REPR[n, trials, k]
+
+    # Chosen before the first run; never changed to make the test pass.
+    EXACT_SEED, EXACT_TRIALS = 21, 4000
+
+    def test_means_within_four_standard_errors_of_exact(self):
+        # E[BC_K(v)] over all 5040 attachment histories at n = 8, each
+        # tree's BC_d held past its diameter d. Sums of weight * P_K(v) are
+        # kept per (v, K, P_K), so the only Fractions are built at the end.
+        n = 8
+        denominator, histories = scale_free._history_numerators(n)
+        sums = Counter()
+        for parents, num in histories:
+            Pk, Pkv = _parent_prefix_counts([-1, *(p - 1 for p in parents)], range(n))
+            d = len(Pk) - 1
+            for v, row in enumerate(Pkv):
+                for K in range(2, n):
+                    sums[v + 1, K, Pk[min(K, d)]] += num * row[min(K, d)]
+        exact = defaultdict(Fraction)
+        for (v, K, pk), total in sums.items():
+            exact[v, K] += Fraction(total, pk * denominator)
+        rows = estimate_expected_profiles(n, trials=self.EXACT_TRIALS, seed=self.EXACT_SEED)
+        assert len(rows) == n * (max(r["k"] for r in rows) - 1)
+        for r in rows:
+            want = float(exact[r["vertex"], r["k"]])
+            assert abs(r["mean"] - want) <= 4 * r["stderr"], (r, want)
 
     def test_expected_ordering_shows_up(self):
         rows = estimate_expected_profiles(20, trials=300, seed=11)
