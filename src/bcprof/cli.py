@@ -150,8 +150,15 @@ _PIECE_CHARS = 370
 
 def _write_profile_rows(out, fmt: str, Pk: Sequence[int], rows) -> None:
     """Write each (vertex, P_k(v) row) of rows as profile rows in fmt, one
-    exact-size write per vertex. Pk and every row run over k = 0..d."""
+    exact-size write per vertex. Pk and every row run over k = 0..d.
+
+    Each distinct row is formatted once. Its text is kept only while an
+    equal row is still to come, and each later equal row is that text with
+    the vertex field swapped."""
     head, cell, sep, tail = _ROW_FORMATS[fmt]
+    # Every cell opens with lead and then the vertex, and lead occurs
+    # nowhere else in a row.
+    lead = sep + cell[:cell.index("%")]
     P = Pk[2:]
     m = len(P)
     cells = [sep + cell % k for k in range(2, len(Pk))]
@@ -161,19 +168,37 @@ def _write_profile_rows(out, fmt: str, Pk: Sequence[int], rows) -> None:
     c = max(1, _PIECE_CHARS // (max(map(len, cells)) + 3 * len(str(max(P)))))
     starts = range(0, m, c)
     pieces = ["".join(cells[a:a + c]) for a in starts]
-    first = [head + pieces[0][len(sep):]] + pieces[1:]
     spans = [slice(4 * a, 4 * (a + c)) for a in starts]
     args = [0] * (4 * m)
-    for v, Pkv in rows:
-        row = Pkv[2:]
-        g = list(map(gcd, row, P))
-        args[0::4] = [v] * m
-        args[1::4] = map(floordiv, row, g)
-        args[2::4] = map(floordiv, P, g)
-        args[3::4] = map(truediv, row, P)
-        flat = tuple(args)
-        out.write("".join(map(str.__mod__, first, map(flat.__getitem__, spans))))
-        first = pieces
+    rows = list(rows)
+    # Rows are keyed by hash and compared in full on a hit, so the output
+    # never depends on the hash. A text is dropped at its key's last row.
+    keys = [hash(tuple(Pkv)) for _, Pkv in rows]
+    last = {key: i for i, key in enumerate(keys)}
+    kept = {}
+    out.write(head)
+    cut = len(sep)  # the first row follows the head, not a separator
+    for i, (v, Pkv) in enumerate(rows):
+        key = keys[i]
+        hit = kept.get(key)
+        if hit is not None and hit[1] == Pkv:
+            u, _, text = hit
+            text = text.replace(f"{lead}{u},", f"{lead}{v},")
+        else:
+            row = Pkv[2:]
+            g = list(map(gcd, row, P))
+            args[0::4] = [v] * m
+            args[1::4] = map(floordiv, row, g)
+            args[2::4] = map(floordiv, P, g)
+            args[3::4] = map(truediv, row, P)
+            flat = tuple(args)
+            text = "".join(map(str.__mod__, pieces, map(flat.__getitem__, spans)))
+            if hit is None and last[key] > i:
+                kept[key] = v, Pkv, text
+        if last[key] == i:
+            kept.pop(key, None)
+        out.write(text[cut:])
+        cut = 0
     out.write(tail)
 
 

@@ -385,13 +385,16 @@ def estimate_expected_profiles(
         raise OutOfRangeError(f"need k >= 2, got {k}")
     check_seed(seed)
     # One row of doubles BC_k(v) = P_k(v) / P_k, k = 2..d, per vertex and
-    # trial; int / int rounds correctly. Every value is kept to the end,
+    # trial; int / int rounds correctly. Equal rows of a trial (every
+    # leaf's zero row) share one array. Every value is kept to the end,
     # because the standard error needs the mean first.
     ratios = []
     for trial in range(trials):
         rng = random.Random(substream_seed(seed, trial))
         Pk, Pkv = sample_tree(n, rng).prefix_counts(range(n))
-        ratios.append([array("d", map(truediv, row[2:], Pk[2:])) for row in Pkv])
+        keys = list(map(tuple, Pkv))
+        bc = {key: array("d", map(truediv, key[2:], Pk[2:])) for key in dict.fromkeys(keys)}
+        ratios.append(list(map(bc.__getitem__, keys)))
     max_d = 1 + max(len(r[0]) for r in ratios)
     rows = []
     for v in range(n):

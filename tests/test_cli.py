@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from bcprof import (
     RecursiveTree,
     all_profiles,
     build_tree,
+    make_broom,
     make_gij,
     make_path,
     prefix_counts,
@@ -274,6 +276,17 @@ class TestProfileBytes:
             assert "diameter 1 < 2: profile is empty" in err
 
 
+def _assert_renders_reference(fmt, Pk, rows):
+    """_write_profile_rows of (vertex, P_k(v) row) pairs prints the Fraction reference."""
+    out = io.StringIO()
+    _write_profile_rows(out, fmt, Pk, rows)
+    expected = _reference_rows_text(
+        ((v, k, Fraction(Pkv[k], Pk[k])) for v, Pkv in rows for k in range(2, len(Pk))),
+        fmt,
+    )
+    assert out.getvalue() == expected
+
+
 class TestRenderLargeCounts:
     """_write_profile_rows on counts far past 2**53, where a float taken of
     either count alone would round: every cell must still be the reduced
@@ -304,13 +317,7 @@ class TestRenderLargeCounts:
     def test_matches_fraction_reference(self, fmt, d, vertices):
         Pk, rows = self._counts(random.Random(f"{d} {len(vertices)}"), d, vertices)
         assert max(Pk) > 2**88
-        out = io.StringIO()
-        _write_profile_rows(out, fmt, Pk, rows)
-        expected = _reference_rows_text(
-            ((v, k, Fraction(Pkv[k], Pk[k])) for v, Pkv in rows for k in range(2, d + 1)),
-            fmt,
-        )
-        assert out.getvalue() == expected
+        _assert_renders_reference(fmt, Pk, rows)
 
     def test_decimal_is_the_exact_quotients(self):
         # The quotient sits just past a sixth-decimal half-point: dividing
@@ -321,6 +328,78 @@ class TestRenderLargeCounts:
         _write_profile_rows(out, "csv", [0, 0, b], [(0, [0, 0, a])])
         f = Fraction(a, b)
         assert out.getvalue().splitlines()[1] == f"0,2,{f.numerator},{f.denominator},0.436389"
+
+
+class TestRenderRepeatedRows:
+    """Equal rows are formatted once and written again with the vertex
+    swapped; every output must still be the Fraction reference's."""
+
+    Pk = [0, 0, 12, 8, 6]
+    A = [0, 0, 3, 2, 1]
+    B = [0, 0, 0, 0, 0]  # a leaf
+    C = [0, 0, 12, 8, 6]  # on every path: 1/1
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_first_row_repeats(self, fmt):
+        # The first row is written after the head, its copies after a separator.
+        rows = [(0, self.A), (1, self.B), (2, self.A), (3, self.A)]
+        _assert_renders_reference(fmt, self.Pk, rows)
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    @pytest.mark.parametrize("vertices", [(7, 10, 1234, 5), (1234, 10, 7, 99999)])
+    def test_vertices_of_other_digit_counts(self, fmt, vertices):
+        rows = [(v, self.A) for v in vertices]
+        rows.insert(2, (3, self.C))
+        _assert_renders_reference(fmt, self.Pk, rows)
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_three_occurrences_around_single_rows(self, fmt):
+        rows = [(0, self.B), (1, self.A), (2, self.C), (3, self.A), (4, [0, 0, 1, 1, 1]),
+                (5, self.A), (6, self.B)]
+        _assert_renders_reference(fmt, self.Pk, rows)
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_one_vertex(self, fmt):
+        _assert_renders_reference(fmt, self.Pk, [(4, self.A)])
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    def test_equal_hashes_of_distinct_rows(self, fmt):
+        # Rows are keyed by hash; two distinct rows on one key must each
+        # print their own cells.
+        x, y = [0, 0, -1], [0, 0, -2]
+        if hash(tuple(x)) != hash(tuple(y)):
+            pytest.skip("this Python does not hash -1 and -2 alike")
+        _assert_renders_reference(fmt, [0, 0, 5], [(0, x), (1, y), (2, x), (3, y), (4, y)])
+
+
+class TestRenderMemory:
+    """A formatted row is kept only while an equal row is still to come."""
+
+    class _Sink:
+        chars = 0
+
+        def write(self, text):
+            self.chars += len(text)
+
+    @pytest.mark.parametrize("fmt", ("csv", "json"))
+    @pytest.mark.parametrize("tree, bound", [
+        # 201 equal leaf rows (the handle's far end and the 200 leaves) and
+        # 99 rows that never repeat: only the leaf row waits.
+        (make_broom(99, 200)[0], 0.25),
+        # Rows v and n - v are equal: the first half waits for the second.
+        (make_path(120), 0.75),
+    ], ids=("broom", "path"))
+    def test_traced_peak_below_output(self, fmt, tree, bound):
+        Pk, Pkv = prefix_counts(tree, range(tree.n))
+        rows = list(zip(range(tree.n), Pkv))
+        sink = self._Sink()
+        tracemalloc.start()
+        try:
+            _write_profile_rows(sink, fmt, Pk, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * sink.chars
 
 
 _GOLDENS = json.loads(
