@@ -1,7 +1,11 @@
 """Seeded Monte Carlo harness for the crossing/monotonicity experiments.
 
-Each (grid point, trial) pair gets its own PRNG substream, so results are
-byte-identical regardless of worker count. Raw prefix counts P_k(v) share
+Each (grid point, trial) pair gets its own PRNG substream, and a grid
+point's estimate is an integer count of hits, so results are byte-identical
+regardless of worker count. With W workers, process r runs trials
+t = r (mod W) of every grid point: the calling process is r = 0 and runs
+its share beside W - 1 child processes, each of which sends back one hit
+count per point. Raw prefix counts P_k(v) share
 the tree-wide normalization P_k, so crossing indicators compare integer
 counts directly. Monotonicity compares BC_k(v) = P_k(v) / P_k with
 BC_{k+1}(v) by cross-multiplying, since P_k > 0 for 2 <= k <= d, so it is
@@ -17,11 +21,10 @@ import platform
 import random
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from itertools import islice, starmap
+from functools import partial
 from math import sqrt
+from operator import add
 from typing import Sequence
 
 from . import __version__
@@ -84,7 +87,8 @@ class ExperimentResult:
     rows: tuple[dict, ...]
     wall_seconds: float = field(compare=False, default=0.0)
     workers: int = field(compare=False, default=1)
-    # Seconds per grid point, in grid order (see run_experiment).
+    # Seconds the calling process spent on its own share of each grid
+    # point, in grid order.
     grid_seconds: tuple[float, ...] = field(compare=False, default=())
 
 
@@ -104,12 +108,13 @@ def _trial_indicator(which: str, x: int, fixed_n: int, seed: int, trial: int) ->
     return min(steps, default=0) >= 0 or max(steps, default=0) <= 0
 
 
-# Tasks per pool submission; a pool of more workers than chunks idles.
+# The fewest trials worth a worker: a run of fewer trials per worker than
+# this is better served by fewer workers.
 CHUNK = 64
 
 
 def worker_count(tasks: int) -> int:
-    """Pool size for `tasks` trials: BCPROF_THREADS (0 means every CPU),
+    """Worker count for `tasks` trials: BCPROF_THREADS (0 means every CPU),
     capped at the CPU count and at the number of CHUNK-task chunks."""
     raw = os.environ.get("BCPROF_THREADS", "1")
     try:
@@ -122,26 +127,69 @@ def worker_count(tasks: int) -> int:
     return min(value or cpus, cpus, -(-tasks // CHUNK))
 
 
+def _share_hits(cfg: ExperimentConfig, first: int, stride: int) -> tuple[list[int], list[float]]:
+    """Hits at each grid point over trials first, first + stride, ..., and
+    the seconds each point took."""
+    hits, seconds = [], []
+    last = time.monotonic()
+    for x in cfg.grid:
+        trial = partial(_trial_indicator, cfg.which, x, cfg.fixed_n, cfg.seed)
+        hits.append(sum(map(trial, range(first, cfg.trials, stride))))
+        now = time.monotonic()
+        seconds.append(now - last)
+        last = now
+    return hits, seconds
+
+
+def _child_share(conn, cfg: ExperimentConfig, first: int, stride: int) -> None:
+    """A child's share: sends its hits per point, or what stopped it."""
+    try:
+        result = _share_hits(cfg, first, stride)[0]
+    except BaseException as exc:
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     start = time.monotonic()
-    # One flat (x, trial) task list, so one pool serves the whole grid.
-    tasks = [(cfg.which, x, cfg.fixed_n, cfg.seed, t) for x in cfg.grid for t in range(cfg.trials)]
-    workers = worker_count(len(tasks))
-    point_hits = []
-    grid_seconds = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        if pool:
-            indicators = pool.map(_trial_indicator, *zip(*tasks), chunksize=CHUNK)
-        else:
-            indicators = starmap(_trial_indicator, tasks)
-        # Results arrive in task order, so a point's seconds run from the
-        # previous point's last indicator to its own.
-        last = start
-        for _ in cfg.grid:
-            point_hits.append(sum(islice(indicators, cfg.trials)))
-            now = time.monotonic()
-            grid_seconds.append(now - last)
-            last = now
+    workers = worker_count(cfg.trials * len(cfg.grid))
+    children = []
+    try:
+        if workers > 1:
+            # Imported here: only a run with children needs it. Where the
+            # default start method is fork (Linux before Python 3.14), a
+            # child starts without importing bcprof again.
+            import multiprocessing
+
+            ctx = multiprocessing.get_context()
+            for first in range(1, workers):
+                recv, send = ctx.Pipe(duplex=False)
+                args = (send, cfg, first, workers)
+                child = ctx.Process(target=_child_share, args=args, daemon=True)
+                child.start()
+                send.close()
+                children.append((child, recv))
+        point_hits, grid_seconds = _share_hits(cfg, 0, workers)
+        for child, recv in children:
+            try:
+                share = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(
+                    f"experiment worker exited with code {child.exitcode} before sending its hits"
+                ) from None
+            if isinstance(share, BaseException):
+                raise share
+            point_hits = list(map(add, point_hits, share))
+    except BaseException:
+        for child, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
     rows = []
     for x, hits in zip(cfg.grid, point_hits):
         estimate = hits / cfg.trials

@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import truediv
+from operator import lt, sub, truediv
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -69,7 +69,9 @@ class RecursiveTree:
             raise OutOfRangeError(
                 f"need {self.n - 1} parents for n={self.n}, got {len(self.parents)}"
             )
-        if not all(1 <= p < t for t, p in enumerate(self.parents, start=2)):
+        # 1 <= parents[t-2] < t for every t, at C speed.
+        parents = self.parents
+        if min(parents, default=1) < 1 or not all(map(lt, parents, range(2, self.n + 1))):
             raise OutOfRangeError(f"parents must satisfy 1 <= parents[t-2] < t: {self.parents}")
 
     def tree(self) -> Tree:
@@ -86,7 +88,7 @@ class RecursiveTree:
 
     def _parent_array(self) -> list[int]:
         """0-based parents: -1 for vertex 0, then parents[t-2] - 1 for id t - 1."""
-        return [-1, *(p - 1 for p in self.parents)]
+        return [-1, *map(sub, self.parents, itertools.repeat(1))]
 
 
 def sample_tree(n: int, rng: random.Random) -> RecursiveTree:

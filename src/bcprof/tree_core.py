@@ -47,15 +47,15 @@ def build_tree(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
     if len(edges) != n - 1:
         raise WrongEdgeCountError(f"tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
     adj: list[list[int]] = [[] for _ in range(n)]
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise OutOfRangeError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        key = (min(u, v), max(u, v))
+        key = u * n + v if u < v else v * n + u
         if key in seen:
-            raise DuplicateEdgeError(f"duplicate edge {key}")
+            raise DuplicateEdgeError(f"duplicate edge {divmod(key, n)}")
         seen.add(key)
         adj[u].append(v)
         adj[v].append(u)
@@ -353,21 +353,24 @@ def all_profiles(t: Tree) -> list[Profile]:
 
 def read_tree(lines: Iterable[str]) -> Tree:
     """Parse the tree file format: comments (#), vertex count, n-1 edges."""
-    data = [(i, ln.strip()) for i, ln in enumerate(lines, start=1)]
-    data = [(i, ln) for i, ln in data if ln and not ln.startswith("#")]
+    data = [
+        (i, line, fields)
+        for i, line in enumerate(lines, start=1)
+        if (fields := line.split()) and not fields[0].startswith("#")
+    ]
     if not data:
         raise WrongEdgeCountError("empty tree file")
     (n,) = _line_ints(*data[0], 1)
-    return build_tree(n, [tuple(_line_ints(i, ln, 2)) for i, ln in data[1:]])
+    return build_tree(n, [_line_ints(*row, 2) for row in data[1:]])
 
 
-def _line_ints(lineno: int, line: str, count: int) -> list[int]:
+def _line_ints(lineno: int, line: str, fields: list[str], count: int) -> tuple[int, ...]:
     try:
-        values = [int(x) for x in line.split()]
+        values = tuple(map(int, fields))
     except ValueError:
-        values = []
+        values = ()
     if len(values) != count:
-        raise BadSpecError(f"line {lineno}: expected {count} integer(s), got {line!r}")
+        raise BadSpecError(f"line {lineno}: expected {count} integer(s), got {line.strip()!r}")
     return values
 
 

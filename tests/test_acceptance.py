@@ -103,6 +103,8 @@ def test_criterion_9_experiment_trends():
 
 
 def test_criterion_10_determinism(monkeypatch):
+    # Two CPUs at least, so the parallel run forks a child on any machine.
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
     cfg = ExperimentConfig(which="no_cross_ii1_vs_i", grid=(3, 50), trials=200, seed=99)
     monkeypatch.setenv("BCPROF_THREADS", "1")
     serial = render_csv(run_experiment(cfg))

@@ -818,3 +818,25 @@ class TestOptimizedBytes:
             "profile": f"0 {_GOLDENS[self.PROFILE_KEY]['sha256']}",
         }
         assert got == want
+
+
+def test_import_loads_no_process_machinery():
+    # Only `experiment` with more than one worker starts processes, and it
+    # imports multiprocessing then. Modules the interpreter loaded before
+    # bcprof (site hooks) are left out of the comparison.
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import bcprof.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(bcprof.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "bcprof.cli" in loaded
+    # A submodule loads its package too, so the packages are enough to test.
+    assert {"multiprocessing", "concurrent.futures", "logging"}.isdisjoint(loaded)

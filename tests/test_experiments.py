@@ -1,5 +1,7 @@
 """Experiment harness: determinism, indicator consistency, exact curves, CSV format."""
 
+import multiprocessing
+import os
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -8,6 +10,7 @@ import pytest
 
 from bcprof import (
     BadSpecError,
+    NTooLargeError,
     OutOfRangeError,
     bfs_distances,
     path_counts_fast,
@@ -284,17 +287,72 @@ class TestDeterminism:
         assert render_csv(run_experiment(cfg)) == "x,estimate,stderr,trials,seed\n" + rows
 
     def test_worker_count_invariant(self, monkeypatch):
-        # 3 x 70 trials in chunks of 64: chunks straddle grid points.
+        # 3 x 70 trials: each process takes every W-th trial of each point,
+        # W = 2 and 3. The CPU count is raised so that the children run on
+        # any machine.
         cfg = ExperimentConfig(which="monotone_1_vs_n", grid=(10, 4, 25), trials=70, seed=6)
         monkeypatch.setenv("BCPROF_THREADS", "1")
         serial = render_csv(run_experiment(cfg))
-        monkeypatch.setenv("BCPROF_THREADS", "3")
-        parallel = render_csv(run_experiment(cfg))
-        assert serial == parallel
+        for workers in (2, 3):
+            monkeypatch.setattr("os.cpu_count", lambda: workers)
+            monkeypatch.setenv("BCPROF_THREADS", str(workers))
+            res = run_experiment(cfg)
+            assert res.workers == workers
+            assert render_csv(res) == serial
+
+
+def _fail_on(parity, exc):
+    """An indicator that raises (or exits with, given an int) `exc` on every
+    trial of the given parity: with 2 workers the parent runs the even
+    trials and the child the odd ones."""
+    def indicator(which, x, fixed_n, seed, trial):
+        if trial % 2 == parity:
+            if isinstance(exc, int):
+                os._exit(exc)
+            raise exc
+        return _trial_indicator(which, x, fixed_n, seed, trial)
+
+    return indicator
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="children see the patched indicator only when forked")
+class TestChildren:
+    CFG = ExperimentConfig(which="monotone_1_vs_n", grid=(10, 12), trials=100, seed=5)
+
+    @pytest.fixture(autouse=True)
+    def two_workers(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setenv("BCPROF_THREADS", "2")
+        yield
+        assert multiprocessing.active_children() == []
+
+    def test_child_exception_reaches_the_parent(self, monkeypatch):
+        monkeypatch.setattr("bcprof.experiments._trial_indicator",
+                            _fail_on(1, NTooLargeError("odd trial")))
+        with pytest.raises(NTooLargeError, match="^odd trial$"):
+            run_experiment(self.CFG)
+
+    def test_child_that_dies_is_named_by_its_exit_code(self, monkeypatch):
+        monkeypatch.setattr("bcprof.experiments._trial_indicator", _fail_on(1, 7))
+        with pytest.raises(RuntimeError, match="exited with code 7"):
+            run_experiment(self.CFG)
+
+    def test_parent_failure_stops_the_children(self, monkeypatch):
+        monkeypatch.setattr("bcprof.experiments._trial_indicator",
+                            _fail_on(0, NTooLargeError("even trial")))
+        with pytest.raises(NTooLargeError, match="^even trial$"):
+            run_experiment(self.CFG)
+
+    def test_grid_seconds_are_the_parents_share(self):
+        res = run_experiment(self.CFG)
+        assert res.workers == 2 and len(res.grid_seconds) == 2
+        assert min(res.grid_seconds) >= 0
+        assert sum(res.grid_seconds) <= res.wall_seconds
 
 
 class TestWorkerCount:
-    # No experiment runs here: the pool size is computed, never started.
+    # No experiment runs here: the worker count is computed and no child starts.
     @pytest.mark.parametrize("raw, cpus, tasks, expected", [
         ("1", 8, 1000, 1),
         ("0", 8, 1000, 8),
@@ -331,9 +389,13 @@ class TestOutput:
         assert len(est.split(".")[1]) == 6 and len(err.split(".")[1]) == 6
         assert 0.0 <= float(est) <= 1.0
 
-    def test_empty_grid_header_only(self, tmp_path):
+    def test_empty_grid_header_only(self, tmp_path, monkeypatch):
+        # No trials means no workers, even when every CPU is asked for, and
+        # the parent's share is empty.
+        monkeypatch.setenv("BCPROF_THREADS", "0")
         cfg = ExperimentConfig(which="no_cross_12_vs_n", grid=(), trials=5, seed=0)
         res = run_experiment(cfg)
+        assert res.workers == 0 and res.grid_seconds == ()
         path = tmp_path / "empty.csv"
         write_csv(res, str(path))
         assert path.read_text() == "x,estimate,stderr,trials,seed\n"

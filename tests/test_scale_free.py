@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from collections import Counter, defaultdict
@@ -112,6 +113,14 @@ class TestRecursiveTreeInvariant:
             env={**os.environ, "PYTHONPATH": src}, timeout=120,
         )
         assert proc.returncode == 1 and "OutOfRangeError" in proc.stderr
+
+    @pytest.mark.parametrize("n, parents", [
+        (3, (0, 1)), (3, (1, 0)), (3, (1, 3)), (3, (2, 1)), (4, (1, 2, 4)), (4, (1, -5, 2)),
+    ])
+    def test_each_bad_parent_rejected(self, n, parents):
+        message = f"parents must satisfy 1 <= parents[t-2] < t: {parents}"
+        with pytest.raises(OutOfRangeError, match=re.escape(message)):
+            RecursiveTree(n=n, parents=parents)
 
     def test_tree_equals_build_tree(self):
         # tree() skips build_tree's checks; it must build the same Tree.

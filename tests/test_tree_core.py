@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import bcprof
 from bcprof import (
+    BadSpecError,
     DiameterTooSmallError,
     DisconnectedError,
     DuplicateEdgeError,
@@ -399,3 +400,28 @@ class TestTreeIo:
     def test_empty_file_rejected(self):
         with pytest.raises(WrongEdgeCountError):
             read_tree(["# nothing"])
+
+    def test_indented_comment_and_blank_lines_skipped(self):
+        t = read_tree(["  # indented\n", "\t\n", "3\n", "0 1\n", "#1 2\n", " 1\t2 \n"])
+        assert t == build_tree(3, [(0, 1), (1, 2)])
+
+    # (file, error class, message): the first faulty line or edge in file
+    # order wins, and a line is quoted as written, stripped at its ends.
+    FAULTS = (
+        (["4", "0 1", "1 0", "2 9"], DuplicateEdgeError, "duplicate edge (0, 1)"),
+        (["4", "0 1", "2 9", "1 0"], OutOfRangeError, "edge (2, 9) out of range for n=4"),
+        (["4", "2 2", "1 0", "1 0"], SelfLoopError, "self-loop at vertex 2"),
+        (["4", "3 1", "0 2", "1 3"], DuplicateEdgeError, "duplicate edge (1, 3)"),
+        (["3", "0 1", " 1\t 2  x \n"], BadSpecError,
+         "line 3: expected 2 integer(s), got '1\\t 2  x'"),
+        (["0", "0 1", "1"], BadSpecError, "line 3: expected 2 integer(s), got '1'"),
+        (["3 3", "0 1"], BadSpecError, "line 1: expected 1 integer(s), got '3 3'"),
+        (["0"], OutOfRangeError, "vertex count must be >= 1, got 0"),
+        (["3", "0 1"], WrongEdgeCountError, "tree on 3 vertices needs 2 edges, got 1"),
+    )
+
+    @pytest.mark.parametrize("lines, error, message", FAULTS)
+    def test_fault_class_and_message(self, lines, error, message):
+        with pytest.raises(error) as info:
+            read_tree(lines)
+        assert type(info.value) is error and str(info.value) == message
