@@ -258,13 +258,24 @@ def _counts(
     down each listed vertex's ancestor chain, so listing every vertex costs
     one pass down. Every lane of down[q] - (down[w] << lane) is a count of
     vertices, so the subtraction never borrows.
+
+    A vertex with no child (b == 0: every leaf, and the lone vertex when
+    n = 1) lies inside no path, so it gets the zero row with no walk, no
+    up[v] and no unpack. No ancestor chain passes through it, so the memo
+    still holds all a later vertex needs. All such rows are one shared
+    list; every caller copies each row before it leaves the engine.
     """
     top = dict.fromkeys(vertices, 0)
     down, pairs = _merge_up(order, parent, lane, top)
     d, p = _diameter_and_lengths(len(parent), pairs, lane)
     up = {order[0]: 0}
+    zero = [0] * (d + 1)
     rows = []
     for v in vertices:
+        b = down[v] - 1
+        if not b:
+            rows.append(zero)
+            continue
         chain, w = [], v
         while w not in up:
             chain.append(w)
@@ -272,7 +283,6 @@ def _counts(
         for w in reversed(chain):
             q = parent[w]
             up[w] = (up[q] + down[q] - (down[w] << lane)) << lane
-        b = down[v] - 1
         rows.append(_unpack(top[v] - b + up[v] * b, lane, d + 1))
     return p, rows
 

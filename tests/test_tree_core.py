@@ -26,11 +26,13 @@ from bcprof import (
     bfs_distances,
     build_tree,
     diameter,
+    make_broom,
     path_counts_fast,
     path_counts_naive,
     prefix_counts,
     profile,
     read_tree,
+    sample_tree,
     tree_from_parents,
     write_tree,
 )
@@ -91,6 +93,27 @@ def preorder_parents(levels) -> list[int]:
         parent.append(last.get(level - 1, -1))
         last[level] = y
     return parent
+
+
+def leaf_heavy_parents():
+    """Parent arrays (parent[y] < y) of trees where most vertices are
+    leaves: stars, brooms, double brooms, caterpillars, seeded
+    preferential-attachment trees, and n = 1 and 2. In each single broom
+    and caterpillar, root 0 has degree one."""
+    yield [-1]
+    yield [-1, 0]
+    for leaves in (1, 2, 5, 12):
+        yield [-1, *[0] * leaves]
+    for m, n in ((1, 1), (1, 4), (3, 1), (3, 6), (6, 9)):
+        yield [*range(-1, m), *[m] * n]
+    for m, n in ((2, 1), (2, 5), (4, 3), (6, 8)):
+        yield [*range(-1, m), *[0] * n, *[m] * n]
+    rng = random.Random(21)
+    for spine in (2, 3, 5, 8):
+        legs = [rng.randrange(4) for _ in range(spine)]
+        yield [*range(-1, spine - 1), *(s for s in range(1, spine) for _ in range(legs[s]))]
+    for n, seed in ((3, 1), (12, 2), (40, 3), (60, 4), (181, 5), (182, 6)):
+        yield sample_tree(n, random.Random(seed))._parent_array()
 
 
 # An 11-vertex reference tree: a length-4 path into a 3-way fan, each fan
@@ -328,6 +351,60 @@ class TestPathCounts:
         # -1 must not index from the end: it names no vertex.
         with pytest.raises(OutOfRangeError):
             prefix_counts(build_tree(4, [(0, 1), (1, 2), (2, 3)]), [0, v])
+
+
+class TestChildlessVertices:
+    # A vertex with no child gets its zero row without a walk or an unpack.
+
+    def test_leaf_heavy_trees_match_the_oracle(self):
+        for parent in leaf_heavy_parents():
+            t = tree_from_parents(parent)
+            n = t.n
+            Pk, Pkv = as_lists(path_counts_naive(t))
+            assert prefix_counts(t, range(n)) == (Pk, Pkv)
+            assert _parent_prefix_counts(parent, range(n)) == (Pk, Pkv)
+            # Start from a leaf, so the pass's root has degree one, and list
+            # the leaf, the root and an inner vertex twice.
+            leaf = max(v for v in range(n) if len(t.adj[v]) <= 1)
+            vs = [leaf, *range(n), leaf, 0, n // 2, n // 2]
+            want = (Pk, [Pkv[v] for v in vs])
+            assert prefix_counts(t, vs) == want, parent
+            assert _parent_prefix_counts(parent, vs) == want, parent
+
+    def test_leaf_rows_are_distinct_lists(self):
+        # The engine shares one zero row among childless vertices; no
+        # caller may see it shared.
+        star = [-1, *[0] * 6]
+        broom = [*range(-1, 3), *[3] * 5]
+        for parent in (star, broom):
+            t = tree_from_parents(parent)
+            naive = path_counts_naive(t)
+            leaves = [v for v in range(1, t.n) if len(t.adj[v]) == 1]
+            vs = [*range(t.n), leaves[0]]
+            for _, rows in (prefix_counts(t, vs), _parent_prefix_counts(parent, vs)):
+                assert len({id(row) for row in rows}) == len(vs)
+                rows[leaves[0]][-1] += 1
+                assert rows[leaves[-1]] == rows[-1] == list(naive.Pkv[leaves[0]])
+            table = path_counts_fast(t)
+            assert [table.pv[v] for v in leaves] == [naive.pv[v] for v in leaves]
+
+    def test_unpacks_once_per_listed_vertex_with_a_child(self, monkeypatch):
+        # One unpack for the all-pairs histogram, then one per listed vertex
+        # with a child in the pass rooted at 0; leaves cost none.
+        calls = []
+        unpack = tree_core._unpack
+
+        def counted(x, lane, count):
+            calls.append(count)
+            return unpack(x, lane, count)
+
+        monkeypatch.setattr(tree_core, "_unpack", counted)
+        for t in (sample_tree(300, random.Random(5)).tree(), make_broom(4, 20)[0]):
+            with_child = sum(len(t.adj[v]) > (v != 0) for v in range(t.n))
+            assert 2 * with_child < t.n
+            calls.clear()
+            prefix_counts(t, range(t.n))
+            assert len(calls) == 1 + with_child
 
 
 class TestLaneWidth:
