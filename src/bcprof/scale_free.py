@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import lt, sub, truediv
+from operator import itemgetter, lt, sub, truediv
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
     OutOfRangeError,
     PreconditionViolatedError,
 )
-from .tree_core import Tree, _parent_prefix_counts, tree_from_parents
+from .tree_core import Tree, _counts, _lane_bits, _parent_prefix_counts, tree_from_parents
 
 MAX_EXACT_N = 9  # product of (t-1) histories; 9 keeps it at 8! = 40320
 
@@ -387,22 +387,34 @@ def estimate_expected_profiles(
         raise OutOfRangeError(f"need k >= 2, got {k}")
     check_seed(seed)
     # One row of doubles BC_k(v) = P_k(v) / P_k, k = 2..d, per vertex and
-    # trial; int / int rounds correctly. Equal rows of a trial (every
-    # leaf's zero row) share one array. Every value is kept to the end,
-    # because the standard error needs the mean first.
+    # trial, from _counts's per-length rows; int / int rounds correctly.
+    # A zero row (every leaf's, about two thirds of them) is kept as None:
+    # only non-zero rows are keyed, prefix-summed, divided and padded, and
+    # equal ones of a trial share one array. Every value is kept to the
+    # end, because the standard error needs the mean first.
+    lane, vertices = _lane_bits(n), range(n)
     ratios = []
+    max_d = 0
     for trial in range(trials):
         rng = random.Random(substream_seed(seed, trial))
-        Pk, Pkv = sample_tree(n, rng).prefix_counts(range(n))
-        keys = list(map(tuple, Pkv))
-        bc = {key: array("d", map(truediv, key[2:], Pk[2:])) for key in dict.fromkeys(keys)}
-        ratios.append(list(map(bc.__getitem__, keys)))
-    max_d = 1 + max(len(r[0]) for r in ratios)
+        p, counts = _counts(vertices, sample_tree(n, rng)._parent_array(), lane, vertices)
+        max_d = max(max_d, len(p) - 1)
+        Pk = list(itertools.accumulate(p))[2:]
+        keys = [tuple(row) if any(row) else None for row in counts]
+        bc = {
+            key: array("d", map(truediv, itertools.islice(itertools.accumulate(key), 2, None), Pk))
+            for key in dict.fromkeys(keys) if key is not None
+        }
+        ratios.append(list(map(bc.get, keys)))
+    zeros = (0.0,) * (max_d - 1)
     rows = []
     for v in range(n):
         # Column k holds one value per trial, in trial order; past its
-        # diameter d a trial holds BC_d(v).
-        columns = list(zip(*(r[v] + r[v][-1:] * (max_d - 1 - len(r[v])) for r in ratios)))
+        # diameter d a trial holds BC_d(v), and a zero row 0.0 throughout.
+        columns = list(zip(*(
+            zeros if x is None else x + x[-1:] * (max_d - 1 - len(x))
+            for x in map(itemgetter(v), ratios)
+        )))
         for col in range(2, max_d + 1) if k is None else (min(k, max_d),):
             values = columns[col - 2]
             # Left to right, as sum() added floats before Python 3.12 made

@@ -263,7 +263,10 @@ def _counts(
     n = 1) lies inside no path, so it gets the zero row with no walk, no
     up[v] and no unpack. No ancestor chain passes through it, so the memo
     still holds all a later vertex needs. All such rows are one shared
-    list; every caller copies each row before it leaves the engine.
+    list. _prefix_rows and _finish_table copy each row before it leaves
+    the engine; the one caller that reads the shared row itself is the
+    Monte Carlo estimator (scale_free.estimate_expected_profiles), which
+    neither mutates nor returns it.
     """
     top = dict.fromkeys(vertices, 0)
     down, pairs = _merge_up(order, parent, lane, top)

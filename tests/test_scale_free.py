@@ -8,8 +8,10 @@ import random
 import re
 import subprocess
 import sys
+from array import array
 from collections import Counter, defaultdict
 from fractions import Fraction
+from operator import truediv
 from pathlib import Path
 
 import pytest
@@ -41,10 +43,62 @@ from bcprof import (
     splitmix64,
     substream_seed,
 )
-from bcprof import scale_free
-from bcprof.scale_free import _presence_table
+from bcprof import scale_free, tree_core
+from bcprof.scale_free import _presence_table, check_seed
 from bcprof.tree_core import _parent_prefix_counts
 from bcprof.verify import run_check
+
+
+def reference_estimate(n, trials, seed, k=None):
+    """The estimator as it was when every trial went through prefix_counts
+    and each vertex's zero row was keyed, divided and padded like any
+    other; kept verbatim as the reference for byte-equal output."""
+    if n < 3:
+        raise OutOfRangeError(f"need n >= 3 for nonempty profiles, got {n}")
+    if trials < 1:
+        raise OutOfRangeError(f"need trials >= 1, got {trials}")
+    # Paths of length 0 or 1 have no interior vertex.
+    if k is not None and k < 2:
+        raise OutOfRangeError(f"need k >= 2, got {k}")
+    check_seed(seed)
+    # One row of doubles BC_k(v) = P_k(v) / P_k, k = 2..d, per vertex and
+    # trial; int / int rounds correctly. Equal rows of a trial (every
+    # leaf's zero row) share one array. Every value is kept to the end,
+    # because the standard error needs the mean first.
+    ratios = []
+    for trial in range(trials):
+        rng = random.Random(substream_seed(seed, trial))
+        Pk, Pkv = sample_tree(n, rng).prefix_counts(range(n))
+        keys = list(map(tuple, Pkv))
+        bc = {key: array("d", map(truediv, key[2:], Pk[2:])) for key in dict.fromkeys(keys)}
+        ratios.append(list(map(bc.__getitem__, keys)))
+    max_d = 1 + max(len(r[0]) for r in ratios)
+    rows = []
+    for v in range(n):
+        # Column k holds one value per trial, in trial order; past its
+        # diameter d a trial holds BC_d(v).
+        columns = list(zip(*(r[v] + r[v][-1:] * (max_d - 1 - len(r[v])) for r in ratios)))
+        for col in range(2, max_d + 1) if k is None else (min(k, max_d),):
+            values = columns[col - 2]
+            # Left to right, as sum() added floats before Python 3.12 made
+            # it compensated, so every supported Python prints these bytes.
+            total = 0.0
+            for x in values:
+                total += x
+            mean = total / trials
+            if trials > 1:
+                total = 0.0
+                for x in values:
+                    total += (x - mean) ** 2
+                var = total / (trials - 1)
+                stderr = math.sqrt(var / trials)
+            else:
+                stderr = 0.0
+            rows.append(
+                {"vertex": v + 1, "k": col if k is None else k, "mean": mean,
+                 "stderr": stderr, "trials": trials}
+            )
+    return rows
 
 
 class TestRng:
@@ -483,6 +537,48 @@ class TestEstimateExpectedProfiles:
         for r in rows:
             want = float(exact[r["vertex"], r["k"]])
             assert abs(r["mean"] - want) <= 4 * r["stderr"], (r, want)
+
+    @pytest.mark.parametrize("n", (3, 4, 8, 30, 60))
+    def test_equals_the_reference_byte_for_byte(self, n):
+        mixed = 0
+        for trials, seed in itertools.product((1, 2, 37, 200), range(4)):
+            for k in (None, 2, 3, 99):
+                got = estimate_expected_profiles(n, trials, seed, k)
+                assert repr(got) == repr(reference_estimate(n, trials, seed, k))
+            # A vertex childless in some trials and not in others mixes
+            # zero and non-zero entries in one column.
+            parents = [
+                set(sample_tree(n, random.Random(substream_seed(seed, t))).parents)
+                for t in range(trials)
+            ]
+            with_child = Counter(itertools.chain.from_iterable(parents))
+            mixed += any(0 < c < trials for c in with_child.values())
+        assert mixed
+
+    def test_divides_each_distinct_non_zero_row_once(self, monkeypatch):
+        # The op of `expect --n 60 --trials 200 --seed 1`: one ratio array
+        # per distinct non-zero row of each trial, and no prefix-sum copy
+        # of any row.
+        n, trials, seed = 60, 200, 1
+        want = 0
+        for t in range(trials):
+            _, Pkv = sample_tree(n, random.Random(substream_seed(seed, t))).prefix_counts(range(n))
+            want += len({tuple(row) for row in Pkv if any(row)})
+        built = []
+
+        def counted(*args):
+            built.append(args[0])
+            return array(*args)
+
+        def no_prefix_rows(*args):
+            raise AssertionError("the estimator copied rows through _prefix_rows")
+
+        monkeypatch.setattr(scale_free, "array", counted)
+        monkeypatch.setattr(tree_core, "_prefix_rows", no_prefix_rows)
+        rows = estimate_expected_profiles(n, trials, seed)
+        assert len(built) == want < trials * n / 2
+        monkeypatch.undo()
+        assert rows == reference_estimate(n, trials, seed)
 
     def test_expected_ordering_shows_up(self):
         rows = estimate_expected_profiles(20, trials=300, seed=11)
