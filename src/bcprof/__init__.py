@@ -76,9 +76,7 @@ from .scale_free import (
     estimate_expected_profiles,
     exact_expected_pk,
     exact_path_presence_prob,
-    injection_case,
-    injection_f,
-    injection_ratio,
+    injection,
     path_probability,
     sample_tree,
     signature_of_path,

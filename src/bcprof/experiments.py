@@ -115,7 +115,8 @@ CHUNK = 64
 
 def worker_count(tasks: int) -> int:
     """Worker count for `tasks` trials: BCPROF_THREADS (0 means every CPU),
-    capped at the CPU count and at the number of CHUNK-task chunks."""
+    capped at the CPUs this process may run on (its affinity set where the
+    platform has one) and at the number of CHUNK-task chunks."""
     raw = os.environ.get("BCPROF_THREADS", "1")
     try:
         value = int(raw)
@@ -123,7 +124,10 @@ def worker_count(tasks: int) -> int:
         value = -1
     if value < 0:
         raise BadSpecError(f"BCPROF_THREADS must be a non-negative integer, got {raw!r}")
-    cpus = os.cpu_count() or 1
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
     return min(value or cpus, cpus, -(-tasks // CHUNK))
 
 

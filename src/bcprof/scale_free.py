@@ -318,53 +318,31 @@ def exact_expected_pk(n: int, v: int, k: int) -> Fraction:
     return by_history
 
 
-def injection_case(sig: PathSignature, v: int) -> int:
-    """Which of the six map cases applies for shifting v+1 toward v."""
-    if v + 1 not in sig.interior:
-        raise PreconditionViolatedError(f"{v + 1} is not interior in {sig}")
-    if v in sig.interior:
-        return 1
-    if v not in sig.vertices:
-        if v + 1 == sig.c:
-            return 2
-        if v + 1 in sig.R:
-            return 3
-        return 4  # v+1 in L
-    # v in path but not interior; v = b is impossible since v+1 < b
-    if v != sig.a:
-        raise AssertionError(f"{v} is an endpoint of {sig} but not a")
-    return 5 if sig.a == sig.c else 6
+def injection(sig: PathSignature, v: int) -> tuple[int, PathSignature, Fraction]:
+    """Theorem 3's length-preserving map moving v+1 to v, for v+1 interior.
 
-
-def injection_f(sig: PathSignature, v: int) -> PathSignature:
-    """The length-preserving map into paths with v interior."""
-    case = injection_case(sig, v)
+    Returns (case, image, ratio): which of the six cases applies, the image
+    path, in which v is interior, and the exact ratio
+    path_probability(image) / path_probability(sig).
+    """
     a, b, c, L, R = sig.a, sig.b, sig.c, sig.L, sig.R
     w = v + 1
-    if case == 1:
-        return sig
-    if case == 2:
-        return PathSignature(a=a, b=b, c=v, L=L, R=R)
-    if case == 3:
-        return PathSignature(a=a, b=b, c=c, L=L, R=(R - {w}) | {v})
-    if case == 4:
-        return PathSignature(a=a, b=b, c=c, L=(L - {w}) | {v}, R=R)
-    if case == 5:
-        return PathSignature(a=w, b=b, c=v, L=frozenset(), R=R - {w})
-    return PathSignature(a=w, b=b, c=c, L=L | {v}, R=R - {w})
-
-
-def injection_ratio(v: int, case: int) -> Fraction:
-    """Exact factor q(f(P)) / q(P) for each map case."""
-    if case == 1 or case == 6:
-        return Fraction(1)
-    if case == 2 or case == 4:
-        return Fraction(2 * v + 1, 2 * v - 1)
-    if case == 3:
-        return Fraction(2 * v, 2 * v - 2)
-    if case == 5:
-        return Fraction(2)
-    raise OutOfRangeError(f"unknown injection case {case}")
+    if w not in sig.interior:
+        raise PreconditionViolatedError(f"{w} is not interior in {sig}")
+    if v in sig.interior:
+        return 1, sig, Fraction(1)
+    if v not in sig.vertices:
+        if w == c:
+            return 2, PathSignature(a, b, v, L, R), Fraction(2 * v + 1, 2 * v - 1)
+        if w in R:
+            return 3, PathSignature(a, b, c, L, (R - {w}) | {v}), Fraction(2 * v, 2 * v - 2)
+        return 4, PathSignature(a, b, c, (L - {w}) | {v}, R), Fraction(2 * v + 1, 2 * v - 1)
+    # v in path but not interior; v = b is impossible since v+1 < b
+    if v != a:
+        raise AssertionError(f"{v} is an endpoint of {sig} but not a")
+    if a == c:
+        return 5, PathSignature(w, b, v, frozenset(), R - {w}), Fraction(2)
+    return 6, PathSignature(w, b, c, L | {v}, R - {w}), Fraction(1)
 
 
 def estimate_expected_profiles(

@@ -19,9 +19,7 @@ from .scale_free import (
     all_candidate_paths,
     exact_expected_pk,
     exact_path_presence_prob,
-    injection_case,
-    injection_f,
-    injection_ratio,
+    injection,
     path_probability,
     signature_of_path,
 )
@@ -262,13 +260,11 @@ def check_theorem3(max_size: int = 7) -> Cases:
                 v = w - 1
                 if v < 1:
                     continue
-                case = injection_case(sig, v)
-                img = injection_f(sig, v)
+                case, img, ratio = injection(sig, v)
                 if img.length != sig.length:
                     return f"f not length-preserving on {sig}, v={v}"
                 if v not in img.interior:
                     return f"v={v} not interior in image of {sig}"
-                ratio = injection_ratio(v, case)
                 if path_probability(img) != prob * ratio:
                     return f"ratio mismatch (case {case}) on {sig}, v={v}"
                 key = (v, sig.length, img)

@@ -254,6 +254,12 @@ class TestExactCurves:
                 assert abs(row["estimate"] - float(exact)) <= 4 * sigma, (x, row, exact)
 
 
+def _allow_cpus(monkeypatch, cpus, host=None):
+    """Let the process run on `cpus` CPUs of a host with `host` (default `cpus`)."""
+    monkeypatch.setattr("os.cpu_count", lambda: cpus if host is None else host)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 class TestDeterminism:
     def test_rerun_identical(self):
         cfg = ExperimentConfig(which="no_cross_12_vs_n", grid=(8, 12), trials=30, seed=4)
@@ -288,13 +294,13 @@ class TestDeterminism:
 
     def test_worker_count_invariant(self, monkeypatch):
         # 3 x 70 trials: each process takes every W-th trial of each point,
-        # W = 2 and 3. The CPU count is raised so that the children run on
-        # any machine.
+        # W = 2 and 3. The CPUs the process may run on are raised so that
+        # the children run on any machine.
         cfg = ExperimentConfig(which="monotone_1_vs_n", grid=(10, 4, 25), trials=70, seed=6)
         monkeypatch.setenv("BCPROF_THREADS", "1")
         serial = render_csv(run_experiment(cfg))
         for workers in (2, 3):
-            monkeypatch.setattr("os.cpu_count", lambda: workers)
+            _allow_cpus(monkeypatch, workers)
             monkeypatch.setenv("BCPROF_THREADS", str(workers))
             res = run_experiment(cfg)
             assert res.workers == workers
@@ -322,7 +328,7 @@ class TestChildren:
 
     @pytest.fixture(autouse=True)
     def two_workers(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        _allow_cpus(monkeypatch, 2)
         monkeypatch.setenv("BCPROF_THREADS", "2")
         yield
         assert multiprocessing.active_children() == []
@@ -353,6 +359,7 @@ class TestChildren:
 
 class TestWorkerCount:
     # No experiment runs here: the worker count is computed and no child starts.
+    # `cpus` is how many CPUs the process may run on, of a host with 8.
     @pytest.mark.parametrize("raw, cpus, tasks, expected", [
         ("1", 8, 1000, 1),
         ("0", 8, 1000, 8),
@@ -361,16 +368,25 @@ class TestWorkerCount:
         ("2", 8, 65, 2),
         ("2", 8, 64, 1),
         ("0", 4, 0, 0),
+        ("0", 1, 30000, 1),  # capped at the affinity set, not the host's CPUs
     ])
     def test_pool_size(self, monkeypatch, raw, cpus, tasks, expected):
         monkeypatch.setenv("BCPROF_THREADS", raw)
-        monkeypatch.setattr("os.cpu_count", lambda: cpus)
+        _allow_cpus(monkeypatch, cpus, host=8)
         assert worker_count(tasks) == expected
+
+    @pytest.mark.parametrize("host, expected", [(3, 3), (None, 1)])
+    def test_cpu_count_without_affinity(self, monkeypatch, host, expected):
+        # Where the platform has no affinity set, the host's count caps W.
+        monkeypatch.setenv("BCPROF_THREADS", "0")
+        monkeypatch.delattr("os.sched_getaffinity", raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: host)
+        assert worker_count(1000) == expected
 
     @pytest.mark.parametrize("raw", ("-1", "-99999", "x", "1.5", ""))
     def test_rejects_negative_and_non_integer(self, monkeypatch, raw):
         monkeypatch.setenv("BCPROF_THREADS", raw)
-        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        _allow_cpus(monkeypatch, 2)
         with pytest.raises(BadSpecError, match="BCPROF_THREADS"):
             worker_count(1000)
 

@@ -31,9 +31,7 @@ from bcprof import (
     estimate_expected_profiles,
     exact_expected_pk,
     exact_path_presence_prob,
-    injection_case,
-    injection_f,
-    injection_ratio,
+    injection,
     path_counts_fast,
     path_counts_naive,
     path_probability,
@@ -443,32 +441,37 @@ class TestInjection:
     def test_precondition(self):
         sig = signature_of_path((1, 2, 3))
         with pytest.raises(PreconditionViolatedError):
-            injection_case(sig, 5)
+            injection(sig, 5)
 
     def test_length_preserving_and_lands_interior(self):
         for sig, v in _interior_shift_domain(7):
-            img = injection_f(sig, v)
+            _, img, _ = injection(sig, v)
             assert img.length == sig.length
             assert v in img.interior
 
     def test_ratio_matches_probabilities(self):
         for sig, v in _interior_shift_domain(7):
-            case = injection_case(sig, v)
-            ratio = injection_ratio(v, case)
+            _, img, ratio = injection(sig, v)
             assert ratio >= 1
-            assert path_probability(injection_f(sig, v)) == path_probability(sig) * ratio
+            assert path_probability(img) == path_probability(sig) * ratio
 
     def test_injective_per_vertex(self):
         images = {}
         for sig, v in _interior_shift_domain(7):
-            key = (v, injection_f(sig, v))
+            key = (v, injection(sig, v)[1])
             assert key not in images or images[key] == sig
             images[key] = sig
 
     def test_identity_when_already_interior(self):
         sig = signature_of_path((4, 2, 3, 5))  # interior {2, 3}
-        assert injection_case(sig, 2) == 1
-        assert injection_f(sig, 2) == sig
+        assert injection(sig, 2) == (1, sig, 1)
+
+    @pytest.mark.parametrize("max_label, cases", [
+        (4, {1, 2, 3, 5, 6}),  # case 4 needs c < v < v+1 < a < b, so b >= 5
+        (7, {1, 2, 3, 4, 5, 6}),  # theorem3's default size reaches every case
+    ])
+    def test_cases_reached(self, max_label, cases):
+        assert {injection(sig, v)[0] for sig, v in _interior_shift_domain(max_label)} == cases
 
 
 class TestEstimateExpectedProfiles:

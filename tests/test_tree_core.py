@@ -495,6 +495,9 @@ class TestTreeIo:
         (["3 3", "0 1"], BadSpecError, "line 1: expected 1 integer(s), got '3 3'"),
         (["0"], OutOfRangeError, "vertex count must be >= 1, got 0"),
         (["3", "0 1"], WrongEdgeCountError, "tree on 3 vertices needs 2 edges, got 1"),
+        # n - 1 edges with a cycle: away from vertex 0, then through it
+        (["5", "0 1", "2 3", "3 4", "4 2"], DisconnectedError, "graph is not connected"),
+        (["4", "0 1", "1 2", "2 0"], DisconnectedError, "graph is not connected"),
     )
 
     @pytest.mark.parametrize("lines, error, message", FAULTS)

@@ -265,8 +265,22 @@ def _flat_profile(orig):
 
 def _extra_label(orig):
     def f(sig, v):
-        img = orig(sig, v)
-        return dataclasses.replace(img, R=img.R | {99})
+        case, img, ratio = orig(sig, v)
+        return case, dataclasses.replace(img, R=img.R | {99}), ratio
+    return f
+
+
+def _identity_image(orig):
+    def f(sig, v):
+        case, _, ratio = orig(sig, v)
+        return case, sig, ratio
+    return f
+
+
+def _doubled_ratio(orig):
+    def f(sig, v):
+        case, img, ratio = orig(sig, v)
+        return case, img, 2 * ratio
     return f
 
 
@@ -276,8 +290,9 @@ def _shared_image(orig):
     seen = {}
 
     def f(sig, v):
-        key = (v, sig.length, verify.injection_case(sig, v), verify.path_probability(sig))
-        return seen.setdefault(key, orig(sig, v))
+        case, img, ratio = orig(sig, v)
+        key = (v, sig.length, case, verify.path_probability(sig))
+        return case, seen.setdefault(key, img), ratio
     return f
 
 
@@ -363,16 +378,16 @@ FAULTS = {
                                       "[Fraction(0, 1), Fraction(1, 5), Fraction(11, 15), "
                                       "Fraction(8, 5)]"),
         ]),
-    "theorem3-length": ("theorem3", 4, "injection_f", _extra_label, 3, [
+    "theorem3-length": ("theorem3", 4, "injection", _extra_label, 3, [
         ("injection labels <= 4", f"f not length-preserving on {SIG_13}, v=1"),
     ]),
-    "theorem3-interior": ("theorem3", 4, "injection_f", lambda orig: lambda sig, v: sig, 3, [
+    "theorem3-interior": ("theorem3", 4, "injection", _identity_image, 3, [
         ("injection labels <= 4", f"v=1 not interior in image of {SIG_13}"),
     ]),
-    "theorem3-ratio": (
-        "theorem3", 4, "injection_ratio", lambda orig: lambda v, case: 2 * orig(v, case),
-        3, [("injection labels <= 4", f"ratio mismatch (case 5) on {SIG_13}, v=1")]),
-    "theorem3-injective": ("theorem3", 5, "injection_f", _shared_image, 4, [
+    "theorem3-ratio": ("theorem3", 4, "injection", _doubled_ratio, 3, [
+        ("injection labels <= 4", f"ratio mismatch (case 5) on {SIG_13}, v=1"),
+    ]),
+    "theorem3-injective": ("theorem3", 5, "injection", _shared_image, 4, [
         ("injection labels <= 5",
          "f not injective at v=1: "
          "PathSignature(a=3, b=5, c=1, L=frozenset({2}), R=frozenset({4})) and "
