@@ -236,8 +236,9 @@ def cmd_verify(args) -> int:
         print(f"{status} {report.check} {case.name}{suffix}")
     print(f"{report.check}: {'pass' if report.passed else 'FAIL'} "
           f"({len(report.cases)} cases)")
-    # Stdout carries only the cases; the timing goes to stderr.
-    print(f"{report.check}: {seconds:.3f} s", file=sys.stderr)
+    # Stdout carries only the cases; the timing and worker count go to stderr.
+    workers = f"{report.workers} worker{'' if report.workers == 1 else 's'}"
+    print(f"{report.check}: {seconds:.3f} s, {workers}", file=sys.stderr)
     return 0 if report.passed else 1
 
 

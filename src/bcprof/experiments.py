@@ -2,10 +2,9 @@
 
 Each (grid point, trial) pair gets its own PRNG substream, and a grid
 point's estimate is an integer count of hits, so results are byte-identical
-regardless of worker count. With W workers, process r runs trials
-t = r (mod W) of every grid point: the calling process is r = 0 and runs
-its share beside W - 1 child processes, each of which sends back one hit
-count per point. Raw prefix counts P_k(v) share
+regardless of worker count. With W workers (see workers.py), process r
+runs trials t = r (mod W) of every grid point and counts its hits per
+point; the parent adds them. Raw prefix counts P_k(v) share
 the tree-wide normalization P_k, so crossing indicators compare integer
 counts directly. Monotonicity compares BC_k(v) = P_k(v) / P_k with
 BC_{k+1}(v) by cross-multiplying, since P_k > 0 for 2 <= k <= d, so it is
@@ -16,7 +15,6 @@ from __future__ import annotations
 
 import datetime
 import json
-import os
 import platform
 import random
 import sys
@@ -24,13 +22,13 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from math import sqrt
-from operator import add
 from typing import Sequence
 
 from . import __version__
 from .errors import BadSpecError, OutOfRangeError
 from .profile_analysis import count_crossings
 from .scale_free import check_seed, sample_tree, substream_seed
+from .workers import run_shares, worker_count
 
 # The 0-based vertices a trial of each kind lists at grid point x: two
 # vertices are tested for a crossing, one for monotonicity.
@@ -108,29 +106,6 @@ def _trial_indicator(which: str, x: int, fixed_n: int, seed: int, trial: int) ->
     return min(steps, default=0) >= 0 or max(steps, default=0) <= 0
 
 
-# The fewest trials worth a worker: a run of fewer trials per worker than
-# this is better served by fewer workers.
-CHUNK = 64
-
-
-def worker_count(tasks: int) -> int:
-    """Worker count for `tasks` trials: BCPROF_THREADS (0 means every CPU),
-    capped at the CPUs this process may run on (its affinity set where the
-    platform has one) and at the number of CHUNK-task chunks."""
-    raw = os.environ.get("BCPROF_THREADS", "1")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise BadSpecError(f"BCPROF_THREADS must be a non-negative integer, got {raw!r}")
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(value or cpus, cpus, -(-tasks // CHUNK))
-
-
 def _share_hits(cfg: ExperimentConfig, first: int, stride: int) -> tuple[list[int], list[float]]:
     """Hits at each grid point over trials first, first + stride, ..., and
     the seconds each point took."""
@@ -145,55 +120,12 @@ def _share_hits(cfg: ExperimentConfig, first: int, stride: int) -> tuple[list[in
     return hits, seconds
 
 
-def _child_share(conn, cfg: ExperimentConfig, first: int, stride: int) -> None:
-    """A child's share: sends its hits per point, or what stopped it."""
-    try:
-        result = _share_hits(cfg, first, stride)[0]
-    except BaseException as exc:
-        result = exc
-    conn.send(result)
-    conn.close()
-
-
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     start = time.monotonic()
     workers = worker_count(cfg.trials * len(cfg.grid))
-    children = []
-    try:
-        if workers > 1:
-            # Imported here: only a run with children needs it. Where the
-            # default start method is fork (Linux before Python 3.14), a
-            # child starts without importing bcprof again.
-            import multiprocessing
-
-            ctx = multiprocessing.get_context()
-            for first in range(1, workers):
-                recv, send = ctx.Pipe(duplex=False)
-                args = (send, cfg, first, workers)
-                child = ctx.Process(target=_child_share, args=args, daemon=True)
-                child.start()
-                send.close()
-                children.append((child, recv))
-        point_hits, grid_seconds = _share_hits(cfg, 0, workers)
-        for child, recv in children:
-            try:
-                share = recv.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(
-                    f"experiment worker exited with code {child.exitcode} before sending its hits"
-                ) from None
-            if isinstance(share, BaseException):
-                raise share
-            point_hits = list(map(add, point_hits, share))
-    except BaseException:
-        for child, _ in children:
-            child.terminate()
-        raise
-    finally:
-        for child, recv in children:
-            child.join()
-            recv.close()
+    shares = run_shares(_share_hits, (cfg,), workers)
+    point_hits = [sum(hits) for hits in zip(*(hits for hits, _ in shares))]
+    grid_seconds = shares[0][1] if shares else []
     rows = []
     for x, hits in zip(cfg.grid, point_hits):
         estimate = hits / cfg.trials

@@ -1,17 +1,19 @@
 """Named verification suites: each closed form or inequality against an oracle.
 
-Each suite sweeps finite instances and yields one (case name, failure) pair
-per instance, where failure is the text of the instance's first
-counterexample, or "" when it holds; `run_check` builds the report. Every
-comparison is exact (integers or fractions); the suites are the same ones
-the acceptance tests run.
+Each suite sweeps finite instances and lists one (case name, check) pair
+per instance, where check() returns the text of the instance's first
+counterexample, or "" when it holds. Listing does no checking, so
+`run_check` can split the checks across worker processes (see workers.py)
+and build the report in case order. Every comparison is exact (integers or
+fractions); the suites are the same ones the acceptance tests run.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Sequence
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .errors import BadSpecError, OutOfRangeError, UnknownCheckError
 from .profile_analysis import count_crossings, count_dips
@@ -37,6 +39,7 @@ from .tree_families import (
     make_tell,
     tabulated_gij_k_values,
 )
+from .workers import run_shares, worker_count
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -53,6 +56,7 @@ class CheckCase:
 class CheckReport:
     check: str
     cases: tuple[CheckCase, ...]
+    workers: int = field(compare=False, default=1)
 
     @property
     def passed(self) -> bool:
@@ -60,7 +64,8 @@ class CheckReport:
         return bool(self.cases) and all(c.passed for c in self.cases)
 
 
-Cases = Iterator[tuple[str, str]]
+Case = tuple[str, Callable[[], str]]  # (case name, check() -> failure text)
+Cases = Iterator[Case]
 
 
 def _prop1_lane(n: int) -> int:
@@ -105,8 +110,8 @@ def check_prop1(max_size: int = 200) -> Cases:
     counted. Their rows are packed column by column, one lane per row, so
     each k is decided for every row by one exact subtraction.
     """
-    _prop1_lane(max_size)  # reject an oversized sweep before its first case
-    for n in range(2, max_size + 1):
+
+    def failure(n: int) -> str:
         Pk, rows = prefix_counts(make_path(n), range(n // 2 + 1))
         # A pair crosses iff its raw-count difference takes both signs, so
         # no pair crosses iff the rows, sorted by sum, form a chain.
@@ -117,7 +122,11 @@ def check_prop1(max_size: int = 200) -> Cases:
         # BC_k <= BC_{k+1} by cross-multiplication (shared denominators).
         mono = _packed_monotone(Pk[2:], columns, guard)
         no_cross = _packed_chain(columns, lane, guard)
-        yield f"path n={n}", "" if mono and no_cross else f"monotone={mono}, no_cross={no_cross}"
+        return "" if mono and no_cross else f"monotone={mono}, no_cross={no_cross}"
+
+    _prop1_lane(max_size)  # reject an oversized sweep before its first case
+    for n in range(2, max_size + 1):
+        yield f"path n={n}", partial(failure, n)
 
 
 def check_corollary1(max_size: int = 50) -> Cases:
@@ -137,7 +146,7 @@ def check_corollary1(max_size: int = 50) -> Cases:
         return ""
 
     for n in range(2, max_size + 1):
-        yield f"path n={n}", failure(n)
+        yield f"path n={n}", partial(failure, n)
 
 
 def check_gij_tables(max_size: int = 5) -> Cases:
@@ -162,7 +171,7 @@ def check_gij_tables(max_size: int = 5) -> Cases:
 
     for i in range(3, max_size + 1):
         for j in (5, 6, 7):
-            yield f"G(i={i}, j={j})", failure(i, j)
+            yield f"G(i={i}, j={j})", partial(failure, i, j)
 
 
 def check_theorem1(max_size: int = 10) -> Cases:
@@ -192,7 +201,7 @@ def check_theorem1(max_size: int = 10) -> Cases:
         return f"dip count {dips} < {i - 2}" if dips < i - 2 else ""
 
     for i in range(3, max_size + 1):
-        yield f"G(i={i}, j=5)", failure(i)
+        yield f"G(i={i}, j=5)", partial(failure, i)
 
 
 def check_tell(max_size: int = 3) -> Cases:
@@ -210,21 +219,28 @@ def check_tell(max_size: int = 3) -> Cases:
         return f"crossings {crossings} < {2 * l - 3}" if crossings < 2 * l - 3 else ""
 
     for l in range(1, max_size + 1):
-        yield f"l={l}", failure(l)
+        yield f"l={l}", partial(failure, l)
 
 
 def check_prop2() -> Cases:
     """Finite witnesses of the double-broom gap and the broom dominance."""
-    profiles = []
-    for t, v in (make_double_broom(10, 1000), make_broom(1000, 50)):
-        Pk, (Pkv,) = prefix_counts(t, [v])
-        profiles.append([Fraction(Pkv[k], Pk[k]) for k in range(2, len(Pk))])
-    double, broom = profiles
 
-    ok = all(bc / double[-1] < Fraction(1, 10) for bc in double[:-1])
-    yield "double broom m=10, n=1000", "" if ok else "ratio >= 1/10 at some k < d"
-    # delta = 0.05: check k <= delta^2 * m = 2.5, i.e. k = 2.
-    yield "broom m=1000, n=50", "" if broom[0] / broom[-1] > 2 else "ratio <= 2 at k=2"
+    def bc(t, v) -> list[Fraction]:
+        Pk, (Pkv,) = prefix_counts(t, [v])
+        return [Fraction(Pkv[k], Pk[k]) for k in range(2, len(Pk))]
+
+    def double_broom_failure() -> str:
+        double = bc(*make_double_broom(10, 1000))
+        ok = all(x / double[-1] < Fraction(1, 10) for x in double[:-1])
+        return "" if ok else "ratio >= 1/10 at some k < d"
+
+    def broom_failure() -> str:
+        # delta = 0.05: check k <= delta^2 * m = 2.5, i.e. k = 2.
+        broom = bc(*make_broom(1000, 50))
+        return "" if broom[0] / broom[-1] > 2 else "ratio <= 2 at k=2"
+
+    yield "double broom m=10, n=1000", double_broom_failure
+    yield "broom m=1000, n=50", broom_failure
 
 
 def check_lemma1(max_size: int = 7) -> Cases:
@@ -239,7 +255,7 @@ def check_lemma1(max_size: int = 7) -> Cases:
         return ""
 
     for n in range(2, max_size + 1):
-        yield f"n={n}", failure(n)
+        yield f"n={n}", partial(failure, n)
 
 
 def check_theorem3(max_size: int = 7) -> Cases:
@@ -274,8 +290,8 @@ def check_theorem3(max_size: int = 7) -> Cases:
         return "" if images else "no (path, v) pair to check"
 
     for n in range(3, max_size + 1):
-        yield f"expectation order n={n}", order_failure(n)
-    yield f"injection labels <= {max_size}", injection_failure()
+        yield f"expectation order n={n}", partial(order_failure, n)
+    yield f"injection labels <= {max_size}", injection_failure
 
 
 _CHECKS = {
@@ -292,19 +308,37 @@ _CHECKS = {
 CHECK_NAMES = tuple(_CHECKS)
 
 
-def run_check(name: str, max_size: int | None = None) -> CheckReport:
-    """Run one suite; `max_size` replaces the suite's own default when given."""
+def _cases(name: str, max_size: int | None) -> list[Case]:
+    """The suite's (case name, check) pairs; `max_size` replaces the suite's
+    own default when given. Size errors are raised here, before any check."""
     if name not in _CHECKS:
         raise UnknownCheckError(
             f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}"
         )
     func = _CHECKS[name]
     if max_size is None:
-        cases = func()
-    elif func is check_prop2:
+        return list(func())
+    if func is check_prop2:
         raise BadSpecError(f"{name} checks fixed instances and takes no max size")
-    else:
-        cases = func(max_size)
+    return list(func(max_size))
+
+
+def _share_failures(name: str, max_size: int | None, first: int, stride: int) -> list[str]:
+    """Failure texts of cases first, first + stride, ... of one suite. A child
+    worker lists the cases itself, so it needs only these arguments."""
+    return [check() for _, check in _cases(name, max_size)[first::stride]]
+
+
+def run_check(name: str, max_size: int | None = None) -> CheckReport:
+    """Run one suite; `max_size` replaces the suite's own default when given.
+    The cases are split across BCPROF_THREADS workers, at most one per case."""
+    cases = _cases(name, max_size)
+    workers = worker_count(len(cases), chunk=1)
+    failures = [""] * len(cases)
+    for r, share in enumerate(run_shares(_share_failures, (name, max_size), workers)):
+        failures[r::workers] = share
     return CheckReport(
-        name, tuple(CheckCase(name=case, detail=failure) for case, failure in cases)
+        name,
+        tuple(CheckCase(name=case, detail=failure) for (case, _), failure in zip(cases, failures)),
+        workers,
     )

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_experiments import _allow_cpus
 from test_verify import PINNED as VERIFY_PINNED
 
 import bcprof
@@ -504,13 +505,17 @@ class TestVerifyCmd:
         code, _, err = run_cli(capsys, "verify", "--check", "bogus")
         assert code == 25 and "unknown check" in err
 
-    def test_seconds_on_stderr_only(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--check", "lemma1", "--max-size", "4")
-        assert code == 0
-        # The bytes verify wrote before it reported its time.
-        assert out == ("PASS lemma1 n=2\nPASS lemma1 n=3\nPASS lemma1 n=4\n"
-                       "lemma1: pass (3 cases)\n")
-        assert re.fullmatch(r"lemma1: \d+\.\d{3} s\n", err)
+    def test_seconds_on_stderr_only(self, capsys, monkeypatch):
+        # The bytes verify wrote before it reported its time and workers;
+        # stdout is the same for any worker count.
+        _allow_cpus(monkeypatch, 2)
+        for threads, workers in (("1", "1 worker"), ("2", "2 workers")):
+            monkeypatch.setenv("BCPROF_THREADS", threads)
+            code, out, err = run_cli(capsys, "verify", "--check", "lemma1", "--max-size", "4")
+            assert code == 0
+            assert out == ("PASS lemma1 n=2\nPASS lemma1 n=3\nPASS lemma1 n=4\n"
+                           "lemma1: pass (3 cases)\n")
+            assert re.fullmatch(rf"lemma1: \d+\.\d{{3}} s, {workers}\n", err)
 
 
 class TestMalformedInput:
@@ -821,22 +826,29 @@ class TestOptimizedBytes:
 
 
 def test_import_loads_no_process_machinery():
-    # Only `experiment` with more than one worker starts processes, and it
-    # imports multiprocessing then. Modules the interpreter loaded before
-    # bcprof (site hooks) are left out of the comparison.
+    # Only `experiment` and `verify` with more than one worker start
+    # processes, and they import multiprocessing then. Modules the
+    # interpreter loaded before bcprof (site hooks) are left out of the
+    # comparison; the first line lists what the import loaded, the second
+    # what a one-worker `verify` run loaded besides.
     code = (
-        "import sys\n"
+        "import contextlib, io, sys\n"
         "before = set(sys.modules)\n"
         "import bcprof.cli\n"
-        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+        "imported = set(sys.modules) - before\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert bcprof.cli.main(['verify', '--check', 'tell']) == 0\n"
+        "print(' '.join(sorted(imported)))\n"
+        "print(' '.join(sorted(set(sys.modules) - before - imported)))\n"
     )
     src = str(Path(bcprof.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        env={**os.environ, "PYTHONPATH": src, "BCPROF_THREADS": "1"}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    loaded = proc.stdout.split()
-    assert "bcprof.cli" in loaded
+    imported, ran = (line.split() for line in proc.stdout.split("\n")[:2])
+    assert "bcprof.cli" in imported
     # A submodule loads its package too, so the packages are enough to test.
-    assert {"multiprocessing", "concurrent.futures", "logging"}.isdisjoint(loaded)
+    for loaded in (imported, ran):
+        assert {"multiprocessing", "concurrent.futures", "logging"}.isdisjoint(loaded)

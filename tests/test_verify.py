@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import multiprocessing
+import re
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -9,9 +11,10 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_experiments import _allow_cpus
 
 import bcprof.verify as verify
-from bcprof import OutOfRangeError, make_gij, make_path, prefix_counts
+from bcprof import BadSpecError, OutOfRangeError, make_gij, make_path, prefix_counts
 from bcprof.cli import main
 from bcprof.profile_analysis import count_dips, dominates
 from bcprof.tree_core import _pack
@@ -29,6 +32,21 @@ from bcprof.verify import (
 def run_verify(capsys, *argv):
     code = main(["verify", "--check", *argv])
     return code, capsys.readouterr().out
+
+
+def _use_workers(monkeypatch, workers):
+    """BCPROF_THREADS = workers, with that many CPUs allowed, so the
+    children start on any machine."""
+    _allow_cpus(monkeypatch, workers)
+    monkeypatch.setenv("BCPROF_THREADS", str(workers))
+
+
+def _no_child(*args):
+    raise AssertionError("a worker process started")
+
+
+FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                               reason="children see a patched name only when forked")
 
 
 # sha256 of `bcprof verify --check <suite>` stdout at the suite's default
@@ -57,7 +75,7 @@ def test_default_size_pinned_bytes(capsys, suite):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[suite]
 
 
-@pytest.mark.parametrize("suite, size, out", [
+SIZES_THAT_CHECK_NOTHING = [
     ("prop1", "-3", "prop1: FAIL (0 cases)\n"),
     ("corollary1", "1", "corollary1: FAIL (0 cases)\n"),
     ("gij-tables", "2", "gij-tables: FAIL (0 cases)\n"),
@@ -68,9 +86,34 @@ def test_default_size_pinned_bytes(capsys, suite):
                       "theorem3: FAIL (1 cases)\n"),
     ("theorem3", "2", "FAIL theorem3 injection labels <= 2: no (path, v) pair to check\n"
                       "theorem3: FAIL (1 cases)\n"),
-])
+]
+
+
+@pytest.mark.parametrize("suite, size, out", SIZES_THAT_CHECK_NOTHING)
 def test_sizes_that_check_nothing_fail(capsys, suite, size, out):
     assert run_verify(capsys, suite, "--max-size", size) == (1, out)
+
+
+@pytest.mark.parametrize("workers", (2, 3))
+@pytest.mark.parametrize("suite, size, out", SIZES_THAT_CHECK_NOTHING)
+def test_sizes_that_check_nothing_start_no_child(monkeypatch, capsys, suite, size, out, workers):
+    # Workers are capped at the case count: none for 0 cases, one for 1.
+    _use_workers(monkeypatch, workers)
+    monkeypatch.setattr(multiprocessing, "get_context", _no_child)
+    assert run_verify(capsys, suite, "--max-size", size) == (1, out)
+
+
+@pytest.mark.parametrize("workers", (2, 3))
+@pytest.mark.parametrize("suite", sorted(PINNED))
+def test_pinned_bytes_on_workers(monkeypatch, capsys, suite, workers):
+    # Worker r checks cases r, r + W, ...; the report keeps case order.
+    _use_workers(monkeypatch, workers)
+    code = main(["verify", "--check", suite])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[suite]
+    cases = int(re.search(r"\((\d+) cases\)\n$", out)[1])
+    assert err.endswith(f" s, {min(workers, cases)} workers\n")
 
 
 # G(i, 5) past theorem1's default size 10: the dip count of v's profile, and
@@ -96,13 +139,24 @@ def test_theorem1_beyond_its_default_size(i):
     assert (count_dips(bc[2:]).count, left_fails) == THEOREM1_BEYOND_DEFAULT[i]
 
 
+THEOREM1_FAILURES = [
+    (f"G(i={i}, j=5)", f"r={THEOREM1_BEYOND_DEFAULT[i][1][0]}: left=False, right=True")
+    for i in range(11, 16)
+]
+
+
 def test_theorem1_fails_from_i_11():
     # The suite skips r = i - 1, so its first failure is r = i - 2 at i = 11.
     report = run_check("theorem1", 15)
-    assert [(c.name, c.detail) for c in report.cases if not c.passed] == [
-        (f"G(i={i}, j=5)", f"r={THEOREM1_BEYOND_DEFAULT[i][1][0]}: left=False, right=True")
-        for i in range(11, 16)
-    ]
+    assert [(c.name, c.detail) for c in report.cases if not c.passed] == THEOREM1_FAILURES
+
+
+@pytest.mark.parametrize("workers", (2, 3))
+def test_theorem1_failures_on_workers(monkeypatch, workers):
+    _use_workers(monkeypatch, workers)
+    report = run_check("theorem1", 15)
+    assert report.workers == workers
+    assert [(c.name, c.detail) for c in report.cases if not c.passed] == THEOREM1_FAILURES
 
 
 # prop1 decides each k for all rows at once, on columns packed one lane per
@@ -401,12 +455,17 @@ def test_faults_cover_every_suite():
     assert {row[0] for row in FAULTS.values()} == set(CHECK_NAMES)
 
 
-@pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_fault_gives_its_failures(monkeypatch, fault):
+@pytest.mark.parametrize("fault, workers", [
+    *(pytest.param(fault, 1, id=fault) for fault in sorted(FAULTS)),
+    *(pytest.param(fault, 2, id=f"{fault}-2-workers", marks=FORK_ONLY) for fault in sorted(FAULTS)),
+])
+def test_fault_gives_its_failures(monkeypatch, fault, workers):
     suite, size, name, make, count, failures = FAULTS[fault]
+    _use_workers(monkeypatch, workers)
     monkeypatch.setattr(verify, name, make(getattr(verify, name)))
     report = run_check(suite, size)
     assert len(report.cases) == count
+    assert report.workers == workers
     assert [(c.name, c.detail) for c in report.cases if not c.passed] == failures
     # A passing case carries no text; a failing one always does.
     assert all(c.passed == (c.detail == "") for c in report.cases)
@@ -440,6 +499,8 @@ PROP1_ORACLE = {
 def test_prop1_equals_cellwise_verdict_on_all_rows(monkeypatch, change):
     make, verdicts = PROP1_ORACLE[change]
     counts = make(prefix_counts)
+    # One worker: a child sees the patched counts only when forked.
+    monkeypatch.setenv("BCPROF_THREADS", "1")
     monkeypatch.setattr(verify, "prefix_counts", counts)
     seen = Counter()
     for n, case in zip(range(2, 61), run_check("prop1", 60).cases, strict=True):
@@ -482,6 +543,19 @@ def test_oversized_prop1_exits_before_its_first_case(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "prop1 max size 55109 is too large" in captured.err
+
+
+@pytest.mark.parametrize("raw", ("-1", "x"))
+def test_bad_threads_value_exits_before_any_case(monkeypatch, capsys, raw):
+    # verify reads BCPROF_THREADS as experiment does, and rejects it alike.
+    def no_case(t, vs):
+        raise AssertionError("a case ran before BCPROF_THREADS was read")
+    monkeypatch.setattr(verify, "prefix_counts", no_case)
+    monkeypatch.setenv("BCPROF_THREADS", raw)
+    assert main(["verify", "--check", "tell"]) == BadSpecError.exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "BCPROF_THREADS must be a non-negative integer" in captured.err
 
 
 def test_prop1_past_the_default_size_uses_64_bit_lanes():
