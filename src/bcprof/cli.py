@@ -47,9 +47,16 @@ from .profile_analysis import pair_analysis, vertex_analysis
 from .verify import CHECK_NAMES, run_check
 
 
-def _parse_ints(parts: list[str], spec: str) -> list[int]:
+def _parse_ints(parts: list[str], spec: str, *counts: int) -> list[int]:
+    """The integers in parts. Given counts, a family spec's parameters must
+    number one of them, and only the first min(counts) are integers."""
+    if counts and len(parts) not in counts:
+        expected = " or ".join(map(str, counts))
+        raise BadSpecError(
+            f"bad family spec {spec!r}: expected {expected} parameter(s), got {len(parts)}"
+        )
     values = []
-    for p in parts:
+    for p in parts[:min(counts)] if counts else parts:
         try:
             values.append(int(p))
         except ValueError:
@@ -64,27 +71,23 @@ def build_family(spec: str, seed: int):
     comments = [f"family: {spec}"]
     try:
         if name == "path":
-            (n,) = _parse_ints(parts, spec)
+            (n,) = _parse_ints(parts, spec, 1)
             return make_path(n), comments
         if name == "broom":
-            m, n = _parse_ints(parts, spec)
+            m, n = _parse_ints(parts, spec, 2)
             tree, center = make_broom(m, n)
             return tree, comments + [f"center: {center}"]
         if name == "double-broom":
-            m, n = _parse_ints(parts, spec)
+            m, n = _parse_ints(parts, spec, 2)
             tree, middle = make_double_broom(m, n)
             return tree, comments + [f"middle: {middle}"]
         if name == "gij":
-            i, j = _parse_ints(parts, spec)
+            i, j = _parse_ints(parts, spec, 2)
             tree, v = make_gij(i, j)
             return tree, comments + [f"designated vertex: {v}"]
         if name == "tell":
-            if len(parts) == 2:
-                l = _parse_ints(parts[:1], spec)[0]
-                strategy = parts[1]
-            else:
-                (l,) = _parse_ints(parts, spec)
-                strategy = "minimal_search"
+            (l,) = _parse_ints(parts, spec, 1, 2)
+            strategy = parts[1] if len(parts) == 2 else "minimal_search"
             tree, u, v, choice = make_tell(l, strategy=strategy)
             return tree, comments + [
                 f"u: {u}",
@@ -94,7 +97,7 @@ def build_family(spec: str, seed: int):
                 f"strategy: {choice.strategy}",
             ]
         if name == "scale-free":
-            (n,) = _parse_ints(parts, spec)
+            (n,) = _parse_ints(parts, spec, 1)
             check_seed(seed)
             tree = sample_tree(n, random.Random(seed)).tree()
             return tree, comments + [f"seed: {seed}"]

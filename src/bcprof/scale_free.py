@@ -25,7 +25,7 @@ from .errors import (
     OutOfRangeError,
     PreconditionViolatedError,
 )
-from .tree_core import Tree, _counts, _lane_bits, _parent_prefix_counts, tree_from_parents
+from .tree_core import Tree, _parent_prefix_counts, _PrefixRows, tree_from_parents
 
 MAX_EXACT_N = 9  # product of (t-1) histories; 9 keeps it at 8! = 40320
 
@@ -78,7 +78,7 @@ class RecursiveTree:
         """The 0-based Tree view, built straight from the parents."""
         return tree_from_parents(self._parent_array())
 
-    def prefix_counts(self, vertices: Iterable[int]) -> tuple[list[int], list[list[int]]]:
+    def prefix_counts(self, vertices: Iterable[int]) -> _PrefixRows:
         """Exactly tree_core.prefix_counts(self.tree(), vertices), with no Tree.
 
         Labels are already a topological order, so the count runs straight
@@ -365,25 +365,20 @@ def estimate_expected_profiles(
         raise OutOfRangeError(f"need k >= 2, got {k}")
     check_seed(seed)
     # One row of doubles BC_k(v) = P_k(v) / P_k, k = 2..d, per vertex and
-    # trial, from _counts's per-length rows; int / int rounds correctly.
-    # A zero row (every leaf's, about two thirds of them) is kept as None:
-    # only non-zero rows are keyed, prefix-summed, divided and padded, and
-    # equal ones of a trial share one array. Every value is kept to the
-    # end, because the standard error needs the mean first.
-    lane, vertices = _lane_bits(n), range(n)
+    # trial; int / int rounds correctly. Counts are non-negative, so a row
+    # is zero iff its last prefix sum is. A zero row (every leaf's, about
+    # two thirds of them) is kept as None: only non-zero rows are divided
+    # and padded, and equal ones of a trial share one array. Every value is
+    # kept to the end, because the standard error needs the mean first.
     ratios = []
     max_d = 0
     for trial in range(trials):
         rng = random.Random(substream_seed(seed, trial))
-        p, counts = _counts(vertices, sample_tree(n, rng)._parent_array(), lane, vertices)
-        max_d = max(max_d, len(p) - 1)
-        Pk = list(itertools.accumulate(p))[2:]
-        keys = [tuple(row) if any(row) else None for row in counts]
-        bc = {
-            key: array("d", map(truediv, itertools.islice(itertools.accumulate(key), 2, None), Pk))
-            for key in dict.fromkeys(keys) if key is not None
-        }
-        ratios.append(list(map(bc.get, keys)))
+        Pk, Pkv = sample_tree(n, rng).prefix_counts(range(n))
+        max_d = max(max_d, len(Pk) - 1)
+        P = Pk[2:]
+        bc = {row: array("d", map(truediv, row[2:], P)) for row in dict.fromkeys(Pkv) if row[-1]}
+        ratios.append(list(map(bc.get, Pkv)))
     zeros = (0.0,) * (max_d - 1)
     rows = []
     for v in range(n):

@@ -127,15 +127,11 @@ class PathCountTable:
     Pkv: tuple[tuple[int, ...], ...]
 
 
-def _finish_table(d: int, p: list[int], pv: list[list[int]]) -> PathCountTable:
-    # Lanes 0 and 1 of every row are zero, so P_k is a plain running sum.
-    return PathCountTable(
-        d=d,
-        p=tuple(p),
-        pv=tuple(tuple(row) for row in pv),
-        Pk=tuple(itertools.accumulate(p)),
-        Pkv=tuple(tuple(itertools.accumulate(row)) for row in pv),
-    )
+def _finish_table(d: int, p: list[int], pv: list[list[int] | None]) -> PathCountTable:
+    Pk, Pkv = _prefix_rows(p, pv)
+    # A childless vertex's None row is zero, as its shared prefix row is.
+    pv = tuple(P if row is None else tuple(row) for row, P in zip(pv, Pkv))
+    return PathCountTable(d=d, p=tuple(p), pv=pv, Pk=Pk, Pkv=Pkv)
 
 
 def path_counts_naive(t: Tree) -> PathCountTable:
@@ -246,7 +242,7 @@ def _diameter_and_lengths(n: int, pairs: int, lane: int) -> tuple[int, list[int]
 
 def _counts(
     order: Sequence[int], parent: Sequence[int], lane: int, vertices: Sequence[int]
-) -> tuple[list[int], list[list[int]]]:
+) -> tuple[list[int], list[list[int] | None]]:
     """(p_l, [p_l(v) for v in vertices]), l = 0..d, from one merge up to
     order[0] (see _merge_up for order and parent).
 
@@ -260,24 +256,19 @@ def _counts(
     vertices, so the subtraction never borrows.
 
     A vertex with no child (b == 0: every leaf, and the lone vertex when
-    n = 1) lies inside no path, so it gets the zero row with no walk, no
-    up[v] and no unpack. No ancestor chain passes through it, so the memo
-    still holds all a later vertex needs. All such rows are one shared
-    list. _prefix_rows and _finish_table copy each row before it leaves
-    the engine; the one caller that reads the shared row itself is the
-    Monte Carlo estimator (scale_free.estimate_expected_profiles), which
-    neither mutates nor returns it.
+    n = 1) lies inside no path, so its row is None: no walk, no up[v] and
+    no unpack. No ancestor chain passes through it, so the memo still holds
+    all a later vertex needs.
     """
     top = dict.fromkeys(vertices, 0)
     down, pairs = _merge_up(order, parent, lane, top)
     d, p = _diameter_and_lengths(len(parent), pairs, lane)
     up = {order[0]: 0}
-    zero = [0] * (d + 1)
     rows = []
     for v in vertices:
         b = down[v] - 1
         if not b:
-            rows.append(zero)
+            rows.append(None)
             continue
         chain, w = [], v
         while w not in up:
@@ -298,13 +289,21 @@ def _check_vertices(n: int, vertices: Iterable[int]) -> list[int]:
     return vertices
 
 
-def _prefix_rows(p: list[int], rows: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """(P_k, [P_k(v)...]): the running sums of _counts's per-length rows."""
-    return list(itertools.accumulate(p)), [list(itertools.accumulate(row)) for row in rows]
+_PrefixRows = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]  # (P_k, (P_k(v)...))
 
 
-def prefix_counts(t: Tree, vertices: Iterable[int]) -> tuple[list[int], list[list[int]]]:
-    """(P_k, [P_k(v) for v in vertices]), each for k = 0..d (zero below 2).
+def _prefix_rows(p: list[int], rows: list[list[int] | None]) -> _PrefixRows:
+    """(P_k, (P_k(v)...)): the running sums of _counts's per-length rows, as
+    tuples. Lanes 0 and 1 of every row are zero, so P_k is a plain running
+    sum. Every None row (a childless vertex) is one shared zero tuple."""
+    zero = (0,) * len(p)
+    return tuple(itertools.accumulate(p)), tuple(
+        zero if row is None else tuple(itertools.accumulate(row)) for row in rows
+    )
+
+
+def prefix_counts(t: Tree, vertices: Iterable[int]) -> _PrefixRows:
+    """(P_k, (P_k(v) for v in vertices)), tuples for k = 0..d (zero below 2).
 
     One pass, rooted at the first listed vertex (at 0 when none is listed),
     so a single vertex needs no walk down its ancestor chain.
@@ -315,9 +314,7 @@ def prefix_counts(t: Tree, vertices: Iterable[int]) -> tuple[list[int], list[lis
     return _prefix_rows(*_counts(order, parent, lane, vertices))
 
 
-def _parent_prefix_counts(
-    parent: Sequence[int], vertices: Iterable[int]
-) -> tuple[list[int], list[list[int]]]:
+def _parent_prefix_counts(parent: Sequence[int], vertices: Iterable[int]) -> _PrefixRows:
     """Exactly prefix_counts(tree_from_parents(parent), vertices), with no Tree.
 
     The array is not checked (its caller built or validated it): with

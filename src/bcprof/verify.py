@@ -18,6 +18,7 @@ from functools import partial
 from .errors import BadSpecError, OutOfRangeError, UnknownCheckError
 from .profile_analysis import count_crossings, count_dips
 from .scale_free import (
+    _history_numerators,
     all_candidate_paths,
     exact_expected_pk,
     exact_path_presence_prob,
@@ -115,7 +116,7 @@ def check_prop1(max_size: int = 200) -> Cases:
         Pk, rows = prefix_counts(make_path(n), range(n // 2 + 1))
         # A pair crosses iff its raw-count difference takes both signs, so
         # no pair crosses iff the rows, sorted by sum, form a chain.
-        rows.sort(key=sum)
+        rows = sorted(rows, key=sum)
         lane = _prop1_lane(n)
         columns = [_pack(column, lane) for column in zip(*rows)][2:]
         guard = _pack([1 << lane - 1] * len(rows), lane)
@@ -254,6 +255,7 @@ def check_lemma1(max_size: int = 7) -> Cases:
                 return f"path {seq}: {got} != {want}"
         return ""
 
+    _history_numerators(max(max_size, 1))  # reject a size past the exact cap
     for n in range(2, max_size + 1):
         yield f"n={n}", partial(failure, n)
 
@@ -289,6 +291,7 @@ def check_theorem3(max_size: int = 7) -> Cases:
                 images[key] = sig
         return "" if images else "no (path, v) pair to check"
 
+    _history_numerators(max(max_size, 1))  # reject a size past the exact cap
     for n in range(3, max_size + 1):
         yield f"expectation order n={n}", partial(order_failure, n)
     yield f"injection labels <= {max_size}", injection_failure

@@ -756,6 +756,15 @@ class TestErrorExits:
         (("gen", "gij:0,5"), 24, "error: bad family spec 'gij:0,5'"),
         (("gen", "broom:0,2"), 24, "error: bad family spec 'broom:0,2'"),
         (("gen", "tell:2,nope"), 24, "error: unknown strategy 'nope'\n"),
+        # A wrong number of family parameters names the expected count.
+        *((("gen", spec), 24, f"error: bad family spec {spec!r}: expected {want}\n")
+          for spec, want in (
+              ("broom:3", "2 parameter(s), got 1"),
+              ("path:", "1 parameter(s), got 0"),
+              ("gij:1,2,3", "2 parameter(s), got 3"),
+              ("tell:2,3,4", "1 or 2 parameter(s), got 3"),
+              ("scale-free:5,6", "1 parameter(s), got 2"),
+          )),
         # Seeds outside [0, 2**64) would repeat another seed's draws.
         *((("experiment", "--which", "monotone_1_vs_n", "--grid", "5", "--trials", "3",
             "--seed", seed), 12, f"error: need 0 <= seed < 2**64, got {seed}")

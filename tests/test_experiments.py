@@ -91,7 +91,7 @@ class TestDistanceMatrix:
             ]
             for v in range(t.n)
         ]
-        assert prefix_counts(t, range(t.n)) == (Pk, Pkv)
+        assert prefix_counts(t, range(t.n)) == (tuple(Pk), tuple(map(tuple, Pkv)))
 
 
 class TestIndicators:

@@ -47,6 +47,11 @@ from bcprof.tree_core import _parent_prefix_counts
 from bcprof.verify import run_check
 
 
+def recording(calls, f):
+    """f, appending the arguments of each call to calls first."""
+    return lambda *args: calls.append(args) or f(*args)
+
+
 def reference_estimate(n, trials, seed, k=None):
     """The estimator as it was when every trial went through prefix_counts
     and each vertex's zero row was keyed, divided and padded like any
@@ -202,11 +207,11 @@ class TestParentArrayCounts:
         Pk, rows = rt.prefix_counts(vs)
         assert (Pk, rows) == prefix_counts(t, vs)
         naive = path_counts_naive(t)
-        assert Pk == list(naive.Pk)
-        assert rows == [list(naive.Pkv[v]) for v in vs]
+        assert Pk == naive.Pk
+        assert rows == tuple(naive.Pkv[v] for v in vs)
         # Listing every vertex gives path_counts_fast's table.
         table = path_counts_fast(t)
-        assert rt.prefix_counts(range(n)) == (list(table.Pk), [list(row) for row in table.Pkv])
+        assert rt.prefix_counts(range(n)) == (table.Pk, table.Pkv)
         for v in (-1, n):
             with pytest.raises(OutOfRangeError):
                 rt.prefix_counts([0, v])
@@ -560,28 +565,48 @@ class TestEstimateExpectedProfiles:
 
     def test_divides_each_distinct_non_zero_row_once(self, monkeypatch):
         # The op of `expect --n 60 --trials 200 --seed 1`: one ratio array
-        # per distinct non-zero row of each trial, and no prefix-sum copy
-        # of any row.
+        # per distinct non-zero row of each trial, and each trial counted
+        # by one call of the parent-array entry, with no other way into
+        # the engine.
         n, trials, seed = 60, 200, 1
         want = 0
         for t in range(trials):
             _, Pkv = sample_tree(n, random.Random(substream_seed(seed, t))).prefix_counts(range(n))
-            want += len({tuple(row) for row in Pkv if any(row)})
-        built = []
-
-        def counted(*args):
-            built.append(args[0])
-            return array(*args)
-
-        def no_prefix_rows(*args):
-            raise AssertionError("the estimator copied rows through _prefix_rows")
-
-        monkeypatch.setattr(scale_free, "array", counted)
-        monkeypatch.setattr(tree_core, "_prefix_rows", no_prefix_rows)
+            want += len({row for row in Pkv if any(row)})
+        built, entered, counted = [], [], []
+        assert "_counts" not in vars(scale_free) and "_lane_bits" not in vars(scale_free)
+        monkeypatch.setattr(scale_free, "array", recording(built, array))
+        entry = scale_free._parent_prefix_counts
+        monkeypatch.setattr(scale_free, "_parent_prefix_counts", recording(entered, entry))
+        monkeypatch.setattr(tree_core, "_counts", recording(counted, tree_core._counts))
         rows = estimate_expected_profiles(n, trials, seed)
         assert len(built) == want < trials * n / 2
+        assert len(entered) == len(counted) == trials
         monkeypatch.undo()
         assert rows == reference_estimate(n, trials, seed)
+
+    def test_a_vertex_1_with_one_child_is_a_zero_row(self, monkeypatch):
+        # Vertex 1 with one child is an endpoint of every path through it,
+        # so its row is zero; but it has a child, so the engine computes
+        # that row instead of handing out the shared zero tuple. The
+        # estimator must still find it zero by its last prefix sum and
+        # build no ratio array for it.
+        n, trials, seed = 4, 50, 2
+        lone = want = 0
+        for t in range(trials):
+            rt = sample_tree(n, random.Random(substream_seed(seed, t)))
+            _, Pkv = rt.prefix_counts(range(n))
+            if rt.parents.count(1) == 1:
+                lone += 1
+                assert not any(Pkv[0]) and Pkv[0] is not Pkv[n - 1]
+            want += len({row for row in Pkv if any(row)})
+        assert 0 < lone < trials
+        built = []
+        monkeypatch.setattr(scale_free, "array", recording(built, array))
+        rows = estimate_expected_profiles(n, trials, seed)
+        assert len(built) == want
+        monkeypatch.undo()
+        assert repr(rows) == repr(reference_estimate(n, trials, seed))
 
     def test_expected_ordering_shows_up(self):
         rows = estimate_expected_profiles(20, trials=300, seed=11)

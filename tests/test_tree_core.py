@@ -19,6 +19,7 @@ from bcprof import (
     DisconnectedError,
     DuplicateEdgeError,
     OutOfRangeError,
+    RecursiveTree,
     SelfLoopError,
     Tree,
     WrongEdgeCountError,
@@ -60,9 +61,9 @@ def draw_tree(data, sizes):
 LANE_STEP = st.sampled_from((181, 182))
 
 
-def as_lists(table):
-    """A table's (Pk, Pkv) in prefix_counts's shape, for every vertex."""
-    return list(table.Pk), [list(row) for row in table.Pkv]
+def as_rows(table):
+    """A table's (Pk, Pkv): prefix_counts's shape, for every vertex."""
+    return table.Pk, table.Pkv
 
 
 def rooted_level_sequences(n: int):
@@ -218,19 +219,19 @@ class TestPathCounts:
         t = build_tree(n, [(i + 1, p) for i, p in enumerate(parents)])
         naive = path_counts_naive(t)
         assert path_counts_fast(t) == naive
-        assert prefix_counts(t, range(t.n)) == as_lists(naive)
+        assert prefix_counts(t, range(t.n)) == as_rows(naive)
 
     @settings(max_examples=30, deadline=None)
     @given(st.data())
     def test_prefix_counts_equals_naive_hypothesis(self, data):
         t = draw_tree(data, st.one_of(LANE_STEP, st.integers(1, 40)))
         naive = path_counts_naive(t)
-        assert prefix_counts(t, range(t.n)) == as_lists(naive)
+        assert prefix_counts(t, range(t.n)) == as_rows(naive)
         # The pass is rooted at the first listed vertex, so list one other
         # than 0 first; the others are reached down the chain from it.
         first = data.draw(st.integers(min(1, t.n - 1), t.n - 1))
         vs = [first] + data.draw(st.lists(st.integers(0, t.n - 1), min_size=1, max_size=4))
-        assert prefix_counts(t, vs) == (list(naive.Pk), [list(naive.Pkv[v]) for v in vs])
+        assert prefix_counts(t, vs) == (naive.Pk, tuple(naive.Pkv[v] for v in vs))
         for v in (-1, t.n):
             with pytest.raises(OutOfRangeError):
                 prefix_counts(t, [v])
@@ -239,9 +240,9 @@ class TestPathCounts:
     def test_tiny_trees(self, n):
         t = build_tree(n, [(0, 1)][: n - 1])
         naive = path_counts_naive(t)
-        assert list(naive.p) == [0] * n
+        assert naive.p == (0,) * n
         assert path_counts_fast(t) == naive
-        assert prefix_counts(t, range(n)) == {1: ([0], [[0]]), 2: ([0, 0], [[0, 0], [0, 0]])}[n]
+        assert prefix_counts(t, range(n)) == {1: ((0,), ((0,),)), 2: ((0, 0), ((0, 0), (0, 0)))}[n]
 
     def test_total_pairs_identity(self):
         # Sum of p_l over all l (including l=1 edges) is C(n, 2) on a tree.
@@ -273,16 +274,16 @@ class TestPathCounts:
         # Every vertex pair that is not an edge is a path of length >= 2.
         assert sum(table.p) == n * (n - 1) // 2 - (n - 1)
         v = data.draw(st.integers(0, n - 1))
-        assert prefix_counts(t, [v]) == (list(table.Pk), [list(table.Pkv[v])])
+        assert prefix_counts(t, [v]) == (table.Pk, (table.Pkv[v],))
 
     def test_prefix_counts_matches_table(self):
         rng = random.Random(9)
         for _ in range(10):
             t = random_tree(rng.randrange(3, 20), rng)
             table = path_counts_fast(t)
-            assert prefix_counts(t, range(t.n)) == as_lists(table)
+            assert prefix_counts(t, range(t.n)) == as_rows(table)
             # Rows follow the listed order, repeats included.
-            assert prefix_counts(t, [2, 0, 2])[1] == [list(table.Pkv[v]) for v in (2, 0, 2)]
+            assert prefix_counts(t, [2, 0, 2])[1] == tuple(table.Pkv[v] for v in (2, 0, 2))
 
     def test_prefix_counts_makes_one_pass(self, monkeypatch):
         # One BFS for the whole list, not one per listed vertex.
@@ -296,7 +297,7 @@ class TestPathCounts:
         table = path_counts_fast(t)
         bfs_order = tree_core._bfs_order
         monkeypatch.setattr(tree_core, "_bfs_order", counted)
-        assert prefix_counts(t, [8, 2, 5]) == (list(table.Pk), [list(table.Pkv[v]) for v in (8, 2, 5)])
+        assert prefix_counts(t, [8, 2, 5]) == (table.Pk, tuple(table.Pkv[v] for v in (8, 2, 5)))
         assert calls == [8]
 
     def test_every_rooted_tree_up_to_10_vertices(self):
@@ -309,7 +310,7 @@ class TestPathCounts:
             for parent in trees:
                 t = tree_from_parents(parent)
                 naive = path_counts_naive(t)
-                Pk, Pkv = as_lists(naive)
+                Pk, Pkv = as_rows(naive)
                 assert prefix_counts(t, range(n)) == (Pk, Pkv)
                 assert prefix_counts(t, reversed(range(n))) == (Pk, Pkv[::-1])
                 assert _parent_prefix_counts(parent, range(n)) == (Pk, Pkv)
@@ -334,13 +335,13 @@ class TestPathCounts:
             for tail in itertools.product(*(range(y) for y in range(1, n))):
                 parent = [-1, *tail]
                 t = tree_from_parents(parent)
-                want = as_lists(path_counts_naive(t))
+                want = as_rows(path_counts_naive(t))
                 Pk, reversed_rows = prefix_counts(t, reversed(range(n)))
                 routes = (
                     prefix_counts(t, range(n)),
                     (Pk, reversed_rows[::-1]),
                     _parent_prefix_counts(parent, range(n)),
-                    as_lists(path_counts_fast(t)),
+                    as_rows(path_counts_fast(t)),
                 )
                 assert any(route != want for route in routes), parent
                 trees += 1
@@ -360,20 +361,21 @@ class TestChildlessVertices:
         for parent in leaf_heavy_parents():
             t = tree_from_parents(parent)
             n = t.n
-            Pk, Pkv = as_lists(path_counts_naive(t))
+            Pk, Pkv = as_rows(path_counts_naive(t))
             assert prefix_counts(t, range(n)) == (Pk, Pkv)
             assert _parent_prefix_counts(parent, range(n)) == (Pk, Pkv)
             # Start from a leaf, so the pass's root has degree one, and list
             # the leaf, the root and an inner vertex twice.
             leaf = max(v for v in range(n) if len(t.adj[v]) <= 1)
             vs = [leaf, *range(n), leaf, 0, n // 2, n // 2]
-            want = (Pk, [Pkv[v] for v in vs])
+            want = (Pk, tuple(Pkv[v] for v in vs))
             assert prefix_counts(t, vs) == want, parent
             assert _parent_prefix_counts(parent, vs) == want, parent
 
-    def test_leaf_rows_are_distinct_lists(self):
-        # The engine shares one zero row among childless vertices; no
-        # caller may see it shared.
+    def test_rows_are_tuples_with_one_shared_zero(self):
+        # Rows cannot be mutated, so every entry hands all childless
+        # vertices one zero tuple, and path_counts_fast's table shares it
+        # between pv and Pkv.
         star = [-1, *[0] * 6]
         broom = [*range(-1, 3), *[3] * 5]
         for parent in (star, broom):
@@ -381,12 +383,17 @@ class TestChildlessVertices:
             naive = path_counts_naive(t)
             leaves = [v for v in range(1, t.n) if len(t.adj[v]) == 1]
             vs = [*range(t.n), leaves[0]]
-            for _, rows in (prefix_counts(t, vs), _parent_prefix_counts(parent, vs)):
-                assert len({id(row) for row in rows}) == len(vs)
-                rows[leaves[0]][-1] += 1
-                assert rows[leaves[-1]] == rows[-1] == list(naive.Pkv[leaves[0]])
+            rt = RecursiveTree(t.n, tuple(p + 1 for p in parent[1:]))
+            for Pk, rows in (
+                prefix_counts(t, vs), _parent_prefix_counts(parent, vs), rt.prefix_counts(vs)
+            ):
+                assert type(Pk) is type(rows) is tuple
+                assert all(type(row) is tuple for row in rows)
+                assert (Pk, rows) == (naive.Pk, tuple(naive.Pkv[v] for v in vs))
+                assert len({id(rows[v]) for v in [*leaves, -1]}) == 1
             table = path_counts_fast(t)
-            assert [table.pv[v] for v in leaves] == [naive.pv[v] for v in leaves]
+            assert table == naive
+            assert len({id(rows[v]) for rows in (table.pv, table.Pkv) for v in leaves}) == 1
 
     def test_unpacks_once_per_listed_vertex_with_a_child(self, monkeypatch):
         # One unpack for the all-pairs histogram, then one per listed vertex

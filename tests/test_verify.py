@@ -13,8 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_experiments import _allow_cpus
 
+import bcprof.scale_free as scale_free
 import bcprof.verify as verify
-from bcprof import BadSpecError, OutOfRangeError, make_gij, make_path, prefix_counts
+from bcprof import (
+    BadSpecError, NTooLargeError, OutOfRangeError, make_gij, make_path, prefix_counts,
+)
 from bcprof.cli import main
 from bcprof.profile_analysis import count_dips, dominates
 from bcprof.tree_core import _pack
@@ -543,6 +546,21 @@ def test_oversized_prop1_exits_before_its_first_case(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "prop1 max size 55109 is too large" in captured.err
+
+
+@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("suite", ("lemma1", "theorem3"))
+def test_size_past_the_exact_cap_exits_before_its_first_case(
+    monkeypatch, capsys, suite, workers
+):
+    def no_enumeration(n):
+        raise AssertionError("histories were enumerated before the size check")
+    _use_workers(monkeypatch, workers)
+    monkeypatch.setattr(scale_free, "_presence_table", no_enumeration)
+    assert main(["verify", "--check", suite, "--max-size", "10"]) == NTooLargeError.exit_code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "exact enumeration capped at n=9, got 10" in captured.err
 
 
 @pytest.mark.parametrize("raw", ("-1", "x"))
