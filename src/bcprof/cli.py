@@ -87,8 +87,7 @@ def build_family(spec: str, seed: int):
             return tree, comments + [f"designated vertex: {v}"]
         if name == "tell":
             (l,) = _parse_ints(parts, spec, 1, 2)
-            strategy = parts[1] if len(parts) == 2 else "minimal_search"
-            tree, u, v, choice = make_tell(l, strategy=strategy)
+            tree, u, v, choice = make_tell(l, *parts[1:])
             return tree, comments + [
                 f"u: {u}",
                 f"v: {v}",

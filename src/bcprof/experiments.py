@@ -30,6 +30,10 @@ from .profile_analysis import count_crossings
 from .scale_free import check_seed, sample_tree, substream_seed
 from .workers import run_shares, worker_count
 
+# The fewest trial-points (grid points times trials) worth a worker: a run
+# of fewer per worker is better served by fewer workers.
+CHUNK = 64
+
 # The 0-based vertices a trial of each kind lists at grid point x: two
 # vertices are tested for a crossing, one for monotonicity.
 _TRIAL_VERTICES = {
@@ -122,10 +126,9 @@ def _share_hits(cfg: ExperimentConfig, first: int, stride: int) -> tuple[list[in
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     start = time.monotonic()
-    workers = worker_count(cfg.trials * len(cfg.grid))
+    workers = worker_count(-(-cfg.trials * len(cfg.grid) // CHUNK))
     shares = run_shares(_share_hits, (cfg,), workers)
     point_hits = [sum(hits) for hits in zip(*(hits for hits, _ in shares))]
-    grid_seconds = shares[0][1] if shares else []
     rows = []
     for x, hits in zip(cfg.grid, point_hits):
         estimate = hits / cfg.trials
@@ -144,7 +147,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         rows=tuple(rows),
         wall_seconds=time.monotonic() - start,
         workers=workers,
-        grid_seconds=tuple(grid_seconds),
+        grid_seconds=tuple(shares[0][1]),
     )
 
 

@@ -334,9 +334,10 @@ def _share_failures(name: str, max_size: int | None, first: int, stride: int) ->
 
 def run_check(name: str, max_size: int | None = None) -> CheckReport:
     """Run one suite; `max_size` replaces the suite's own default when given.
-    The cases are split across BCPROF_THREADS workers, at most one per case."""
+    The cases are split across BCPROF_THREADS workers, at most one per case
+    and at least the calling process."""
     cases = _cases(name, max_size)
-    workers = worker_count(len(cases), chunk=1)
+    workers = worker_count(len(cases))
     failures = [""] * len(cases)
     for r, share in enumerate(run_shares(_share_failures, (name, max_size), workers)):
         failures[r::workers] = share

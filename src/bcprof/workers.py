@@ -6,24 +6,24 @@ workers, worker r takes items i = r (mod W). The calling process is worker
 on which it sends back its share's result, or what stopped it. A child is
 given a module-level share function and picklable arguments, never a
 closure, so the split works under every multiprocessing start method.
+`start_method()` picks the one `run_shares` uses.
 """
 
 from __future__ import annotations
 
 import os
+import sys
+import threading
 from collections.abc import Callable
 
 from .errors import BadSpecError
 
-# The fewest experiment trials worth a worker: a run of fewer trials per
-# worker than this is better served by fewer workers.
-CHUNK = 64
 
-
-def worker_count(tasks: int, chunk: int = CHUNK) -> int:
-    """Worker count for `tasks` tasks: BCPROF_THREADS (0 means every CPU),
-    capped at the CPUs this process may run on (its affinity set where the
-    platform has one) and at the number of `chunk`-task chunks."""
+def worker_count(shares: int) -> int:
+    """Worker count for a run of `shares` shares: BCPROF_THREADS (0 means
+    every CPU), capped at the CPUs this process may run on (its affinity set
+    where the platform has one) and at `shares`. It is never 0, because the
+    calling process is worker 0 even when there is nothing to run."""
     raw = os.environ.get("BCPROF_THREADS", "1")
     try:
         value = int(raw)
@@ -35,7 +35,16 @@ def worker_count(tasks: int, chunk: int = CHUNK) -> int:
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count() or 1
-    return min(value or cpus, cpus, -(-tasks // chunk))
+    return max(1, min(value or cpus, cpus, shares))
+
+
+def start_method() -> str | None:
+    """How `run_shares` starts a child: "fork" on Linux while this process
+    runs one thread, else None, the platform's default. A forked child
+    starts without importing bcprof again, where a forkserver child (the
+    Linux default from Python 3.14) or a spawned one pays for the import
+    and rebuilds its caches. Forking a process that runs threads is unsafe."""
+    return "fork" if sys.platform == "linux" and threading.active_count() == 1 else None
 
 
 def _child(conn, share: Callable, args: tuple) -> None:
@@ -54,17 +63,13 @@ def run_shares(share: Callable, args: tuple, workers: int) -> list:
     again here, and a child that dies without sending is named by its exit
     code. On any error the children are terminated; every child is joined
     before this returns or raises."""
-    if workers == 0:
-        return []
     children = []
     try:
         if workers > 1:
-            # Imported here: only a run with children needs it. Where the
-            # default start method is fork (Linux before Python 3.14), a
-            # child starts without importing bcprof again.
+            # Imported here: only a run with children needs it.
             import multiprocessing
 
-            ctx = multiprocessing.get_context()
+            ctx = multiprocessing.get_context(start_method())
             for r in range(1, workers):
                 recv, send = ctx.Pipe(duplex=False)
                 child_args = (send, share, (*args, r, workers))

@@ -32,6 +32,7 @@ from bcprof.experiments import (
 )
 from bcprof.profile_analysis import count_crossings, is_monotone
 from bcprof.scale_free import RecursiveTree, _history_numerators, sample_tree, substream_seed
+from bcprof.workers import start_method
 
 
 class TestConfig:
@@ -321,7 +322,7 @@ def _fail_on(parity, exc):
     return indicator
 
 
-@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+@pytest.mark.skipif(start_method() != "fork",
                     reason="children see the patched indicator only when forked")
 class TestChildren:
     CFG = ExperimentConfig(which="monotone_1_vs_n", grid=(10, 12), trials=100, seed=5)
@@ -358,22 +359,35 @@ class TestChildren:
 
 
 class TestWorkerCount:
-    # No experiment runs here: the worker count is computed and no child starts.
+    # Only test_chunk_of_trial_points runs an experiment: the other tests
+    # compute the worker count, and no child starts.
     # `cpus` is how many CPUs the process may run on, of a host with 8.
-    @pytest.mark.parametrize("raw, cpus, tasks, expected", [
+    @pytest.mark.parametrize("raw, cpus, shares, expected", [
         ("1", 8, 1000, 1),
         ("0", 8, 1000, 8),
         ("99999", 8, 1000, 8),  # capped at the CPU count
-        ("99999", 8, 3 * 64, 3),  # capped at the number of 64-task chunks
-        ("2", 8, 65, 2),
-        ("2", 8, 64, 1),
-        ("0", 4, 0, 0),
+        ("99999", 8, 3, 3),  # capped at the share count
+        ("0", 4, 0, 1),  # the calling process is worker 0
         ("0", 1, 30000, 1),  # capped at the affinity set, not the host's CPUs
     ])
-    def test_pool_size(self, monkeypatch, raw, cpus, tasks, expected):
+    def test_pool_size(self, monkeypatch, raw, cpus, shares, expected):
         monkeypatch.setenv("BCPROF_THREADS", raw)
         _allow_cpus(monkeypatch, cpus, host=8)
-        assert worker_count(tasks) == expected
+        assert worker_count(shares) == expected
+
+    @pytest.mark.parametrize("trials, points, expected", [
+        (64, 1, 1),
+        (65, 1, 2),
+        (32, 2, 1),
+        (33, 2, 2),
+    ])
+    def test_chunk_of_trial_points(self, monkeypatch, trials, points, expected):
+        # An experiment asks for one worker per 64 trial-points, rounded up.
+        monkeypatch.setenv("BCPROF_THREADS", "2")
+        _allow_cpus(monkeypatch, 2)
+        grid = (10, 12)[:points]
+        cfg = ExperimentConfig(which="no_cross_12_vs_n", grid=grid, trials=trials, seed=0)
+        assert run_experiment(cfg).workers == expected
 
     @pytest.mark.parametrize("host, expected", [(3, 3), (None, 1)])
     def test_cpu_count_without_affinity(self, monkeypatch, host, expected):
@@ -406,12 +420,12 @@ class TestOutput:
         assert 0.0 <= float(est) <= 1.0
 
     def test_empty_grid_header_only(self, tmp_path, monkeypatch):
-        # No trials means no workers, even when every CPU is asked for, and
-        # the parent's share is empty.
+        # No trials means one worker, the caller, even when every CPU is
+        # asked for, and its share is empty.
         monkeypatch.setenv("BCPROF_THREADS", "0")
         cfg = ExperimentConfig(which="no_cross_12_vs_n", grid=(), trials=5, seed=0)
         res = run_experiment(cfg)
-        assert res.workers == 0 and res.grid_seconds == ()
+        assert res.workers == 1 and res.grid_seconds == ()
         path = tmp_path / "empty.csv"
         write_csv(res, str(path))
         assert path.read_text() == "x,estimate,stderr,trials,seed\n"

@@ -30,6 +30,7 @@ from bcprof.verify import (
     _prop1_lane,
     run_check,
 )
+from bcprof.workers import start_method
 
 
 def run_verify(capsys, *argv):
@@ -48,7 +49,7 @@ def _no_child(*args):
     raise AssertionError("a worker process started")
 
 
-FORK_ONLY = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+FORK_ONLY = pytest.mark.skipif(start_method() != "fork",
                                reason="children see a patched name only when forked")
 
 
@@ -100,7 +101,7 @@ def test_sizes_that_check_nothing_fail(capsys, suite, size, out):
 @pytest.mark.parametrize("workers", (2, 3))
 @pytest.mark.parametrize("suite, size, out", SIZES_THAT_CHECK_NOTHING)
 def test_sizes_that_check_nothing_start_no_child(monkeypatch, capsys, suite, size, out, workers):
-    # Workers are capped at the case count: none for 0 cases, one for 1.
+    # Workers are capped at the case count, and the caller is always one.
     _use_workers(monkeypatch, workers)
     monkeypatch.setattr(multiprocessing, "get_context", _no_child)
     assert run_verify(capsys, suite, "--max-size", size) == (1, out)

@@ -2,6 +2,8 @@
 
 import multiprocessing
 import os
+import sys
+import threading
 import time
 
 import pytest
@@ -10,7 +12,7 @@ from test_experiments import _allow_cpus
 from bcprof import NTooLargeError
 from bcprof.experiments import ExperimentConfig, render_csv, run_experiment
 from bcprof.verify import run_check
-from bcprof.workers import run_shares
+from bcprof.workers import run_shares, worker_count
 
 
 # Shares are module-level functions of (first, stride), as a child needs.
@@ -41,6 +43,10 @@ def _no_child(*args):
     raise AssertionError("a worker process started")
 
 
+class _Asked(Exception):
+    pass
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     yield
@@ -54,10 +60,48 @@ class TestRunShares:
         pids = [share[3] for share in shares]
         assert pids[0] == os.getpid() and len(set(pids)) == 3
 
-    def test_one_worker_runs_here_and_none_runs_nothing(self, monkeypatch):
+    def test_one_worker_runs_here_even_for_no_shares(self, monkeypatch):
+        # The caller is worker 0, so a run with nothing to share still
+        # reports one worker, and it starts no child.
         monkeypatch.setattr(multiprocessing, "get_context", _no_child)
         assert run_shares(_where, ("x",), 1) == [("x", 0, 1, os.getpid())]
-        assert run_shares(_where, ("x",), 0) == []
+        _allow_cpus(monkeypatch, 2)
+        monkeypatch.setenv("BCPROF_THREADS", "2")
+        assert worker_count(0) == 1
+        cfg = ExperimentConfig(which="no_cross_12_vs_n", grid=(), trials=5, seed=0)
+        assert run_experiment(cfg).workers == 1
+        assert run_check("tell", 0).workers == 1
+
+    @pytest.mark.parametrize("platform, threads, method", [
+        ("linux", 1, "fork"),
+        ("linux", 2, None),  # forking a threaded process is unsafe
+        ("darwin", 1, None),
+        ("win32", 1, None),
+    ])
+    def test_linux_children_fork_unless_threaded(self, monkeypatch, platform, threads, method):
+        # An explicit "fork" holds whatever the global default is; None asks
+        # for the default. No child starts: the context is only asked for.
+        asked = []
+
+        def ask(name=None):
+            asked.append(name)
+            raise _Asked
+
+        monkeypatch.setattr(multiprocessing, "get_context", ask)
+        release = threading.Event()
+        extra = [threading.Thread(target=release.wait) for _ in range(threads - 1)]
+        for thread in extra:
+            thread.start()
+        try:
+            with monkeypatch.context() as m, pytest.raises(_Asked):
+                m.setattr(sys, "platform", platform)
+                run_shares(_where, ("x",), 2)
+        finally:
+            release.set()
+            for thread in extra:
+                thread.join(timeout=10)
+        assert asked == [method]
+        assert not any(thread.is_alive() for thread in extra)
 
     def test_child_exception_reaches_the_parent(self):
         with pytest.raises(NTooLargeError, match="^worker 1$"):
