@@ -71,11 +71,19 @@ def make_gij(i: int, j: int) -> tuple[Tree, int]:
     for idx in range(i):
         attach = 3 + idx * (j + 1)
         for _ in range(2):
-            prev = attach
-            for _ in range(j):
-                parent.append(prev)
-                prev = len(parent) - 1
+            _hang_path(parent, attach, j)
     return tree_from_parents(parent), 1
+
+
+def _hang_path(parent: list[int], at: int, edges: int) -> int:
+    """Append a path of `edges` edges hanging off vertex `at`; return its far
+    end (`at` itself for no edges). The new vertices are numbered outward."""
+    if edges == 0:
+        return at
+    first = len(parent)
+    parent.append(at)
+    parent.extend(range(first, first + edges - 1))
+    return first + edges - 1
 
 
 @dataclass(frozen=True)
@@ -99,40 +107,62 @@ def _tell_parents(l: int, leaves: list[int]) -> tuple[list[int], int, int]:
     u, v = 0, 2 * l
     parent = list(range(-1, 2 * l))
     for j, count in enumerate(leaves):
-        handle = v if j % 2 else u
-        for _ in range(j):
-            parent.append(handle)
-            handle = len(parent) - 1
+        handle = _hang_path(parent, v if j % 2 else u, j)
         parent.extend([handle] * count)
     return parent, u, v
 
 
-def _tell_margin(l: int, leaves: list[int], k: int, val: int) -> int:
-    """P_k(u) - P_k(v) for even k, P_k(v) - P_k(u) for odd k, with leaves[k-2] = val.
+def _tell_minimal_search(l: int) -> list[int]:
+    """Branch by branch, the smallest positive leaf count that makes the
+    branch's side lead at its constraint.
 
     Constraint k tunes branch k - 2, which hangs off the vertex that must
-    lead at k: u for even k, v for odd k.
+    lead at k: u for even k, v for odd k. At k = 2l, the u-v distance, there
+    is no constraint and branch 2l - 2 gets one leaf; at k = 2l + 1 branch
+    2l - 1 extends the alternation one step further if affordable.
+
+    `base` is the signed margin row of the current tree: entry k is
+    P_k(u) - P_k(v) for even k and P_k(v) - P_k(u) for odd k. Each branch
+    costs one count, at one leaf. A new leaf's paths are its handle's paths
+    plus one edge, and a path between two new leaves has only the handle
+    inside, so every margin is affine in the leaf count of a branch whose
+    handle is neither u nor v (k > 2). Branch 0's leaves sit on u itself,
+    where each pair of them adds one path through u at every k >= 2: +1 at
+    even k and -1 at odd k of the row (`on_u`). So base + val * slope, plus
+    C(val, 2) * on_u for branch 0, is the exact row at val leaves, and the
+    next branch needs no count at zero leaves.
     """
-    trial = list(leaves)
-    trial[k - 2] = val
-    parent, u, v = _tell_parents(l, trial)
-    # Every tree here has d >= 4l-1 (u to the end of v's last branch), and
-    # the search asks for k <= 2l+1, so both rows reach k. u = 0 is the
-    # root of the count, so only v walks its ancestor chain.
-    _, (Pu, Pv) = _parent_prefix_counts(parent, (u, v))
-    return Pv[k] - Pu[k] if k % 2 else Pu[k] - Pv[k]
+    top = 2 * l + 2  # every tree here has d >= 4l - 1 >= top - 1
+
+    def margins(leaves: list[int]) -> list[int]:
+        parent, u, v = _tell_parents(l, leaves)
+        # u = 0 is the root of the count, so only v walks its ancestor chain.
+        _, (Pu, Pv) = _parent_prefix_counts(parent, (u, v))
+        return [Pv[k] - Pu[k] if k % 2 else Pu[k] - Pv[k] for k in range(top)]
+
+    on_u = [0, 0, *((-1) ** k for k in range(2, top))]
+    off_u = [0] * top
+    leaves = [0] * (2 * l)
+    base = margins(leaves)
+    for k in range(2, top):
+        leaves[k - 2] = 1
+        slope = [m - b for m, b in zip(margins(leaves), base)]
+        pair = on_u if k == 2 else off_u
+        val = 1 if k == 2 * l else _least_positive(base[k], slope[k], pair[k])
+        if val is None and k < 2 * l:
+            slot = f"{'ab'[k % 2]}[{(k - 2) // 2}]"
+            raise SearchCapExceededError(f"no {slot} below {SEARCH_CAP} works at k={k}")
+        leaves[k - 2] = val = val or 1
+        base = [b + val * s + comb(val, 2) * p for b, s, p in zip(base, slope, pair)]
+    return leaves
 
 
-def _minimal_leaf_count(l: int, leaves: list[int], k: int) -> int | None:
-    """Smallest positive leaves[k-2] making the margin at k positive, or None.
+def _least_positive(g0: int, d1: int, d2: int) -> int | None:
+    """Smallest t in 1..SEARCH_CAP with g0 + d1 * t + d2 * C(t, 2) > 0, or None.
 
-    The margin is a quadratic polynomial in the leaf count (linear except
-    for leaves attached directly to u, whose pairs add a binomial term), so
-    three small counts determine it exactly; adding leaves to the favored
-    side never decreases the margin, so binary search applies.
+    Adding leaves to the favored side never decreases the margin, so binary
+    search applies.
     """
-    g0, g1, g2 = (_tell_margin(l, leaves, k, t) for t in range(3))
-    d1, d2 = g1 - g0, g2 - 2 * g1 + g0
 
     def g(t: int) -> int:
         return g0 + d1 * t + d2 * t * (t - 1) // 2
@@ -149,22 +179,6 @@ def _minimal_leaf_count(l: int, leaves: list[int], k: int) -> int | None:
         else:
             lo = mid + 1
     return lo
-
-
-def _tell_minimal_search(l: int) -> list[int]:
-    leaves = [0] * (2 * l)
-    for k in range(2, 2 * l):
-        val = _minimal_leaf_count(l, leaves, k)
-        if val is None:
-            slot = f"{'ab'[k % 2]}[{(k - 2) // 2}]"
-            raise SearchCapExceededError(f"no {slot} below {SEARCH_CAP} works at k={k}")
-        leaves[k - 2] = val
-    # No constraint tunes the last two branches. The one off u gets a single
-    # leaf; the one off v extends the alternation one step past the u-v
-    # distance if affordable.
-    leaves[-2] = 1
-    leaves[-1] = _minimal_leaf_count(l, leaves, 2 * l + 1) or 1
-    return leaves
 
 
 def _tell_paper_bound(l: int) -> list[int]:

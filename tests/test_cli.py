@@ -68,8 +68,9 @@ class TestGen:
         assert code == 24
 
     # sha256 of `gen tell:l` stdout, recorded before the tell search counted
-    # its candidates from parent arrays (l = 8, 14, 18) and before it kept
-    # its leaf counts in one list (l = 1..12).
+    # its candidates from parent arrays (l = 8, 14, 18), before it kept its
+    # leaf counts in one list (l = 1..12) and before it counted each branch
+    # once (l = 24, 30).
     PINNED_TELL = {
         1: "e2af76187b2f5f89c941864da1bd0af26c3bf524305419c419771c59dee5b1e0",
         2: "5383c5ad589228e886db9e0ca06ff52b8e4b16007e3b47967c894cdca60822ad",
@@ -85,6 +86,8 @@ class TestGen:
         12: "279fe33814029ae56e23a701d7dfd210ff1bf97183d4b692ba75d2506161eaed",
         14: "4e9b32bd4244183be5cc4bf266f9213daf897e6d672a351b9d3e1246f8531644",
         18: "6dd934c30b4adc47088b9f94caf74e62a75f3e6664a909e303cf9322ba7309b0",
+        24: "4855b76af654d374ae4644f8bfca3f05f037e136ca521d15680c1636b690134d",
+        30: "581edf9c53a534236a6f8f18244e540f875b04a6551f7ffaaea6d999da385953",
     }
 
     @pytest.mark.parametrize("l", sorted(PINNED_TELL))
@@ -104,6 +107,12 @@ class TestGen:
         code, out, err = run_cli(capsys, "gen", f"tell:{l},paper_bound")
         assert code == 20 and out == ""
         assert message in err
+
+    def test_tell_minimal_search_over_cap(self, capsys, monkeypatch):
+        monkeypatch.setattr(bcprof.tree_families, "SEARCH_CAP", 1)
+        code, out, err = run_cli(capsys, "gen", "tell:3")
+        assert code == 20 and out == ""
+        assert "no a[0] below 1 works at k=2" in err
 
     # sha256 of `gen` stdout for a valid broom and double broom.
     PINNED_BROOMS = {

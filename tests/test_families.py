@@ -1,5 +1,6 @@
 """Tree families and their closed forms against the brute-force oracle."""
 
+import random
 from fractions import Fraction
 from math import comb
 
@@ -29,6 +30,7 @@ from bcprof import (
     prefix_counts,
     tabulated_gij_k_values,
 )
+from bcprof.tree_core import _parent_prefix_counts
 
 
 class TestMakers:
@@ -197,6 +199,11 @@ class TestTell:
         _, (Pu, Pv) = prefix_counts(t, (u, v))
         assert Pu[2] > Pv[2] and Pv[3] > Pu[3]
 
+    def test_minimal_search_over_cap(self, monkeypatch):
+        monkeypatch.setattr(tree_families, "SEARCH_CAP", 1)
+        with pytest.raises(SearchCapExceededError, match=r"^no a\[0\] below 1 works at k=2$"):
+            make_tell(3)
+
     def test_paper_bound_exceeds_cap(self):
         with pytest.raises(SearchCapExceededError):
             make_tell(3, strategy="paper_bound")
@@ -208,3 +215,45 @@ class TestTell:
     def test_bad_l(self):
         with pytest.raises(OutOfRangeError):
             make_tell(0)
+
+
+class TestTellSearchCounts:
+    """The tell search counts each branch once, at one leaf, and extrapolates
+    the margin row from the algebra these tests check."""
+
+    @staticmethod
+    def margins(l, leaves):
+        """P_k(u) - P_k(v) at even k, P_k(v) - P_k(u) at odd k, for k <= 2l + 1."""
+        parent, u, v = tree_families._tell_parents(l, leaves)
+        _, (Pu, Pv) = _parent_prefix_counts(parent, (u, v))
+        return [(-1) ** k * (Pu[k] - Pv[k]) for k in range(2 * l + 2)]
+
+    @pytest.mark.parametrize("l", range(1, 9))
+    def test_margins_affine_but_for_pairs_on_u(self, l):
+        # Second difference in leaves[j]: zero for every branch off a handle
+        # that is neither u nor v; for the leaves on u, one path through u
+        # per pair at every k >= 2, so +1 at even k and -1 at odd k.
+        on_u = [0, 0, *((-1) ** k for k in range(2, 2 * l + 2))]
+        rng = random.Random(l)
+        for _ in range(5):
+            leaves = [rng.randint(0, 4) for _ in range(2 * l)]
+            for j in range(2 * l):
+                rows = []
+                for extra in range(3):
+                    trial = list(leaves)
+                    trial[j] += extra
+                    rows.append(self.margins(l, trial))
+                second = [a - 2 * b + c for a, b, c in zip(*rows)]
+                assert second == (on_u if j == 0 else [0] * (2 * l + 2)), (leaves, j)
+
+    @pytest.mark.parametrize("l", range(1, 9))
+    def test_one_count_per_branch(self, l, monkeypatch):
+        calls = []
+
+        def counting(parent, vertices):
+            calls.append(vertices)
+            return _parent_prefix_counts(parent, vertices)
+
+        monkeypatch.setattr(tree_families, "_parent_prefix_counts", counting)
+        make_tell(l)
+        assert len(calls) == 2 * l + 1
