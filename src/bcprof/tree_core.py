@@ -168,16 +168,17 @@ _LANE_FORMATS = {16: "H", 32: "I", 64: "Q"}
 def _lane_bits(n: int) -> int:
     """Lane width for a tree on n vertices: 16, 32 or 64 bits.
 
-    Every lane counts vertex pairs, so it stays below n**2, which needs at
-    most lane - 1 bits: no lane carries into the next, and bit_length() //
-    lane is the index of the highest non-zero lane. Raises OutOfRangeError
-    when n**2 does not fit in 63 bits.
+    Every lane counts vertices or vertex pairs, so it never exceeds
+    C(n, 2) = n(n-1)/2: the narrowest lane that holds C(n, 2) never carries
+    into the next. A lane's top bit may be set, so the highest non-zero lane
+    is (bit_length() - 1) // lane. Raises OutOfRangeError when C(n, 2) does
+    not fit in 64 bits.
     """
-    bits = (n * n).bit_length()
+    bits = (n * (n - 1) // 2).bit_length()
     for lane in _LANE_FORMATS:
-        if bits < lane:
+        if bits <= lane:
             return lane
-    raise OutOfRangeError(f"n={n} is too large: n**2 must fit in 63 bits")
+    raise OutOfRangeError(f"n={n} is too large: C(n, 2) must fit in 64 bits")
 
 
 def _unpack(x: int, lane: int, count: int) -> list[int]:
@@ -234,9 +235,11 @@ def _diameter_and_lengths(n: int, pairs: int, lane: int) -> tuple[int, list[int]
     """(d, p_l for l = 0..d) from the packed all-pairs histogram.
 
     Lane 1 holds the n-1 edges, which have no interior vertex, so it is
-    cleared; lane 0 is always zero.
+    cleared; lane 0 is always zero. Lane d holds the top set bit, which may
+    be a lane's own top bit, so d comes from bit_length() - 1; with no pair
+    at all (n = 1), d is 0.
     """
-    d = pairs.bit_length() // lane
+    d = max(pairs.bit_length() - 1, 0) // lane
     return d, _unpack(pairs - ((n - 1) << lane), lane, d + 1)
 
 

@@ -26,7 +26,7 @@ from .scale_free import (
     path_probability,
     signature_of_path,
 )
-from .tree_core import _lane_bits, _pack, path_counts_naive, prefix_counts
+from .tree_core import _LANE_FORMATS, _pack, path_counts_naive, prefix_counts
 from .tree_families import (
     closed_form_gij_pk,
     closed_form_gij_Pk,
@@ -72,11 +72,12 @@ Cases = Iterator[Case]
 def _prop1_lane(n: int) -> int:
     """Lane width for path n's packed columns: every count is below n**2 / 2,
     so a product of two stays below n**4 / 4 and keeps each lane's top bit
-    clear."""
-    try:
-        return _lane_bits(n * n)
-    except OutOfRangeError:
-        raise OutOfRangeError(f"prop1 max size {n} is too large: n**4 must fit in 63 bits") from None
+    clear for the guard."""
+    bits = (n**4).bit_length()
+    for lane in _LANE_FORMATS:
+        if bits < lane:
+            return lane
+    raise OutOfRangeError(f"prop1 max size {n} is too large: n**4 must fit in 63 bits")
 
 
 def _lanes_at_least(x: int, y: int, guard: int) -> bool:

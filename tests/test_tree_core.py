@@ -1,10 +1,12 @@
 """Tree construction, BFS, and exact path counting (fast vs naive oracle)."""
 
+import functools
 import itertools
 import os
 import random
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,8 +59,12 @@ def draw_tree(data, sizes):
     return random_tree(n, random.Random(data.draw(st.integers(0, 2**32))))
 
 
-# Sizes on both sides of the packed lane-width step between n=181 and n=182.
-LANE_STEP = st.sampled_from((181, 182))
+# Sizes on both sides of the packed lane-width step between n=362 and n=363.
+LANE_STEP = st.sampled_from((362, 363))
+
+# The oracle walks every path: 0.5 s for a path on 362 vertices. Paths and
+# stars drawn at LANE_STEP recur across examples, so each is walked once.
+cached_naive = functools.cache(path_counts_naive)
 
 
 def as_rows(table):
@@ -113,7 +119,7 @@ def leaf_heavy_parents():
     for spine in (2, 3, 5, 8):
         legs = [rng.randrange(4) for _ in range(spine)]
         yield [*range(-1, spine - 1), *(s for s in range(1, spine) for _ in range(legs[s]))]
-    for n, seed in ((3, 1), (12, 2), (40, 3), (60, 4), (181, 5), (182, 6)):
+    for n, seed in ((3, 1), (12, 2), (40, 3), (60, 4), (362, 5), (363, 6)):
         yield sample_tree(n, random.Random(seed))._parent_array()
 
 
@@ -225,7 +231,7 @@ class TestPathCounts:
     @given(st.data())
     def test_prefix_counts_equals_naive_hypothesis(self, data):
         t = draw_tree(data, st.one_of(LANE_STEP, st.integers(1, 40)))
-        naive = path_counts_naive(t)
+        naive = cached_naive(t)
         assert prefix_counts(t, range(t.n)) == as_rows(naive)
         # The pass is rooted at the first listed vertex, so list one other
         # than 0 first; the others are reached down the chain from it.
@@ -242,6 +248,7 @@ class TestPathCounts:
         naive = path_counts_naive(t)
         assert naive.p == (0,) * n
         assert path_counts_fast(t) == naive
+        assert naive.d == n - 1
         assert prefix_counts(t, range(n)) == {1: ((0,), ((0,),)), 2: ((0, 0), ((0, 0), (0, 0)))}[n]
 
     def test_total_pairs_identity(self):
@@ -416,20 +423,42 @@ class TestChildlessVertices:
 
 class TestLaneWidth:
     @pytest.mark.parametrize("n, lane", [
-        (1, 16), (181, 16), (182, 32), (46340, 32), (46341, 64), (3_037_000_499, 64),
+        (1, 16), (181, 16), (362, 16), (363, 32), (46340, 32), (92682, 32),
+        (92683, 64), (3_037_000_499, 64), (6_074_001_000, 64),
     ])
     def test_steps(self, n, lane):
-        # n**2 must fit in lane - 1 bits, on both sides of each step.
-        assert (n * n).bit_length() < lane
+        # C(n, 2) < 2**lane, and past 16 bits C(n, 2) does not fit in the
+        # next narrower lane: checked on both sides of each step.
+        assert n * (n - 1) // 2 < 2**lane
+        assert lane == 16 or n * (n - 1) // 2 >= 2 ** (lane // 2)
         assert _lane_bits(n) == lane
 
-    def test_rejects_n_squared_beyond_63_bits(self):
-        with pytest.raises(OutOfRangeError):
-            _lane_bits(3_037_000_500)
+    def test_rejects_pairs_beyond_64_bits(self):
+        assert 6_074_001_001 * 6_074_001_000 // 2 >= 2**64
+        with pytest.raises(OutOfRangeError, match=r"C\(n, 2\) must fit in 64 bits"):
+            _lane_bits(6_074_001_001)
+
+    def test_format_codes_match_lane_widths(self):
+        for lane, code in tree_core._LANE_FORMATS.items():
+            assert array(code).itemsize * 8 == lane
+
+    def test_top_bit_of_the_top_lane(self):
+        # A star on 362 vertices has C(361, 2) = 64_980 >= 2**15 pairs at
+        # distance 2, so the top lane of its 16-bit all-pairs histogram has
+        # its top bit set; bit_length() // lane would read d = 3.
+        parent = [-1, *[0] * 361]
+        t = tree_from_parents(parent)
+        naive = path_counts_naive(t)
+        assert _lane_bits(t.n) == 16 and naive.d == 2 and naive.p[2] >= 2**15
+        assert path_counts_fast(t) == naive
+        for vs in (range(t.n), [361, 0, 5]):
+            want = (naive.Pk, tuple(naive.Pkv[v] for v in vs))
+            assert prefix_counts(t, vs) == want
+            assert _parent_prefix_counts(parent, vs) == want
 
     def test_rejects_huge_n_before_any_work(self):
         # adj is empty: any pass over the tree would raise IndexError.
-        t = Tree(n=4 * 10**9, adj=())
+        t = Tree(n=6_074_001_001, adj=())
         with pytest.raises(OutOfRangeError):
             path_counts_fast(t)
         for vertices in ((), (0,)):
