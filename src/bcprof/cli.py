@@ -118,7 +118,8 @@ def cmd_gen(args) -> int:
 
 def _load_tree(path: str):
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig drops a leading byte-order mark, as some editors write.
+        with open(path, encoding="utf-8-sig") as fh:
             return read_tree(fh)
     except UnicodeDecodeError:
         raise BadSpecError(f"tree file {path!r} is not UTF-8 text") from None

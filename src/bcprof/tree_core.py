@@ -41,28 +41,54 @@ class Tree:
 
 
 def build_tree(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
+    """The tree on vertices 0..n-1 with these edges."""
+    return _tree_from_ends(n, list(itertools.chain.from_iterable(edges)))
+
+
+def _tree_from_ends(n: int, ends: list[int]) -> Tree:
+    """build_tree for the edges listed flat as [u0, v0, u1, v1, ...].
+
+    n - 1 edges with endpoints in 0..n-1 that reach all n vertices from
+    vertex 0 form a tree: a self-loop or a repeated edge would leave too
+    few edges to connect them. So one reachability pass accepts a tree,
+    and only when it fails are the edges walked in order, to raise the
+    error of the first faulty edge (DisconnectedError if none is).
+    """
     if n < 1:
         raise OutOfRangeError(f"vertex count must be >= 1, got {n}")
-    edges = list(edges)
-    if len(edges) != n - 1:
-        raise WrongEdgeCountError(f"tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
-    adj: list[list[int]] = [[] for _ in range(n)]
-    seen: set[int] = set()
-    for u, v in edges:
+    if len(ends) != 2 * (n - 1):
+        raise WrongEdgeCountError(f"tree on {n} vertices needs {n - 1} edges, got {len(ends) // 2}")
+    # Range first: a negative id would index adjacency from the end.
+    if min(ends, default=0) >= 0 and max(ends, default=0) < n:
+        adj: list[list[int]] = [[] for _ in range(n)]
+        pairs = iter(ends)
+        for u, v in zip(pairs, pairs):
+            adj[u].append(v)
+            adj[v].append(u)
+        for a in adj:
+            a.sort()
+        seen = bytearray(n)
+        seen[0] = 1
+        order = [0]
+        for u in order:
+            for w in adj[u]:
+                if not seen[w]:
+                    seen[w] = 1
+                    order.append(w)
+        if len(order) == n:
+            return Tree(n, tuple(map(tuple, adj)))
+    keys: set[int] = set()
+    pairs = iter(ends)
+    for u, v in zip(pairs, pairs):
         if not (0 <= u < n and 0 <= v < n):
             raise OutOfRangeError(f"edge ({u}, {v}) out of range for n={n}")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         key = u * n + v if u < v else v * n + u
-        if key in seen:
+        if key in keys:
             raise DuplicateEdgeError(f"duplicate edge {divmod(key, n)}")
-        seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-    tree = Tree(n, tuple(tuple(sorted(a)) for a in adj))
-    if sum(1 for d in bfs_distances(tree, 0) if d >= 0) != n:
-        raise DisconnectedError("graph is not connected")
-    return tree
+        keys.add(key)
+    raise DisconnectedError("graph is not connected")
 
 
 def tree_from_parents(parent: Sequence[int]) -> Tree:
@@ -365,16 +391,37 @@ def all_profiles(t: Tree) -> list[Profile]:
 
 
 def read_tree(lines: Iterable[str]) -> Tree:
-    """Parse the tree file format: comments (#), vertex count, n-1 edges."""
+    """Parse the tree file format: comments (#), vertex count, n-1 edges.
+
+    Lines are numbered as iterated: a text file breaks only at newlines,
+    where str.splitlines would also break at form feeds and other
+    separators. All lines are split and converted in bulk; a line with the
+    wrong number of fields or a token that is not an integer sends the
+    file through the line-by-line parse, which names the first such line.
+    """
+    lines = list(lines)
+    rows = [fields for fields in map(str.split, lines) if fields and fields[0][0] != "#"]
+    if not rows:
+        raise WrongEdgeCountError("empty tree file")
+    if len(rows[0]) == 1 and {*map(len, rows[1:])} <= {2}:
+        try:
+            n, *ends = map(int, itertools.chain.from_iterable(rows))
+        except ValueError:
+            pass
+        else:
+            return _tree_from_ends(n, ends)
+    return build_tree(*_parse_lines(lines))
+
+
+def _parse_lines(lines: Sequence[str]) -> tuple[int, list[tuple[int, ...]]]:
+    """(n, edges) parsed line by line; the BadSpecError of a bad line names it."""
     data = [
         (i, line, fields)
         for i, line in enumerate(lines, start=1)
-        if (fields := line.split()) and not fields[0].startswith("#")
+        if (fields := line.split()) and fields[0][0] != "#"
     ]
-    if not data:
-        raise WrongEdgeCountError("empty tree file")
     (n,) = _line_ints(*data[0], 1)
-    return build_tree(n, [_line_ints(*row, 2) for row in data[1:]])
+    return n, [_line_ints(*row, 2) for row in data[1:]]
 
 
 def _line_ints(lineno: int, line: str, fields: list[str], count: int) -> tuple[int, ...]:

@@ -534,13 +534,28 @@ class TestMalformedInput:
         (("experiment", "--which", "no_cross_12_vs_n", "--grid", "10,x"), b"", "'x'"),
         (("profile", "--tree", "{tree}", "--all"), b"3\n0 1\xff\n1 2\n", "bad.tree"),
         (("verify", "--check", "prop2", "--max-size", "-7"), b"", "prop2"),
-    ], ids=("short-edge-line", "non-integer-n", "grid-token", "not-utf8", "prop2-max-size"))
+        # a form feed splits fields but not lines, so "1 x" stays line 3
+        (("profile", "--tree", "{tree}", "--all"), b"3\n0\x0c1\n1 x\n", "line 3: "),
+        # only a leading byte-order mark is dropped
+        (("profile", "--tree", "{tree}", "--all"), b"3\n\xef\xbb\xbf0 1\n1 2\n", "line 2: "),
+        (("profile", "--tree", "{tree}", "--all"), b"\xef\xbb\xbf3\n0 1\xff\n1 2\n", "bad.tree"),
+    ], ids=("short-edge-line", "non-integer-n", "grid-token", "not-utf8", "prop2-max-size",
+            "form-feed-in-line", "bom-inside", "bom-then-not-utf8"))
     def test_exits_24_naming_the_input(self, tmp_path, capsys, argv, tree_bytes, named):
         path = tmp_path / "bad.tree"
         path.write_bytes(tree_bytes)
         code, out, err = run_cli(capsys, *(str(path) if a == "{tree}" else a for a in argv))
         assert code == 24 and out == ""
         assert named in err
+
+    def test_leading_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        text = write_tree(sample_tree(40, random.Random(30)).tree()).encode()
+        outputs = []
+        for name, data in (("plain.tree", text), ("bom.tree", b"\xef\xbb\xbf" + text)):
+            path = tmp_path / name
+            path.write_bytes(data)
+            outputs.append(run_cli(capsys, "profile", "--tree", str(path), "--all"))
+        assert outputs[0] == outputs[1] and outputs[0][0] == 0 and outputs[0][1]
 
 
 @st.composite

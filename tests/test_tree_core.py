@@ -534,6 +534,12 @@ class TestTreeIo:
         # n - 1 edges with a cycle: away from vertex 0, then through it
         (["5", "0 1", "2 3", "3 4", "4 2"], DisconnectedError, "graph is not connected"),
         (["4", "0 1", "1 2", "2 0"], DisconnectedError, "graph is not connected"),
+        # a negative id must not index adjacency from the end (0-2-1 here)
+        (["3", "0 -1", "1 2"], OutOfRangeError, "edge (0, -1) out of range for n=3"),
+        (["4000000000", "0 1"], WrongEdgeCountError,
+         "tree on 4000000000 vertices needs 3999999999 edges, got 1"),
+        (["3", "0 7", "1 x"], BadSpecError, "line 3: expected 2 integer(s), got '1 x'"),
+        (["3", "0 1", "0 x"], BadSpecError, "line 3: expected 2 integer(s), got '0 x'"),
     )
 
     @pytest.mark.parametrize("lines, error, message", FAULTS)
@@ -541,3 +547,113 @@ class TestTreeIo:
         with pytest.raises(error) as info:
             read_tree(lines)
         assert type(info.value) is error and str(info.value) == message
+
+
+def reference_read_tree(lines):
+    """read_tree as it was before the bulk parse: every line parsed on its
+    own, then every edge checked in order before a BFS from vertex 0."""
+    data = [
+        (i, line, fields)
+        for i, line in enumerate(lines, start=1)
+        if (fields := line.split()) and not fields[0].startswith("#")
+    ]
+    if not data:
+        raise WrongEdgeCountError("empty tree file")
+    (n,) = reference_line_ints(*data[0], 1)
+    return reference_build_tree(n, [reference_line_ints(*row, 2) for row in data[1:]])
+
+
+def reference_line_ints(lineno, line, fields, count):
+    try:
+        values = tuple(map(int, fields))
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise BadSpecError(f"line {lineno}: expected {count} integer(s), got {line.strip()!r}")
+    return values
+
+
+def reference_build_tree(n, edges):
+    if n < 1:
+        raise OutOfRangeError(f"vertex count must be >= 1, got {n}")
+    edges = list(edges)
+    if len(edges) != n - 1:
+        raise WrongEdgeCountError(f"tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
+    adj = [[] for _ in range(n)]
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise OutOfRangeError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise SelfLoopError(f"self-loop at vertex {u}")
+        key = u * n + v if u < v else v * n + u
+        if key in seen:
+            raise DuplicateEdgeError(f"duplicate edge {divmod(key, n)}")
+        seen.add(key)
+        adj[u].append(v)
+        adj[v].append(u)
+    tree = Tree(n, tuple(tuple(sorted(a)) for a in adj))
+    if sum(1 for d in bfs_distances(tree, 0) if d >= 0) != n:
+        raise DisconnectedError("graph is not connected")
+    return tree
+
+
+def outcome(read, lines):
+    """What a reader makes of a file: its Tree, or its error's class and text."""
+    try:
+        return read(lines)
+    except bcprof.BcprofError as error:
+        return type(error), str(error)
+
+
+def messy_tree_file(t, rng):
+    """t written as a user might: edges shuffled, endpoints flipped at
+    random, CRLF or LF endings, stray blank, whitespace and comment lines."""
+    edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in t.edges()]
+    rng.shuffle(edges)
+    lines = [str(t.n), *(rng.choice((" ", "\t", "  ")).join(map(str, e)) for e in edges)]
+    for _ in range(rng.randrange(4)):
+        stray = rng.choice(("", "  ", "\t", "# note", "  #x 1 2", "#"))
+        lines.insert(rng.randrange(len(lines) + 1), stray)
+    end = rng.choice(("\n", "\r\n"))
+    return [line + end for line in lines]
+
+
+def single_line_mutations(lines, n):
+    """Every file one edit away: a line dropped, repeated or swapped with the
+    next, or one token replaced by -1, n, x, its edge's other endpoint, or
+    vertex 0 or 1 (which makes repeats and cycles)."""
+    for i in range(len(lines)):
+        yield lines[:i] + lines[i + 1:]
+        yield lines[:i + 1] + lines[i:]
+        if i + 1 < len(lines):
+            yield lines[:i] + [lines[i + 1], lines[i]] + lines[i + 2:]
+        fields = lines[i].split()
+        for j in range(len(fields)):
+            other = fields[1 - j] if len(fields) == 2 else fields[j]
+            for token in ("-1", str(n), "x", other, "0", "1"):
+                edited = fields[:j] + [token] + fields[j + 1:]
+                yield lines[:i] + [" ".join(edited) + "\n"] + lines[i + 1:]
+
+
+class TestReadTreeAgainstReference:
+    """The bulk reader against the line-by-line reader it replaced."""
+
+    def test_same_tree_on_messy_files(self):
+        rng = random.Random(30)
+        for n in (*range(1, 12), 50, 200, 363):
+            for _ in range(3):
+                t = random_tree(n, rng)
+                lines = messy_tree_file(t, rng)
+                assert read_tree(lines) == reference_read_tree(lines) == t
+
+    def test_same_error_on_every_single_line_mutation(self):
+        rng = random.Random(31)
+        mutations = 0
+        for n in (1, 2, 3, 5, 8, 13):
+            for _ in range(3):
+                lines = messy_tree_file(random_tree(n, rng), rng)
+                for mutated in single_line_mutations(lines, n):
+                    assert outcome(read_tree, mutated) == outcome(reference_read_tree, mutated)
+                    mutations += 1
+        assert mutations > 1000
