@@ -1,9 +1,9 @@
 """Preferential-attachment random trees and exact small-n machinery.
 
-Vertices carry 1-based labels in attachment order (vertex 1 first, with
-one virtual degree unit); the Tree view uses 0-based ids, id = label - 1.
-Exact enumeration of attachment histories doubles as the oracle for the
-closed-form path presence probability.
+The paper labels vertices 1..n in attachment order, vertex 1 first with one
+virtual degree unit; a RecursiveTree is the engine's 0-based parent array, in
+which vertex y carries label y + 1. Exact enumeration of attachment histories
+doubles as the oracle for the closed-form path presence probability.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter, lt, sub, truediv
+from operator import itemgetter, truediv
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -25,7 +25,9 @@ from .errors import (
     OutOfRangeError,
     PreconditionViolatedError,
 )
-from .tree_core import Tree, _parent_prefix_counts, _PrefixRows, tree_from_parents
+from .tree_core import (
+    Tree, _check_parent_array, _parent_prefix_counts, _PrefixRows, tree_from_parents
+)
 
 MAX_EXACT_N = 9  # product of (t-1) histories; 9 keeps it at 8! = 40320
 
@@ -59,43 +61,29 @@ def check_seed(seed: int) -> None:
 
 @dataclass(frozen=True)
 class RecursiveTree:
-    """Recursive tree: parents[t-2] is the parent label of vertex t."""
+    """Recursive tree as the engine's 0-based parent array, checked as
+    tree_from_parents checks it; vertex y carries label y + 1."""
 
-    n: int
-    parents: tuple[int, ...]
+    parent: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.parents) != self.n - 1:
-            raise OutOfRangeError(
-                f"need {self.n - 1} parents for n={self.n}, got {len(self.parents)}"
-            )
-        # 1 <= parents[t-2] < t for every t, at C speed.
-        parents = self.parents
-        if min(parents, default=1) < 1 or not all(map(lt, parents, range(2, self.n + 1))):
-            raise OutOfRangeError(f"parents must satisfy 1 <= parents[t-2] < t: {self.parents}")
+        _check_parent_array(self.parent)
 
     def tree(self) -> Tree:
-        """The 0-based Tree view, built straight from the parents."""
-        return tree_from_parents(self._parent_array())
+        """The Tree view, built straight from the parent array."""
+        return tree_from_parents(self.parent)
 
     def prefix_counts(self, vertices: Iterable[int]) -> _PrefixRows:
-        """Exactly tree_core.prefix_counts(self.tree(), vertices), with no Tree.
-
-        Labels are already a topological order, so the count runs straight
-        over the 0-based parent array, rooted at vertex 0.
-        """
-        return _parent_prefix_counts(self._parent_array(), vertices)
-
-    def _parent_array(self) -> list[int]:
-        """0-based parents: -1 for vertex 0, then parents[t-2] - 1 for id t - 1."""
-        return [-1, *map(sub, self.parents, itertools.repeat(1))]
+        """Exactly tree_core.prefix_counts(self.tree(), vertices), with no Tree:
+        the parent array is already an order rooted at vertex 0."""
+        return _parent_prefix_counts(self.parent, vertices)
 
 
 def sample_tree(n: int, rng: random.Random) -> RecursiveTree:
-    """One preferential-attachment tree; vertex 1 carries a virtual edge.
+    """One preferential-attachment tree; vertex 0 carries a virtual edge.
 
-    The target list holds each label as many times as its attachment
-    weight (degree, plus one for vertex 1), so a uniform pick is
+    The target list holds each vertex as many times as its attachment
+    weight (degree, plus one for vertex 0), so a uniform pick is
     degree-proportional.
     """
     if n < 1:
@@ -104,19 +92,19 @@ def sample_tree(n: int, rng: random.Random) -> RecursiveTree:
     # bits and redraw while the draw is m or more, as CPython's
     # _randbelow_with_getrandbits does, so every seed gives the same tree.
     getrandbits = rng.getrandbits
-    parents = []
-    targets = [1]
-    for t in range(2, n + 1):
+    parent = [-1]
+    targets = [0]
+    for t in range(1, n):
         m = len(targets)
         bits = m.bit_length()
         r = getrandbits(bits)
         while r >= m:
             r = getrandbits(bits)
         p = targets[r]
-        parents.append(p)
+        parent.append(p)
         targets.append(t)
         targets.append(p)
-    return RecursiveTree(n=n, parents=tuple(parents))
+    return RecursiveTree(tuple(parent))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .errors import (
     DisconnectedError,
     DuplicateEdgeError,
     OutOfRangeError,
+    PreconditionViolatedError,
     SelfLoopError,
     WrongEdgeCountError,
 )
@@ -91,6 +92,16 @@ def _tree_from_ends(n: int, ends: list[int]) -> Tree:
     raise DisconnectedError("graph is not connected")
 
 
+def _check_parent_array(parent: Sequence[int]) -> None:
+    """Raise OutOfRangeError unless parent[0] = -1 and 0 <= parent[y] < y for y >= 1."""
+    n = len(parent)
+    if n < 1 or parent[0] != -1:
+        raise OutOfRangeError(f"a parent array starts with -1, got {list(parent[:1])}")
+    for y in range(1, n):
+        if not 0 <= parent[y] < y:
+            raise OutOfRangeError(f"parent[{y}] = {parent[y]} is not in 0..{y - 1}")
+
+
 def tree_from_parents(parent: Sequence[int]) -> Tree:
     """The tree of a 0-based parent array: parent[0] = -1 and
     0 <= parent[y] < y for every other y.
@@ -99,17 +110,12 @@ def tree_from_parents(parent: Sequence[int]) -> Tree:
     or BFS is needed. Appending in y order keeps every adjacency list
     sorted: y's parent comes first, then its children in increasing order.
     """
-    n = len(parent)
-    if n < 1 or parent[0] != -1:
-        raise OutOfRangeError(f"a parent array starts with -1, got {list(parent[:1])}")
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for y in range(1, n):
-        p = parent[y]
-        if not 0 <= p < y:
-            raise OutOfRangeError(f"parent[{y}] = {p} is not in 0..{y - 1}")
+    _check_parent_array(parent)
+    adj: list[list[int]] = [[] for _ in parent]
+    for y, p in enumerate(parent[1:], 1):
         adj[y].append(p)
         adj[p].append(y)
-    return Tree(n, tuple(map(tuple, adj)))
+    return Tree(len(parent), tuple(map(tuple, adj)))
 
 
 def bfs_distances(t: Tree, source: int) -> list[int]:
@@ -221,13 +227,18 @@ def _pack(values: Iterable[int], lane: int) -> int:
 
 def _bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
     """(order, parent): a BFS order from root and each vertex's parent in
-    it (parent[root] = -1). Every vertex comes after its parent."""
+    it (parent[root] = -1). Every vertex comes after its parent. Only n
+    entries are expanded; unless they list each vertex once, the adjacency
+    is not a tree (a cycle or self-loop repeats a vertex, a second
+    component leaves one out) and PreconditionViolatedError is raised."""
     order, parent = [root], [-1] * t.n
-    for u in order:
+    for u in itertools.islice(order, t.n):
         for w in t.adj[u]:
             if w != parent[u]:
                 parent[w] = u
                 order.append(w)
+    if len(order) != t.n or parent[root] != -1 or parent.count(-1) != 1:
+        raise PreconditionViolatedError(f"adjacency is not a tree: no BFS order from {root}")
     return order, parent
 
 

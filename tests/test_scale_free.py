@@ -5,7 +5,6 @@ import itertools
 import math
 import os
 import random
-import re
 import subprocess
 import sys
 from array import array
@@ -126,7 +125,7 @@ class TestSampler:
 
     def test_parents_valid(self):
         t = sample_tree(100, random.Random(1))
-        assert all(1 <= p < v for v, p in enumerate(t.parents, start=2))
+        assert t.parent[0] == -1 and all(0 <= p < y for y, p in enumerate(t.parent[1:], 1))
         assert t.tree().n == 100
 
     def test_draws_equal_randrange(self):
@@ -144,7 +143,8 @@ class TestSampler:
         for n in (1, 2, 3, 4, 17, 250):
             for seed in range(500):
                 rng, ref_rng = random.Random(seed), random.Random(seed)
-                assert sample_tree(n, rng).parents == reference(n, ref_rng), (n, seed)
+                rt = sample_tree(n, rng)
+                assert tuple(p + 1 for p in rt.parent[1:]) == reference(n, ref_rng), (n, seed)
                 assert rng.getstate() == ref_rng.getstate(), (n, seed)
 
     def test_calibration_against_enumeration(self):
@@ -152,7 +152,9 @@ class TestSampler:
         n, trials = 4, 20000
         exact = dict(enumerate_histories(n))
         rng = random.Random(2024)
-        freq = Counter(sample_tree(n, rng).parents for _ in range(trials))
+        freq = Counter(
+            tuple(p + 1 for p in sample_tree(n, rng).parent[1:]) for _ in range(trials)
+        )
         assert set(freq) <= set(exact)
         for parents, prob in exact.items():
             p = float(prob)
@@ -164,28 +166,22 @@ class TestRecursiveTreeInvariant:
     def test_bad_parents_rejected_under_optimize(self):
         # `python -O` strips asserts; the parent check must survive it.
         src = str(Path(bcprof.__file__).resolve().parents[1])
-        code = "from bcprof import RecursiveTree; RecursiveTree(n=3, parents=(1, 5))"
+        code = "from bcprof import RecursiveTree; RecursiveTree((-1, 0, 4))"
         proc = subprocess.run(
             [sys.executable, "-O", "-c", code], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src}, timeout=120,
         )
         assert proc.returncode == 1 and "OutOfRangeError" in proc.stderr
 
-    @pytest.mark.parametrize("n, parents", [
-        (3, (0, 1)), (3, (1, 0)), (3, (1, 3)), (3, (2, 1)), (4, (1, 2, 4)), (4, (1, -5, 2)),
-    ])
-    def test_each_bad_parent_rejected(self, n, parents):
-        message = f"parents must satisfy 1 <= parents[t-2] < t: {parents}"
-        with pytest.raises(OutOfRangeError, match=re.escape(message)):
-            RecursiveTree(n=n, parents=parents)
-
     def test_tree_equals_build_tree(self):
         # tree() skips build_tree's checks; it must build the same Tree.
         recs = [sample_tree(n, random.Random(s)) for n in (1, 2, 3, 40, 250) for s in range(5)]
-        recs += [RecursiveTree(n=5, parents=parents) for parents, _ in enumerate_histories(5)]
+        recs += [
+            RecursiveTree((-1, *(p - 1 for p in parents))) for parents, _ in enumerate_histories(5)
+        ]
         for rec in recs:
-            edges = [(t - 1, p - 1) for t, p in enumerate(rec.parents, start=2)]
-            assert rec.tree() == build_tree(rec.n, edges)
+            edges = [(y, p) for y, p in enumerate(rec.parent) if y]
+            assert rec.tree() == build_tree(len(rec.parent), edges)
 
 
 class TestParentArrayCounts:
@@ -200,7 +196,7 @@ class TestParentArrayCounts:
         if data.draw(st.booleans()):
             rt = sample_tree(n, rng)
         else:
-            rt = RecursiveTree(n=n, parents=tuple(rng.randint(1, t - 1) for t in range(2, n + 1)))
+            rt = RecursiveTree((-1, *(rng.randint(0, y - 1) for y in range(1, n))))
         vs = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
         vs += data.draw(st.sampled_from(([], [0], vs[:1])))  # repeats and vertex 0
         t = rt.tree()
@@ -556,7 +552,7 @@ class TestEstimateExpectedProfiles:
             # A vertex childless in some trials and not in others mixes
             # zero and non-zero entries in one column.
             parents = [
-                set(sample_tree(n, random.Random(substream_seed(seed, t))).parents)
+                set(sample_tree(n, random.Random(substream_seed(seed, t))).parent[1:])
                 for t in range(trials)
             ]
             with_child = Counter(itertools.chain.from_iterable(parents))
@@ -596,7 +592,7 @@ class TestEstimateExpectedProfiles:
         for t in range(trials):
             rt = sample_tree(n, random.Random(substream_seed(seed, t)))
             _, Pkv = rt.prefix_counts(range(n))
-            if rt.parents.count(1) == 1:
+            if rt.parent.count(0) == 1:
                 lone += 1
                 assert not any(Pkv[0]) and Pkv[0] is not Pkv[n - 1]
             want += len({row for row in Pkv if any(row)})

@@ -4,6 +4,7 @@ import functools
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 from array import array
@@ -21,6 +22,7 @@ from bcprof import (
     DisconnectedError,
     DuplicateEdgeError,
     OutOfRangeError,
+    PreconditionViolatedError,
     RecursiveTree,
     SelfLoopError,
     Tree,
@@ -120,7 +122,7 @@ def leaf_heavy_parents():
         legs = [rng.randrange(4) for _ in range(spine)]
         yield [*range(-1, spine - 1), *(s for s in range(1, spine) for _ in range(legs[s]))]
     for n, seed in ((3, 1), (12, 2), (40, 3), (60, 4), (362, 5), (363, 6)):
-        yield sample_tree(n, random.Random(seed))._parent_array()
+        yield list(sample_tree(n, random.Random(seed)).parent)
 
 
 # An 11-vertex reference tree: a length-4 path into a 3-way fan, each fan
@@ -169,18 +171,26 @@ class TestBuildTree:
         assert tree_from_parents(parent).edges() == want
 
 
+# The one fault table of the parent-array check: each bad array with the
+# exact message that names its first bad entry.
+BAD_PARENT_ARRAYS = {
+    (-1, 0, 2): "parent[2] = 2 is not in 0..1",  # parent[y] == y
+    (-1, 0, 3, 1): "parent[2] = 3 is not in 0..1",  # parent[y] > y
+    (-1, -1): "parent[1] = -1 is not in 0..0",  # a second root
+    (-1, 0, -2): "parent[2] = -2 is not in 0..1",  # a negative parent
+    (0, 0): "a parent array starts with -1, got [0]",  # no -1 root
+    (): "a parent array starts with -1, got []",
+}
+
+
 class TestTreeFromParents:
-    @pytest.mark.parametrize("parent", (
-        [-1, 0, 2],  # parent[y] == y
-        [-1, 0, 3, 1],  # parent[y] > y
-        [-1, -1],  # a second root
-        [-1, 0, -2],
-        [0, 0],  # parent[0] is not -1
-        [],
-    ))
+    @pytest.mark.parametrize("parent", BAD_PARENT_ARRAYS)
     def test_rejects_bad_entries(self, parent):
-        with pytest.raises(OutOfRangeError):
-            tree_from_parents(parent)
+        # tree_from_parents and RecursiveTree run the same check.
+        message = BAD_PARENT_ARRAYS[parent]
+        for build in (tree_from_parents, RecursiveTree):
+            with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$"):
+                build(parent)
 
     @pytest.mark.parametrize("parent", ("[-1, 0, 2]", "[-1, 0, -1]"))
     def test_bad_entries_rejected_under_optimize(self, parent):
@@ -208,6 +218,52 @@ class TestBfsAndDiameter:
         t = build_tree(11, FAN_EDGES)
         assert diameter(t) == 6
         assert max(bfs_distances(t, 1)) == 5
+
+
+class TestEngineRejectsNonTrees:
+    """Tree is a public dataclass that anyone can build with any adjacency.
+    The engine's BFS expands at most n entries and raises unless they list
+    every vertex once, so a non-tree fails at once instead of looping."""
+
+    NON_TREES = {
+        "triangle": Tree(3, ((1, 2), (0, 2), (0, 1))),
+        "triangle_and_isolated_vertex": Tree(4, ((1, 2), (0, 2), (0, 1), ())),
+        "two_disjoint_edges": Tree(4, ((1,), (0,), (3,), (2,))),
+        "self_loop": Tree(2, ((0, 1), (0,))),
+        # n entries, but the self-loop repeats vertex 1 where 2 and 3
+        # are missing: a length test alone passes it, and the count loops.
+        "self_loop_for_missing_vertices": Tree(4, ((1,), (0, 1), (), ())),
+    }
+
+    @pytest.mark.parametrize("name", NON_TREES)
+    def test_every_entry_raises(self, name):
+        t = self.NON_TREES[name]
+        entries = (
+            lambda: prefix_counts(t, range(t.n)),
+            lambda: prefix_counts(t, [t.n - 1]),
+            lambda: path_counts_fast(t),
+            lambda: path_counts_naive(t),
+        )
+        for count in entries:
+            with pytest.raises(PreconditionViolatedError, match="adjacency is not a tree"):
+                count()
+
+    def test_trees_keep_their_order(self):
+        # The guard changes no (order, parent) of a tree.
+        def unguarded(t, root):
+            order, parent = [root], [-1] * t.n
+            for u in order:
+                for w in t.adj[u]:
+                    if w != parent[u]:
+                        parent[w] = u
+                        order.append(w)
+            return order, parent
+
+        pa = sample_tree(1300, random.Random(3)).tree()
+        path = tree_from_parents(range(-1, 359))
+        for t in (pa, path, Tree(1, ((),))):
+            for root in {0, t.n // 2, t.n - 1}:
+                assert tree_core._bfs_order(t, root) == unguarded(t, root)
 
 
 class TestPathCounts:
@@ -390,7 +446,7 @@ class TestChildlessVertices:
             naive = path_counts_naive(t)
             leaves = [v for v in range(1, t.n) if len(t.adj[v]) == 1]
             vs = [*range(t.n), leaves[0]]
-            rt = RecursiveTree(t.n, tuple(p + 1 for p in parent[1:]))
+            rt = RecursiveTree(tuple(parent))
             for Pk, rows in (
                 prefix_counts(t, vs), _parent_prefix_counts(parent, vs), rt.prefix_counts(vs)
             ):
