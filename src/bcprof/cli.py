@@ -100,7 +100,7 @@ def build_family(spec: str, seed: int):
             check_seed(seed)
             tree = sample_tree(n, random.Random(seed)).tree()
             return tree, comments + [f"seed: {seed}"]
-    except (ValueError, OutOfRangeError, OddMError) as exc:
+    except (ValueError, OverflowError, OutOfRangeError, OddMError) as exc:
         raise BadSpecError(f"bad family spec {spec!r}: {exc}")
     raise BadSpecError(f"unknown family {name!r} in spec {spec!r}")
 

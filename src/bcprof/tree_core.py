@@ -6,6 +6,7 @@ betweenness values are `fractions.Fraction`; nothing here ever rounds.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import sys
 from array import array
@@ -49,10 +50,9 @@ def build_tree(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
 def _tree_from_ends(n: int, ends: list[int]) -> Tree:
     """build_tree for the edges listed flat as [u0, v0, u1, v1, ...].
 
-    n - 1 edges with endpoints in 0..n-1 that reach all n vertices from
-    vertex 0 form a tree: a self-loop or a repeated edge would leave too
-    few edges to connect them. So one reachability pass accepts a tree,
-    and only when it fails are the edges walked in order, to raise the
+    n - 1 edges in range that pass _bfs_order's guard from vertex 0 reach
+    all n vertices, so they hold no self-loop or repeat: they form a tree.
+    Only when the guard fails are the edges walked in order, to raise the
     error of the first faulty edge (DisconnectedError if none is).
     """
     if n < 1:
@@ -68,16 +68,10 @@ def _tree_from_ends(n: int, ends: list[int]) -> Tree:
             adj[v].append(u)
         for a in adj:
             a.sort()
-        seen = bytearray(n)
-        seen[0] = 1
-        order = [0]
-        for u in order:
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = 1
-                    order.append(w)
-        if len(order) == n:
-            return Tree(n, tuple(map(tuple, adj)))
+        tree = Tree(n, tuple(map(tuple, adj)))
+        with contextlib.suppress(PreconditionViolatedError):
+            _bfs_order(tree, 0)
+            return tree
     keys: set[int] = set()
     pairs = iter(ends)
     for u, v in zip(pairs, pairs):
@@ -167,15 +161,18 @@ def _finish_table(d: int, p: list[int], pv: list[list[int] | None]) -> PathCount
 
 
 def path_counts_naive(t: Tree) -> PathCountTable:
-    """Brute-force oracle: walk the unique path of every vertex pair, up
-    the parent array rooted at its source, which is unique on a tree."""
+    """Brute-force oracle: one BFS per source, which gives each vertex's
+    distance and parent from it; then walk the unique path of every vertex
+    pair up that parent array, which is unique on a tree."""
     n = t.n
     d = diameter(t)
     p = [0] * (d + 1)
     pv = [[0] * (d + 1) for _ in range(n)]
     for s in range(n):
-        _, parent = _bfs_order(t, s)
-        dist = bfs_distances(t, s)
+        order, parent = _bfs_order(t, s)
+        dist = [0] * n
+        for w in order[1:]:
+            dist[w] = dist[parent[w]] + 1
         for u in range(s + 1, n):
             length = dist[u]
             if length < 2:
@@ -407,8 +404,8 @@ def read_tree(lines: Iterable[str]) -> Tree:
     Lines are numbered as iterated: a text file breaks only at newlines,
     where str.splitlines would also break at form feeds and other
     separators. All lines are split and converted in bulk; a line with the
-    wrong number of fields or a token that is not an integer sends the
-    file through the line-by-line parse, which names the first such line.
+    wrong number of fields or a token that is not an integer fails that
+    pass, and then the first such line is named.
     """
     lines = list(lines)
     rows = [fields for fields in map(str.split, lines) if fields and fields[0][0] != "#"]
@@ -421,28 +418,25 @@ def read_tree(lines: Iterable[str]) -> Tree:
             pass
         else:
             return _tree_from_ends(n, ends)
-    return build_tree(*_parse_lines(lines))
+    raise _bad_line(lines)
 
 
-def _parse_lines(lines: Sequence[str]) -> tuple[int, list[tuple[int, ...]]]:
-    """(n, edges) parsed line by line; the BadSpecError of a bad line names it."""
-    data = [
-        (i, line, fields)
-        for i, line in enumerate(lines, start=1)
-        if (fields := line.split()) and fields[0][0] != "#"
-    ]
-    (n,) = _line_ints(*data[0], 1)
-    return n, [_line_ints(*row, 2) for row in data[1:]]
-
-
-def _line_ints(lineno: int, line: str, fields: list[str], count: int) -> tuple[int, ...]:
-    try:
-        values = tuple(map(int, fields))
-    except ValueError:
-        values = ()
-    if len(values) != count:
-        raise BadSpecError(f"line {lineno}: expected {count} integer(s), got {line.strip()!r}")
-    return values
+def _bad_line(lines: Sequence[str]) -> BadSpecError:
+    """The error naming the first line that is not one integer (the first
+    data line) or two (every later one). Only called when such a line
+    exists: the bulk pass in read_tree accepts exactly the other files."""
+    count = 1
+    for lineno, line in enumerate(lines, start=1):
+        fields = line.split()
+        if not fields or fields[0][0] == "#":
+            continue
+        try:
+            values = list(map(int, fields))
+        except ValueError:
+            values = []
+        if len(values) != count:
+            return BadSpecError(f"line {lineno}: expected {count} integer(s), got {line.strip()!r}")
+        count = 2
 
 
 def write_tree(t: Tree, comments: Sequence[str] = ()) -> str:

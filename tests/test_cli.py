@@ -810,6 +810,20 @@ class TestErrorExits:
         assert (code, out) == (exit_code, "")
         assert err.startswith(prefix)
 
+    # Sizes from 2**63 - 1 up overflow a list or range inside the builder.
+    @pytest.mark.parametrize("spec", (
+        f"path:{2**63 - 1}",
+        f"broom:1,{2**63}",
+        f"double-broom:2,{2**63}",
+        f"double-broom:{2**63},1",
+        f"gij:3,{2**63}",
+    ))
+    def test_huge_family_parameters(self, capsys, spec):
+        code, out, err = run_cli(capsys, "gen", spec)
+        assert (code, out) == (24, "")
+        assert err.startswith(f"error: bad family spec {spec!r}: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("argv", (
         ("experiment", "--which", "monotone_1_vs_n", "--grid", "5", "--trials", "3"),
         ("expect", "--n", "5", "--trials", "3"),

@@ -266,6 +266,49 @@ class TestEngineRejectsNonTrees:
                 assert tree_core._bfs_order(t, root) == unguarded(t, root)
 
 
+class TestOneWalk:
+    """_bfs_order is the only walk that accepts or counts a Tree: the reader
+    validates by its guard, and the oracle reads each source's distances off
+    its order. bfs_distances stays the independent reference."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        """walks(call) -> (call's result, the roots _bfs_order was called
+        with, the number of bfs_distances calls) while call() ran."""
+        roots, distances = [], []
+        bfs_order, bfs = tree_core._bfs_order, tree_core.bfs_distances
+
+        def recorded(t, root):
+            roots.append(root)
+            return bfs_order(t, root)
+
+        def counted(t, source):
+            distances.append(source)
+            return bfs(t, source)
+
+        monkeypatch.setattr(tree_core, "_bfs_order", recorded)
+        monkeypatch.setattr(tree_core, "bfs_distances", counted)
+
+        def walks(call):
+            roots.clear()
+            distances.clear()
+            return call(), list(roots), len(distances)
+
+        return walks
+
+    def test_read_tree_walks_once_from_vertex_0(self, walks):
+        t = build_tree(11, FAN_EDGES)
+        lines = write_tree(t).splitlines()
+        assert walks(lambda: read_tree(lines)) == (t, [0], 0)
+
+    def test_oracle_walks_once_per_source(self, walks):
+        t = build_tree(11, FAN_EDGES)
+        table, roots, distances = walks(lambda: path_counts_naive(t))
+        assert table == path_counts_fast(t)
+        # Only diameter's double BFS calls bfs_distances.
+        assert (sorted(roots), distances) == (list(range(t.n)), 2)
+
+
 class TestPathCounts:
     def test_fast_equals_naive_random(self):
         rng = random.Random(42)
@@ -713,3 +756,19 @@ class TestReadTreeAgainstReference:
                     assert outcome(read_tree, mutated) == outcome(reference_read_tree, mutated)
                     mutations += 1
         assert mutations > 1000
+
+    def test_same_outcome_on_every_small_edge_list(self):
+        # Every list of n - 1 edges: for n <= 4 with ids in -1..n, so out of
+        # range at both ends, and for n = 5 with each edge one of the 15
+        # pairs u <= v of 0..4. Self-loops, repeats and cycles all occur.
+        lists = 0
+        for n in range(1, 6):
+            if n < 5:
+                edges = list(itertools.product(range(-1, n + 1), repeat=2))
+            else:
+                edges = list(itertools.combinations_with_replacement(range(n), 2))
+            build, reference = (functools.partial(f, n) for f in (build_tree, reference_build_tree))
+            for edge_list in itertools.product(edges, repeat=n - 1):
+                assert outcome(build, edge_list) == outcome(reference, edge_list), (n, edge_list)
+                lists += 1
+        assert lists == 1 + 4**2 + 5**4 + 6**6 + 15**4 == 97923
