@@ -2,13 +2,13 @@
 
 Each (grid point, trial) pair gets its own PRNG substream, and a grid
 point's estimate is an integer count of hits, so results are byte-identical
-regardless of worker count. With W workers (see workers.py), process r
-runs trials t = r (mod W) of every grid point and counts its hits per
-point; the parent adds them. Raw prefix counts P_k(v) share
-the tree-wide normalization P_k, so crossing indicators compare integer
-counts directly. Monotonicity compares BC_k(v) = P_k(v) / P_k with
-BC_{k+1}(v) by cross-multiplying, since P_k > 0 for 2 <= k <= d, so it is
-exact with no fractions.
+regardless of worker count. With W workers (see workers.py), worker r
+runs trials T - 1 - r, T - 1 - r - W, ... of every grid point, T the
+trial count, and counts its hits per point; the parent adds them. Raw
+prefix counts P_k(v) share the tree-wide normalization P_k, so crossing
+indicators compare integer counts directly. Monotonicity compares
+BC_k(v) = P_k(v) / P_k with BC_{k+1}(v) by cross-multiplying, since
+P_k > 0 for 2 <= k <= d, so it is exact with no fractions.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from . import __version__
 from .errors import BadSpecError, OutOfRangeError
 from .profile_analysis import count_crossings
 from .scale_free import check_seed, sample_tree, substream_seed
-from .workers import run_shares, worker_count
+from .workers import run_shares, share_items, worker_count
 
 # The fewest trial-points (grid points times trials) worth a worker: a run
 # of fewer per worker is better served by fewer workers.
@@ -111,13 +111,13 @@ def _trial_indicator(which: str, x: int, fixed_n: int, seed: int, trial: int) ->
 
 
 def _share_hits(cfg: ExperimentConfig, first: int, stride: int) -> tuple[list[int], list[float]]:
-    """Hits at each grid point over trials first, first + stride, ..., and
-    the seconds each point took."""
+    """Hits at each grid point over worker `first`'s trials (`share_items`),
+    and the seconds each point took."""
     hits, seconds = [], []
     last = time.monotonic()
     for x in cfg.grid:
         trial = partial(_trial_indicator, cfg.which, x, cfg.fixed_n, cfg.seed)
-        hits.append(sum(map(trial, range(first, cfg.trials, stride))))
+        hits.append(sum(map(trial, share_items(cfg.trials, first, stride))))
         now = time.monotonic()
         seconds.append(now - last)
         last = now

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionViolatedError,
 )
 from .tree_core import (
-    Tree, _check_parent_array, _parent_prefix_counts, _PrefixRows, tree_from_parents
+    Tree, _check_parent_array, _parent_prefix_counts, _PrefixRows, _tree_of_checked_parents
 )
 
 MAX_EXACT_N = 9  # product of (t-1) histories; 9 keeps it at 8! = 40320
@@ -70,8 +70,9 @@ class RecursiveTree:
         _check_parent_array(self.parent)
 
     def tree(self) -> Tree:
-        """The Tree view, built straight from the parent array."""
-        return tree_from_parents(self.parent)
+        """The Tree view, built straight from the parent array, which the
+        constructor has checked."""
+        return _tree_of_checked_parents(self.parent)
 
     def prefix_counts(self, vertices: Iterable[int]) -> _PrefixRows:
         """Exactly tree_core.prefix_counts(self.tree(), vertices), with no Tree:
@@ -174,17 +175,27 @@ def path_probability(sig: PathSignature) -> Fraction:
     return Fraction(num, den)
 
 
-def _history_numerators(n: int) -> tuple[int, Iterator[tuple[tuple[int, ...], int]]]:
-    """(D, every attachment history with its probability's numerator over D).
-
-    D = prod_{t=2..n} (2t - 3) is the product of the total attachment
-    weights, so a history's numerator is the product of the weights its
-    chosen parents had when chosen.
-    """
+def _weight_totals(n: int) -> list[int]:
+    """[D_0, ..., D_n], where D_b = prod_{t=2..b} (2t - 3) is the product of
+    the total attachment weights up to label b: the denominator of every
+    history's probability on labels 1..b. Raises past the exact cap."""
     if n > MAX_EXACT_N:
         raise NTooLargeError(f"exact enumeration capped at n={MAX_EXACT_N}, got {n}")
     if n < 1:
         raise OutOfRangeError(f"need n >= 1, got {n}")
+    totals = [1] * (n + 1)
+    for t in range(2, n + 1):
+        totals[t] = totals[t - 1] * (2 * t - 3)
+    return totals
+
+
+def _history_numerators(n: int) -> tuple[int, Iterator[tuple[tuple[int, ...], int]]]:
+    """(D, every attachment history with its probability's numerator over D).
+
+    D = D_n of `_weight_totals`, so a history's numerator is the product
+    of the weights its chosen parents had when chosen.
+    """
+    denominator = _weight_totals(n)[n]
 
     def histories():
         for parents in itertools.product(*(range(1, t) for t in range(2, n + 1))):
@@ -197,7 +208,7 @@ def _history_numerators(n: int) -> tuple[int, Iterator[tuple[tuple[int, ...], in
                 weight[p] += 1
             yield parents, num
 
-    return math.prod(2 * t - 3 for t in range(2, n + 1)), histories()
+    return denominator, histories()
 
 
 def enumerate_histories(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
@@ -211,28 +222,41 @@ def enumerate_histories(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
 def _presence_table(n: int) -> dict[tuple[int, ...], Fraction]:
     """Presence probability of every path that occurs in some history.
 
-    Each history's numerator is added to every path of its tree, keyed by
-    the path's labels from the smaller endpoint, as `all_candidate_paths`
-    writes them. A parent's label is below its child's, so the path from
-    a to b climbs from the larger current label until the two meet.
+    The histories are walked as prefixes, depth first. A path between
+    labels a < b holds no label above b, so it is settled once b attaches;
+    later labels only add leaves. The weights at step t sum to 2t - 3, so
+    all completions of a prefix on labels 1..b together weigh D_n / D_b
+    (see `_weight_totals`): each prefix adds its numerator times D_n / D_b
+    to the paths that end at its newest label. Paths are keyed by their
+    labels from the smaller endpoint, as `all_candidate_paths` writes them.
     """
-    denominator, histories = _history_numerators(n)
+    totals = _weight_totals(n)
     sums: defaultdict[tuple[int, ...], int] = defaultdict(int)
-    for parents, num in histories:
-        parent = (0, 0) + parents  # parent[t] for labels t >= 2
-        for b in range(2, n + 1):
-            for a in range(1, b):
-                left, right = [a], [b]
-                x, y = a, b
-                while x != y:
-                    if x > y:
-                        x = parent[x]
-                        left.append(x)
-                    else:
-                        y = parent[y]
-                        right.append(y)
-                sums[tuple(left + right[-2::-1])] += num
-    return {path: Fraction(num, denominator) for path, num in sums.items()}
+    weight = [0] + [1] * n  # as in _history_numerators
+    into = [()] * (n + 1)  # into[b][a - 1]: the labels from a to b, for a < b
+
+    def attach(b: int, num: int) -> None:
+        completions = totals[n] // totals[b]
+        end = (b,)
+        for p in range(1, b):
+            w = weight[p]
+            # From a < p the path runs up into p; from a > p it is the
+            # path from p to a, reversed.
+            paths = [path + end for path in into[p]]
+            paths.append((p, b))
+            paths += [into[a][p - 1][::-1] + end for a in range(p + 1, b)]
+            add = num * w * completions
+            for path in paths:
+                sums[path] += add
+            if b < n:
+                into[b] = paths
+                weight[p] = w + 1
+                attach(b + 1, num * w)
+                weight[p] = w
+
+    if n > 1:
+        attach(2, 1)
+    return {path: Fraction(num, totals[n]) for path, num in sums.items()}
 
 
 def exact_path_presence_prob(n: int, vertices: Sequence[int]) -> Fraction:
@@ -251,23 +275,22 @@ def exact_path_presence_prob(n: int, vertices: Sequence[int]) -> Fraction:
 
 @lru_cache(maxsize=None)
 def all_candidate_paths(n: int) -> tuple[tuple[int, ...], ...]:
-    """Every label sequence that can be a simple path in a recursive tree.
+    """Every label sequence that can be a simple path in a recursive tree,
+    written once, from its smaller end.
 
-    A path descends to its minimum label and ascends after it, so it is
-    determined by the label set and the split of the non-minimum labels
-    into the two sides. Reversals are deduplicated.
+    A path descends to its minimum label c and ascends after it, so it is
+    determined by its label set and the split of the labels between c and
+    the largest one into the two sides. The largest label is an endpoint,
+    so it ends the ascending side.
     """
-    out = set()
-    labels = list(range(1, n + 1))
+    out = []
     for size in range(2, n + 1):
-        for subset in itertools.combinations(labels, size):
-            c, rest = subset[0], subset[1:]
+        for c, *rest, top in itertools.combinations(range(1, n + 1), size):
             for bits in range(1 << len(rest)):
                 # rest is increasing, so both sides come out in order.
                 left = [x for i, x in enumerate(rest) if bits >> i & 1]
                 right = [x for i, x in enumerate(rest) if not bits >> i & 1]
-                seq = (*left[::-1], c, *right)
-                out.add(min(seq, seq[::-1]))
+                out.append((*left[::-1], c, *right, top))
     return tuple(sorted(out))
 
 

@@ -1,10 +1,11 @@
 """Named verification suites: each closed form or inequality against an oracle.
 
 Each suite sweeps finite instances and lists one (case name, check) pair
-per instance, where check() returns the text of the instance's first
-counterexample, or "" when it holds. Listing does no checking, so
-`run_check` can split the checks across worker processes (see workers.py)
-and build the report in case order. Every comparison is exact (integers or
+per instance, smallest first, where check() returns the text of the
+instance's first counterexample, or "" when it holds. Listing does no
+checking, so `run_check` can split the checks across worker processes (see
+workers.py; the calling process runs the last, largest case) and build
+the report in case order. Every comparison is exact (integers or
 fractions); the suites are the same ones the acceptance tests run.
 """
 
@@ -40,7 +41,7 @@ from .tree_families import (
     make_tell,
     tabulated_gij_k_values,
 )
-from .workers import run_shares, worker_count
+from .workers import run_shares, share_items, worker_count
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -328,9 +329,11 @@ def _cases(name: str, max_size: int | None) -> list[Case]:
 
 
 def _share_failures(name: str, max_size: int | None, first: int, stride: int) -> list[str]:
-    """Failure texts of cases first, first + stride, ... of one suite. A child
-    worker lists the cases itself, so it needs only these arguments."""
-    return [check() for _, check in _cases(name, max_size)[first::stride]]
+    """Failure texts of worker `first`'s cases of one suite, in
+    `share_items` order. A child worker lists the cases itself, so it needs
+    only these arguments."""
+    cases = _cases(name, max_size)
+    return [cases[i][1]() for i in share_items(len(cases), first, stride)]
 
 
 def run_check(name: str, max_size: int | None = None) -> CheckReport:
@@ -341,7 +344,8 @@ def run_check(name: str, max_size: int | None = None) -> CheckReport:
     workers = worker_count(len(cases))
     failures = [""] * len(cases)
     for r, share in enumerate(run_shares(_share_failures, (name, max_size), workers)):
-        failures[r::workers] = share
+        for i, failure in zip(share_items(len(cases), r, workers), share):
+            failures[i] = failure
     return CheckReport(
         name,
         tuple(CheckCase(name=case, detail=failure) for (case, _), failure in zip(cases, failures)),

@@ -1,12 +1,15 @@
 """One run's work split across BCPROF_THREADS processes.
 
-`experiment` splits its trials and `verify` its cases the same way: with W
-workers, worker r takes items i = r (mod W). The calling process is worker
-0 and runs its share beside W - 1 child processes, each with a one-way pipe
-on which it sends back its share's result, or what stopped it. A child is
-given a module-level share function and picklable arguments, never a
-closure, so the split works under every multiprocessing start method.
-`start_method()` picks the one `run_shares` uses.
+`experiment` splits its trials and `verify` its cases the same way
+(`share_items`): with W workers of `count` items, worker r takes item
+count - 1 - r, then every W-th item before it. Suites list their cases
+smallest first, so the largest case runs in the calling process, worker
+0, and not in a child. That process runs its share beside W - 1 child
+processes, each with a one-way pipe on which it sends back its share's
+result, or what stopped it. A child is given a module-level share
+function and picklable arguments, never a closure, so the split works
+under every multiprocessing start method. `start_method()` picks the one
+`run_shares` uses.
 """
 
 from __future__ import annotations
@@ -36,6 +39,14 @@ def worker_count(shares: int) -> int:
     else:
         cpus = os.cpu_count() or 1
     return max(1, min(value or cpus, cpus, shares))
+
+
+def share_items(count: int, first: int, stride: int) -> range:
+    """Worker `first`'s items of `count` when `stride` workers split them:
+    count - 1 - first, then every stride-th item before it. The shares of
+    first = 0..stride - 1 partition range(count), and worker 0's holds the
+    last item."""
+    return range(count - 1 - first, -1, -stride)
 
 
 def start_method() -> str | None:

@@ -643,6 +643,8 @@ class TestExpectCmd:
         (7, 3): "43c6815dc5038eab26757ab7581d810a365e1fcd1d556b546a8a8a4e3c605e7b",
         (8, 4): "610c695c8ae4692ea963d85cfe501ce463456fa36a2accec4684ad74dd7aae3b",
         (5, 9): "78762056aab75969426bb8616334a3457aefd8ab419a67f4d12c56d4f6b6d35b",  # k > d
+        # At the cap; recorded while the table still walked full histories.
+        (9, 4): "93b12a24ec73586ce768a37d6418cd7346b27f92bb893ebd8c06b4184a900700",
     }
 
     @pytest.mark.parametrize("n, k", sorted(PINNED_EXACT))

@@ -32,7 +32,7 @@ from bcprof.experiments import (
 )
 from bcprof.profile_analysis import count_crossings, is_monotone
 from bcprof.scale_free import RecursiveTree, _history_numerators, sample_tree, substream_seed
-from bcprof.workers import start_method
+from bcprof.workers import share_items, start_method
 
 
 class TestConfig:
@@ -308,12 +308,14 @@ class TestDeterminism:
             assert render_csv(res) == serial
 
 
-def _fail_on(parity, exc):
+def _fail_on(worker, exc):
     """An indicator that raises (or exits with, given an int) `exc` on every
-    trial of the given parity: with 2 workers the parent runs the even
-    trials and the child the odd ones."""
+    trial of worker `worker`'s share of TestChildren's 2-worker run: worker
+    0 is the parent, worker 1 the child."""
+    share = set(share_items(TestChildren.CFG.trials, worker, 2))
+
     def indicator(which, x, fixed_n, seed, trial):
-        if trial % 2 == parity:
+        if trial in share:
             if isinstance(exc, int):
                 os._exit(exc)
             raise exc
@@ -336,8 +338,8 @@ class TestChildren:
 
     def test_child_exception_reaches_the_parent(self, monkeypatch):
         monkeypatch.setattr("bcprof.experiments._trial_indicator",
-                            _fail_on(1, NTooLargeError("odd trial")))
-        with pytest.raises(NTooLargeError, match="^odd trial$"):
+                            _fail_on(1, NTooLargeError("child's trial")))
+        with pytest.raises(NTooLargeError, match="^child's trial$"):
             run_experiment(self.CFG)
 
     def test_child_that_dies_is_named_by_its_exit_code(self, monkeypatch):
@@ -347,8 +349,8 @@ class TestChildren:
 
     def test_parent_failure_stops_the_children(self, monkeypatch):
         monkeypatch.setattr("bcprof.experiments._trial_indicator",
-                            _fail_on(0, NTooLargeError("even trial")))
-        with pytest.raises(NTooLargeError, match="^even trial$"):
+                            _fail_on(0, NTooLargeError("parent's trial")))
+        with pytest.raises(NTooLargeError, match="^parent's trial$"):
             run_experiment(self.CFG)
 
     def test_grid_seconds_are_the_parents_share(self):

@@ -173,6 +173,15 @@ class TestRecursiveTreeInvariant:
         )
         assert proc.returncode == 1 and "OutOfRangeError" in proc.stderr
 
+    def test_tree_checks_the_array_once(self, monkeypatch):
+        # The constructor checks it; tree() builds without a second check.
+        calls = []
+        check = recording(calls, tree_core._check_parent_array)
+        monkeypatch.setattr(tree_core, "_check_parent_array", check)
+        monkeypatch.setattr(scale_free, "_check_parent_array", check)
+        sample_tree(250, random.Random(5)).tree()
+        assert len(calls) == 1
+
     def test_tree_equals_build_tree(self):
         # tree() skips build_tree's checks; it must build the same Tree.
         recs = [sample_tree(n, random.Random(s)) for n in (1, 2, 3, 40, 250) for s in range(5)]
@@ -357,7 +366,36 @@ def _presence_by_edge_sets(n, seq):
     return total
 
 
+def reference_presence_table(n):
+    """The presence table as it was when every pair of every full history
+    was walked; kept verbatim as the reference for the prefix walk."""
+    denominator, histories = scale_free._history_numerators(n)
+    sums: defaultdict[tuple[int, ...], int] = defaultdict(int)
+    for parents, num in histories:
+        parent = (0, 0) + parents  # parent[t] for labels t >= 2
+        for b in range(2, n + 1):
+            for a in range(1, b):
+                left, right = [a], [b]
+                x, y = a, b
+                while x != y:
+                    if x > y:
+                        x = parent[x]
+                        left.append(x)
+                    else:
+                        y = parent[y]
+                        right.append(y)
+                sums[tuple(left + right[-2::-1])] += num
+    return {path: Fraction(num, denominator) for path, num in sums.items()}
+
+
 class TestPresenceTable:
+    def test_equals_the_full_history_reference(self):
+        # Equal dicts: the same keys, each with the same Fraction.
+        for n in range(1, 9):
+            got, want = _presence_table(n), reference_presence_table(n)
+            assert got == want, n
+            assert all(type(p) is Fraction for p in got.values())
+
     def test_equals_per_path_oracle(self):
         for n in range(1, 7):
             for seq in all_candidate_paths(n):
@@ -367,11 +405,11 @@ class TestPresenceTable:
 
     def test_sums_to_pair_count(self):
         # Every history's tree has exactly one path per pair of vertices.
-        for n in range(1, 9):
+        for n in range(1, 10):
             assert sum(_presence_table(n).values()) == n * (n - 1) // 2
 
     def test_keys_are_candidate_paths(self):
-        for n in range(1, 9):
+        for n in range(1, 10):
             assert set(_presence_table(n)) <= set(all_candidate_paths(n))
 
     def test_lemma1_suite_at_eight(self):

@@ -12,7 +12,7 @@ from test_experiments import _allow_cpus
 from bcprof import NTooLargeError
 from bcprof.experiments import ExperimentConfig, render_csv, run_experiment
 from bcprof.verify import run_check
-from bcprof.workers import run_shares, worker_count
+from bcprof.workers import run_shares, share_items, worker_count
 
 
 # Shares are module-level functions of (first, stride), as a child needs.
@@ -51,6 +51,17 @@ class _Asked(Exception):
 def no_child_left():
     yield
     assert multiprocessing.active_children() == []
+
+
+class TestShareItems:
+    @pytest.mark.parametrize("workers", (1, 2, 3, 4))
+    def test_shares_partition_and_the_caller_runs_the_last_item(self, workers):
+        for count in range(21):
+            shares = [list(share_items(count, r, workers)) for r in range(workers)]
+            items = sorted(i for share in shares for i in share)
+            assert items == list(range(count)), (count, shares)
+            if count:
+                assert count - 1 in shares[0], (count, shares)
 
 
 class TestRunShares:
