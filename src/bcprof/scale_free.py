@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter, truediv
+from operator import itemgetter, lt, truediv
 from typing import Iterable, Iterator, Sequence
 
 from .errors import (
@@ -136,22 +136,23 @@ def signature_of_path(vertices: Sequence[int]) -> PathSignature:
     """Signature of a candidate path given as an ordered vertex sequence.
 
     In a recursive tree labels along a path strictly decrease to the
-    minimum and then strictly increase; anything else cannot occur.
+    minimum and then strictly increase; anything else cannot occur. One
+    pass over neighbouring labels marks where they fall: in a valley every
+    fall comes before every rise. L and R are read off the sorted labels.
     """
     seq = list(vertices)
-    if len(seq) < 2 or len(set(seq)) != len(seq) or any(x < 1 for x in seq):
+    labels = sorted(seq)
+    if len(seq) < 2 or labels[0] < 1 or len(set(labels)) != len(seq):
         raise NotASimplePathError(f"not a simple path: {seq}")
-    cpos = seq.index(min(seq))
-    down, up = seq[: cpos + 1], seq[cpos:]
-    if any(x <= y for x, y in zip(down, down[1:])) or any(
-        x >= y for x, y in zip(up, up[1:])
-    ):
+    falls = list(map(lt, seq[1:], seq))
+    if True in falls[falls.count(True):]:
         raise NotASimplePathError(f"label sequence {seq} is impossible in a recursive tree")
-    a, b = min(seq[0], seq[-1]), max(seq[0], seq[-1])
-    c = seq[cpos]
-    L = frozenset(x for x in seq if c < x < a)
-    R = frozenset(x for x in seq if a < x < b)
-    return PathSignature(a=a, b=b, c=c, L=L, R=R)
+    first, last = seq[0], seq[-1]
+    a = first if first < last else last
+    i = labels.index(a)
+    return PathSignature(
+        a=a, b=labels[-1], c=labels[0], L=frozenset(labels[1:i]), R=frozenset(labels[i + 1:-1])
+    )
 
 
 def path_probability(sig: PathSignature) -> Fraction:
@@ -219,8 +220,9 @@ def enumerate_histories(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
 
 
 @lru_cache(maxsize=None)
-def _presence_table(n: int) -> dict[tuple[int, ...], Fraction]:
-    """Presence probability of every path that occurs in some history.
+def _presence_table(n: int) -> dict[tuple[int, ...], int]:
+    """Presence probability of every path that occurs in some history, as
+    its numerator over D_n = `_weight_totals(n)[n]`.
 
     The histories are walked as prefixes, depth first. A path between
     labels a < b holds no label above b, so it is settled once b attaches;
@@ -256,7 +258,7 @@ def _presence_table(n: int) -> dict[tuple[int, ...], Fraction]:
 
     if n > 1:
         attach(2, 1)
-    return {path: Fraction(num, totals[n]) for path, num in sums.items()}
+    return dict(sums)
 
 
 def exact_path_presence_prob(n: int, vertices: Sequence[int]) -> Fraction:
@@ -270,7 +272,8 @@ def exact_path_presence_prob(n: int, vertices: Sequence[int]) -> Fraction:
         raise NotASimplePathError(f"not a simple path: {list(seq)}")
     if not all(1 <= x <= n for x in seq):
         raise OutOfRangeError(f"labels must lie in 1..{n}: {list(seq)}")
-    return _presence_table(n).get(min(seq, seq[::-1]), Fraction(0))
+    table = _presence_table(n)
+    return Fraction(table.get(min(seq, seq[::-1]), 0), _weight_totals(n)[n])
 
 
 @lru_cache(maxsize=None)
@@ -294,23 +297,35 @@ def all_candidate_paths(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
-def _interior_sums(weighted_paths) -> dict[tuple[int, int], Fraction]:
+def _interior_sums(weighted_paths) -> dict[tuple[int, int], int]:
     """Each path's weight summed into (v, k) for every interior v; k is its length."""
-    sums: defaultdict[tuple[int, int], Fraction] = defaultdict(Fraction)
+    sums: defaultdict[tuple[int, int], int] = defaultdict(int)
     for path, weight in weighted_paths:
         for v in path[1:-1]:
             sums[v, len(path) - 1] += weight
     return sums
 
 
+def _closed_form_numerators(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Every candidate path with its closed-form probability's numerator
+    over D_n. Raises AssertionError, naming the path, for a closed form
+    that is no multiple of 1/D_n, as no presence probability can be."""
+    total = _weight_totals(n)[n]
+    for path in all_candidate_paths(n):
+        prob = path_probability(signature_of_path(path))
+        num, rest = divmod(prob.numerator * total, prob.denominator)
+        if rest:
+            raise AssertionError(f"n={n}, path {path}: {prob} is not a multiple of 1/{total}")
+        yield path, num
+
+
 @lru_cache(maxsize=None)
 def _expected_pk_tables(n: int) -> tuple[dict, dict]:
-    """E[p_k(v)] keyed by (v, k): from the history presence table, and from
-    the closed form, computed once per candidate path."""
+    """E[p_k(v)] keyed by (v, k), as numerators over D_n: from the history
+    presence table, and from the closed form, computed once per candidate
+    path."""
     by_history = _interior_sums(_presence_table(n).items())
-    by_paths = _interior_sums(
-        (path, path_probability(signature_of_path(path))) for path in all_candidate_paths(n)
-    )
+    by_paths = _interior_sums(_closed_form_numerators(n))
     return by_history, by_paths
 
 
@@ -323,10 +338,12 @@ def exact_expected_pk(n: int, v: int, k: int) -> Fraction:
     """
     if not (1 <= v <= n):
         raise OutOfRangeError(f"vertex {v} out of range for n={n}")
-    by_history, by_paths = (table.get((v, k), Fraction(0)) for table in _expected_pk_tables(n))
+    by_history, by_paths = (table.get((v, k), 0) for table in _expected_pk_tables(n))
+    total = _weight_totals(n)[n]
     if by_history != by_paths:
-        raise AssertionError(f"n={n}, v={v}, k={k}: {by_history} by history, {by_paths} by paths")
-    return by_history
+        raise AssertionError(f"n={n}, v={v}, k={k}: {Fraction(by_history, total)} by history, "
+                             f"{Fraction(by_paths, total)} by paths")
+    return Fraction(by_history, total)
 
 
 def injection(sig: PathSignature, v: int) -> tuple[int, PathSignature, Fraction]:

@@ -3,10 +3,11 @@
 Each suite sweeps finite instances and lists one (case name, check) pair
 per instance, smallest first, where check() returns the text of the
 instance's first counterexample, or "" when it holds. Listing does no
-checking, so `run_check` can split the checks across worker processes (see
-workers.py; the calling process runs the last, largest case) and build
-the report in case order. Every comparison is exact (integers or
-fractions); the suites are the same ones the acceptance tests run.
+checking, so `run_check` can run the first checks itself, split the rest
+across worker processes (see workers.py; the calling process runs the
+last, largest case) and build the report in case order. Every comparison
+is exact (integers or fractions); the suites are the same ones the
+acceptance tests run.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from functools import partial
 from .errors import BadSpecError, OutOfRangeError, UnknownCheckError
 from .profile_analysis import count_crossings, count_dips
 from .scale_free import (
-    _history_numerators,
+    _presence_table,
+    _weight_totals,
     all_candidate_paths,
     exact_expected_pk,
-    exact_path_presence_prob,
     injection,
     path_probability,
     signature_of_path,
@@ -41,7 +42,7 @@ from .tree_families import (
     make_tell,
     tabulated_gij_k_values,
 )
-from .workers import run_shares, share_items, worker_count
+from .workers import run_started, share_items, worker_count
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -238,9 +239,12 @@ def check_prop2() -> Cases:
         return "" if ok else "ratio >= 1/10 at some k < d"
 
     def broom_failure() -> str:
-        # delta = 0.05: check k <= delta^2 * m = 2.5, i.e. k = 2.
-        broom = bc(*make_broom(1000, 50))
-        return "" if broom[0] / broom[-1] > 2 else "ratio <= 2 at k=2"
+        # delta = 0.05: check k <= delta^2 * m = 2.5, i.e. k = 2, against k = d.
+        t, v = make_broom(1000, 50)
+        Pk, (Pkv,) = prefix_counts(t, [v])
+        d = len(Pk) - 1
+        ratio = Fraction(Pkv[2], Pk[2]) / Fraction(Pkv[d], Pk[d])
+        return "" if ratio > 2 else "ratio <= 2 at k=2"
 
     yield "double broom m=10, n=1000", double_broom_failure
     yield "broom m=1000, n=50", broom_failure
@@ -250,14 +254,16 @@ def check_lemma1(max_size: int = 7) -> Cases:
     """Closed-form path probability equals the history-enumeration oracle."""
 
     def failure(n: int) -> str:
+        # The oracle's numerators over D_n; a path of no history is absent.
+        table, total = _presence_table(n), _weight_totals(n)[n]
         for seq in all_candidate_paths(n):
             got = path_probability(signature_of_path(seq))
-            want = exact_path_presence_prob(n, seq)
-            if got != want:
-                return f"path {seq}: {got} != {want}"
+            want = table.get(seq, 0)
+            if got.numerator * total != want * got.denominator:
+                return f"path {seq}: {got} != {Fraction(want, total)}"
         return ""
 
-    _history_numerators(max(max_size, 1))  # reject a size past the exact cap
+    _weight_totals(max(max_size, 1))  # reject a size past the exact cap
     for n in range(2, max_size + 1):
         yield f"n={n}", partial(failure, n)
 
@@ -285,7 +291,10 @@ def check_theorem3(max_size: int = 7) -> Cases:
                     return f"f not length-preserving on {sig}, v={v}"
                 if v not in img.interior:
                     return f"v={v} not interior in image of {sig}"
-                if path_probability(img) != prob * ratio:
+                # path_probability(img) == prob * ratio, cross-multiplied.
+                got = path_probability(img)
+                if (got.numerator * prob.denominator * ratio.denominator
+                        != prob.numerator * ratio.numerator * got.denominator):
                     return f"ratio mismatch (case {case}) on {sig}, v={v}"
                 key = (v, sig.length, img)
                 if key in images and images[key] != sig:
@@ -293,7 +302,7 @@ def check_theorem3(max_size: int = 7) -> Cases:
                 images[key] = sig
         return "" if images else "no (path, v) pair to check"
 
-    _history_numerators(max(max_size, 1))  # reject a size past the exact cap
+    _weight_totals(max(max_size, 1))  # reject a size past the exact cap
     for n in range(3, max_size + 1):
         yield f"expectation order n={n}", partial(order_failure, n)
     yield f"injection labels <= {max_size}", injection_failure
@@ -328,24 +337,27 @@ def _cases(name: str, max_size: int | None) -> list[Case]:
     return list(func(max_size))
 
 
-def _share_failures(name: str, max_size: int | None, first: int, stride: int) -> list[str]:
-    """Failure texts of worker `first`'s cases of one suite, in
-    `share_items` order. A child worker lists the cases itself, so it needs
-    only these arguments."""
-    cases = _cases(name, max_size)
+def _share_failures(
+    name: str, max_size: int | None, start: int, first: int, stride: int
+) -> list[str]:
+    """Failure texts of worker `first`'s cases of one suite from case
+    `start` on, in `share_items` order. A child worker lists the cases
+    itself, so it needs only these arguments."""
+    cases = _cases(name, max_size)[start:]
     return [cases[i][1]() for i in share_items(len(cases), first, stride)]
 
 
 def run_check(name: str, max_size: int | None = None) -> CheckReport:
     """Run one suite; `max_size` replaces the suite's own default when given.
-    The cases are split across BCPROF_THREADS workers, at most one per case
-    and at least the calling process."""
+    BCPROF_THREADS is read before the first case. The calling process runs
+    the cases in order until they have taken `workers.START_S`; the rest
+    are split across BCPROF_THREADS workers, at most one per case
+    (`run_started`). The report carries the workers that ran."""
     cases = _cases(name, max_size)
-    workers = worker_count(len(cases))
-    failures = [""] * len(cases)
-    for r, share in enumerate(run_shares(_share_failures, (name, max_size), workers)):
-        for i, failure in zip(share_items(len(cases), r, workers), share):
-            failures[i] = failure
+    failures, workers = run_started(
+        lambda i: cases[i][1](), len(cases), _share_failures, (name, max_size),
+        worker_count(len(cases)),
+    )
     return CheckReport(
         name,
         tuple(CheckCase(name=case, detail=failure) for (case, _), failure in zip(cases, failures)),

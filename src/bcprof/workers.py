@@ -2,14 +2,18 @@
 
 `experiment` splits its trials and `verify` its cases the same way
 (`share_items`): with W workers of `count` items, worker r takes item
-count - 1 - r, then every W-th item before it. Suites list their cases
-smallest first, so the largest case runs in the calling process, worker
-0, and not in a child. That process runs its share beside W - 1 child
-processes, each with a one-way pipe on which it sends back its share's
-result, or what stopped it. A child is given a module-level share
-function and picklable arguments, never a closure, so the split works
-under every multiprocessing start method. `start_method()` picks the one
-`run_shares` uses.
+count - 1 - r, then every W-th item before it, so the last item runs in
+the calling process, worker 0, and not in a child. That process runs its
+share beside W - 1 child processes, each with a one-way pipe on which it
+sends back its share's result, or what stopped it. A child is given a
+module-level share function and picklable arguments, never a closure, so
+the split works under every multiprocessing start method.
+`start_method()` picks the one `run_shares` uses.
+
+`experiment` splits all its trials. `verify` first runs its cases in the
+calling process, smallest first, until they have taken START_S, the cost
+of starting a child (`run_started`): only the cases left then are split,
+so a suite that is done by then starts no child.
 """
 
 from __future__ import annotations
@@ -18,8 +22,14 @@ import os
 import sys
 import threading
 from collections.abc import Callable
+from time import perf_counter
 
 from .errors import BadSpecError
+
+# Seconds one forked child adds to `run_shares`, start to exit: a trivial
+# share on two workers less the same on one read 3.8-5.0 ms (medians, 2 CPUs,
+# BENCH_34.json).
+START_S = 0.005
 
 
 def worker_count(shares: int) -> int:
@@ -109,3 +119,28 @@ def run_shares(share: Callable, args: tuple, workers: int) -> list:
             child.join()
             recv.close()
     return shares
+
+
+def run_started(item: Callable[[int], object], count: int, share: Callable, args: tuple,
+                workers: int) -> tuple[list, int]:
+    """([item(i) for i in range(count)], the workers that ran them). The
+    calling process runs items in order until they have taken START_S; the
+    `left` items from `start` on are then split by `share_items` over
+    min(workers, left) workers, worker r's results being
+    share(*args, start, r, stride). A run with one item left, or none,
+    starts no child and reports one worker."""
+    results = []
+    begin = perf_counter()
+    while len(results) < count and perf_counter() - begin < START_S:
+        results.append(item(len(results)))
+    start = len(results)
+    left = count - start
+    stride = min(workers, left)
+    if stride < 2:
+        results += map(item, range(start, count))
+        return results, 1
+    rest = [None] * left
+    for r, got in enumerate(run_shares(share, (*args, start), stride)):
+        for i, result in zip(share_items(left, r, stride), got):
+            rest[i] = result
+    return results + rest, stride

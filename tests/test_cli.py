@@ -518,6 +518,7 @@ class TestVerifyCmd:
         # The bytes verify wrote before it reported its time and workers;
         # stdout is the same for any worker count.
         _allow_cpus(monkeypatch, 2)
+        monkeypatch.setattr("bcprof.workers.START_S", 0)
         for threads, workers in (("1", "1 worker"), ("2", "2 workers")):
             monkeypatch.setenv("BCPROF_THREADS", threads)
             code, out, err = run_cli(capsys, "verify", "--check", "lemma1", "--max-size", "4")

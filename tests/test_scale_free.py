@@ -41,7 +41,7 @@ from bcprof import (
     substream_seed,
 )
 from bcprof import scale_free, tree_core
-from bcprof.scale_free import _presence_table, check_seed
+from bcprof.scale_free import _presence_table, _weight_totals, check_seed
 from bcprof.tree_core import _parent_prefix_counts
 from bcprof.verify import run_check
 
@@ -282,7 +282,54 @@ def _sorted_sides_candidate_paths(n):
     return tuple(sorted(out))
 
 
+def reference_signature_of_path(vertices):
+    """signature_of_path as it was before its one comparison pass, kept as
+    the reference for its result and its errors."""
+    seq = list(vertices)
+    if len(seq) < 2 or len(set(seq)) != len(seq) or any(x < 1 for x in seq):
+        raise NotASimplePathError(f"not a simple path: {seq}")
+    cpos = seq.index(min(seq))
+    down, up = seq[: cpos + 1], seq[cpos:]
+    if any(x <= y for x, y in zip(down, down[1:])) or any(
+        x >= y for x, y in zip(up, up[1:])
+    ):
+        raise NotASimplePathError(f"label sequence {seq} is impossible in a recursive tree")
+    a, b = min(seq[0], seq[-1]), max(seq[0], seq[-1])
+    c = seq[cpos]
+    L = frozenset(x for x in seq if c < x < a)
+    R = frozenset(x for x in seq if a < x < b)
+    return scale_free.PathSignature(a=a, b=b, c=c, L=L, R=R)
+
+
+def _outcome(f, seq):
+    """f(seq), or the class and message of what it raised."""
+    try:
+        return f(seq)
+    except Exception as exc:  # any class: the two must raise the same one
+        return type(exc), str(exc)
+
+
 class TestSignatures:
+    def test_equals_the_reference_on_every_small_sequence(self):
+        # Every sequence of length 0..5 on labels 0..6: repeats, zeros,
+        # non-valleys and valid paths alike, given as tuples and as lists.
+        outcomes = Counter()
+        for size in range(6):
+            for seq in itertools.product(range(7), repeat=size):
+                want = _outcome(reference_signature_of_path, seq)
+                assert _outcome(signature_of_path, seq) == want, seq
+                assert _outcome(signature_of_path, list(seq)) == want, seq
+                kind = "path" if type(want) is not tuple else want[1].split()[1]
+                outcomes[kind] += 1
+        # "path", "a simple path: ..." and "sequence ... is impossible" all occur.
+        assert sorted(outcomes) == ["a", "path", "sequence"], outcomes
+
+    def test_equals_the_reference_on_candidate_paths(self):
+        for n in range(1, 8):
+            for seq in all_candidate_paths(n):
+                assert signature_of_path(seq) == reference_signature_of_path(seq), seq
+                assert signature_of_path(seq[::-1]) == reference_signature_of_path(seq), seq
+
     def test_reference_probabilities(self):
         assert path_probability(signature_of_path((1, 2))) == 1
         assert path_probability(signature_of_path((1, 3))) == Fraction(2, 3)
@@ -390,11 +437,13 @@ def reference_presence_table(n):
 
 class TestPresenceTable:
     def test_equals_the_full_history_reference(self):
-        # Equal dicts: the same keys, each with the same Fraction.
+        # Equal dicts: the same keys, each with an integer numerator over D_n
+        # that is the reference's Fraction.
         for n in range(1, 9):
-            got, want = _presence_table(n), reference_presence_table(n)
-            assert got == want, n
-            assert all(type(p) is Fraction for p in got.values())
+            table, total = _presence_table(n), _weight_totals(n)[n]
+            assert all(type(num) is int for num in table.values())
+            got = {path: Fraction(num, total) for path, num in table.items()}
+            assert got == reference_presence_table(n), n
 
     def test_equals_per_path_oracle(self):
         for n in range(1, 7):
@@ -406,7 +455,7 @@ class TestPresenceTable:
     def test_sums_to_pair_count(self):
         # Every history's tree has exactly one path per pair of vertices.
         for n in range(1, 10):
-            assert sum(_presence_table(n).values()) == n * (n - 1) // 2
+            assert sum(_presence_table(n).values()) == n * (n - 1) // 2 * _weight_totals(n)[n]
 
     def test_keys_are_candidate_paths(self):
         for n in range(1, 10):
@@ -464,6 +513,24 @@ class TestExpectations:
             with pytest.raises(AssertionError):
                 exact_expected_pk(4, 1, 2)
             assert exact_expected_pk(4, 2, 2) == Fraction(11, 15)
+        finally:
+            scale_free._expected_pk_tables.cache_clear()
+
+    def test_closed_form_off_the_common_denominator_raises(self, monkeypatch):
+        # Every presence probability at n is a multiple of 1/D_n; a closed
+        # form half a unit off on one path is named when the tables are built.
+        off = signature_of_path((3, 1, 2, 4))
+        half = Fraction(1, 2 * _weight_totals(4)[4])
+
+        def skewed(sig):
+            return path_probability(sig) + half * (sig == off)
+
+        monkeypatch.setattr(scale_free, "path_probability", skewed)
+        scale_free._expected_pk_tables.cache_clear()
+        try:
+            with pytest.raises(AssertionError, match=r"^n=4, path \(3, 1, 2, 4\): 1/6 is not "
+                                                     r"a multiple of 1/15$"):
+                exact_expected_pk(4, 2, 2)
         finally:
             scale_free._expected_pk_tables.cache_clear()
 

@@ -112,12 +112,39 @@ def test_sizes_that_check_nothing_start_no_child(monkeypatch, capsys, suite, siz
 def test_pinned_bytes_on_workers(monkeypatch, capsys, suite, workers):
     # Worker r checks cases r, r + W, ...; the report keeps case order.
     _use_workers(monkeypatch, workers)
+    monkeypatch.setattr("bcprof.workers.START_S", 0)
     code = main(["verify", "--check", suite])
     out, err = capsys.readouterr()
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED[suite]
     cases = int(re.search(r"\((\d+) cases\)\n$", out)[1])
     assert err.endswith(f" s, {min(workers, cases)} workers\n")
+
+
+@pytest.mark.parametrize("start_s", (0, None, 60), ids=("start-0", "start-default", "start-60"))
+@pytest.mark.parametrize("workers", (1, 2, 3))
+@pytest.mark.parametrize("suite", sorted(PINNED))
+def test_pinned_bytes_whenever_children_start(monkeypatch, capsys, suite, workers, start_s):
+    # START_S = 0 splits every case, 60 runs them all here, and the default
+    # splits what is left after its few milliseconds: stdout is the same,
+    # and stderr reports the workers that ran.
+    _use_workers(monkeypatch, workers)
+    if start_s is not None:
+        monkeypatch.setattr("bcprof.workers.START_S", start_s)
+    if start_s == 60:
+        monkeypatch.setattr(multiprocessing, "get_context", _no_child)
+    code = main(["verify", "--check", suite])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED[suite]
+    cases = int(re.search(r"\((\d+) cases\)\n$", out)[1])
+    used = int(re.search(r" s, (\d+) workers?\n$", err)[1])
+    if start_s == 0:
+        assert used == min(workers, cases)
+    elif start_s == 60:
+        assert used == 1
+    else:
+        assert 1 <= used <= min(workers, cases)
 
 
 # G(i, 5) past theorem1's default size 10: the dip count of v's profile, and
@@ -158,6 +185,7 @@ def test_theorem1_fails_from_i_11():
 @pytest.mark.parametrize("workers", (2, 3))
 def test_theorem1_failures_on_workers(monkeypatch, workers):
     _use_workers(monkeypatch, workers)
+    monkeypatch.setattr("bcprof.workers.START_S", 0)
     report = run_check("theorem1", 15)
     assert report.workers == workers
     assert [(c.name, c.detail) for c in report.cases if not c.passed] == THEOREM1_FAILURES
@@ -466,6 +494,7 @@ def test_faults_cover_every_suite():
 def test_fault_gives_its_failures(monkeypatch, fault, workers):
     suite, size, name, make, count, failures = FAULTS[fault]
     _use_workers(monkeypatch, workers)
+    monkeypatch.setattr("bcprof.workers.START_S", 0)
     monkeypatch.setattr(verify, name, make(getattr(verify, name)))
     report = run_check(suite, size)
     assert len(report.cases) == count

@@ -11,8 +11,9 @@ from test_experiments import _allow_cpus
 
 from bcprof import NTooLargeError
 from bcprof.experiments import ExperimentConfig, render_csv, run_experiment
+import bcprof.verify as verify
 from bcprof.verify import run_check
-from bcprof.workers import run_shares, share_items, worker_count
+from bcprof.workers import run_shares, run_started, share_items, worker_count
 
 
 # Shares are module-level functions of (first, stride), as a child needs.
@@ -37,6 +38,14 @@ def _parent_raises(first, stride):
     if first == 0:
         raise NTooLargeError("parent")
     time.sleep(60)
+
+
+def _item(i):
+    return i, os.getpid()
+
+
+def _items_from(count, start, first, stride):
+    return [_item(start + i) for i in share_items(count - start, first, stride)]
 
 
 def _no_child(*args):
@@ -131,6 +140,73 @@ class TestRunShares:
         assert time.monotonic() - start < 30
 
 
+class TestRunStarted:
+    @pytest.mark.parametrize("workers", (1, 2, 3))
+    def test_start_zero_splits_every_item(self, monkeypatch, workers):
+        # With no time to spend first, the split is run_shares' over all
+        # the items, one worker per item at most.
+        monkeypatch.setattr("bcprof.workers.START_S", 0)
+        for count in range(6):
+            results, used = run_started(_item, count, _items_from, (count,), workers)
+            assert [i for i, _ in results] == list(range(count))
+            assert used == max(1, min(workers, count))
+            here = [i for i, pid in results if pid == os.getpid()]
+            assert here == sorted(share_items(count, 0, used)), (count, results)
+            assert len({pid for _, pid in results}) == min(used, count)
+
+    def test_start_sixty_starts_no_child(self, monkeypatch):
+        monkeypatch.setattr("bcprof.workers.START_S", 60)
+        monkeypatch.setattr(multiprocessing, "get_context", _no_child)
+        for count in range(6):
+            assert run_started(_item, count, _items_from, (count,), 3) == (
+                [(i, os.getpid()) for i in range(count)], 1)
+
+    @pytest.mark.parametrize("j", range(7))
+    def test_items_after_the_start_are_split(self, monkeypatch, j):
+        # The clock passes START_S once item j has run: items 0..j run here,
+        # in order, and only items j + 1.. are split.
+        count, ran = 7, []
+
+        def item(i):
+            ran.append(i)
+            return _item(i)
+
+        monkeypatch.setattr("bcprof.workers.START_S", 1.0)
+        monkeypatch.setattr("bcprof.workers.perf_counter", lambda: float(len(ran) > j))
+        results, used = run_started(item, count, _items_from, (count,), 3)
+        left = count - j - 1
+        assert used == max(1, min(3, left))
+        assert [i for i, _ in results] == list(range(count))
+        assert ran == list(range(j + 1 if used > 1 else count))
+        here = [i for i, pid in results if pid == os.getpid()]
+        if used > 1:
+            assert here == [*range(j + 1), *sorted(j + 1 + i for i in share_items(left, 0, used))]
+        else:
+            assert here == list(range(count))
+
+    @pytest.mark.parametrize("j, used", [(0, 3), (4, 3), (5, 2), (6, 1), (7, 1)])
+    def test_suite_cases_after_the_start_are_split(self, monkeypatch, j, used):
+        # theorem1 has 8 cases, G(i, 5) for i = 3..10; the calling process
+        # records the families it builds, a child does not.
+        built = []
+        make_gij = verify.make_gij
+
+        def recording(i, jj):
+            built.append(i)
+            return make_gij(i, jj)
+
+        _allow_cpus(monkeypatch, 3)
+        monkeypatch.setenv("BCPROF_THREADS", "3")
+        monkeypatch.setattr(verify, "make_gij", recording)
+        monkeypatch.setattr("bcprof.workers.START_S", 1.0)
+        monkeypatch.setattr("bcprof.workers.perf_counter", lambda: float(len(built) > j))
+        report = run_check("theorem1")
+        assert report.passed and report.workers == used
+        left = 8 - j - 1
+        mine = range(left) if used == 1 else share_items(left, 0, used)
+        assert built == [*range(3, j + 4), *(j + 4 + i for i in mine)]
+
+
 def test_spawned_children_rebuild_their_share(monkeypatch):
     # A spawned child imports bcprof afresh and gets only pickled arguments,
     # so its share must not depend on anything the parent built in memory.
@@ -141,6 +217,7 @@ def test_spawned_children_rebuild_their_share(monkeypatch):
     monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
     _allow_cpus(monkeypatch, 2)
     monkeypatch.setenv("BCPROF_THREADS", "2")
+    monkeypatch.setattr("bcprof.workers.START_S", 0)
     report, res = run_check("tell"), run_experiment(cfg)
     assert (report.workers, res.workers) == (2, 2)
     assert (report, render_csv(res)) == serial
