@@ -15,7 +15,7 @@ from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import itemgetter, lt, truediv
 from typing import Iterable, Iterator, Sequence
 
@@ -122,9 +122,10 @@ class PathSignature:
     def length(self) -> int:
         return len(self.interior) + 1
 
-    @property
+    @cached_property
     def interior(self) -> frozenset[int]:
-        # When a == c, a is the minimum and L is empty.
+        # When a == c, a is the minimum and L is empty. Cached in the
+        # instance's __dict__, which eq, hash and repr never read.
         return (self.L | self.R | {self.c}) - {self.a}
 
     @property
@@ -297,57 +298,53 @@ def all_candidate_paths(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted(out))
 
 
-def _interior_sums(weighted_paths) -> dict[tuple[int, int], int]:
-    """Each path's weight summed into (v, k) for every interior v; k is its length."""
-    sums: defaultdict[tuple[int, int], int] = defaultdict(int)
-    for path, weight in weighted_paths:
-        for v in path[1:-1]:
-            sums[v, len(path) - 1] += weight
-    return sums
-
-
-def _closed_form_numerators(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Every candidate path with its closed-form probability's numerator
-    over D_n. Raises AssertionError, naming the path, for a closed form
-    that is no multiple of 1/D_n, as no presence probability can be."""
-    total = _weight_totals(n)[n]
-    for path in all_candidate_paths(n):
-        prob = path_probability(signature_of_path(path))
-        num, rest = divmod(prob.numerator * total, prob.denominator)
-        if rest:
-            raise AssertionError(f"n={n}, path {path}: {prob} is not a multiple of 1/{total}")
-        yield path, num
+def _closed_form_mismatch(n: int) -> tuple[tuple[int, ...], Fraction, Fraction] | None:
+    """(path, closed form, oracle value) for the first candidate path on
+    labels 1..n whose `path_probability` differs from the presence table,
+    or for a table path that is no candidate (closed form 0); None when
+    every path agrees. Every candidate's closed form is positive, so once
+    all match, each is a table key and an extra key makes the table longer.
+    """
+    table, total = _presence_table(n), _weight_totals(n)[n]
+    candidates = all_candidate_paths(n)
+    for path in candidates:
+        got = path_probability(signature_of_path(path))
+        want = table.get(path, 0)
+        if got.numerator * total != want * got.denominator:
+            return path, got, Fraction(want, total)
+    if len(table) > len(candidates):
+        path = min(table.keys() - candidates)
+        return path, Fraction(0), Fraction(table[path], total)
+    return None
 
 
 @lru_cache(maxsize=None)
-def _expected_pk_tables(n: int) -> tuple[dict, dict]:
-    """E[p_k(v)] keyed by (v, k), as numerators over D_n: from the history
-    presence table, and from the closed form, computed once per candidate
-    path."""
-    by_history = _interior_sums(_presence_table(n).items())
-    by_paths = _interior_sums(_closed_form_numerators(n))
-    return by_history, by_paths
+def _expected_pk_table(n: int) -> dict[tuple[int, int], int]:
+    """E[p_k(v)] keyed by (v, k), as numerators over D_n, summed from the
+    history presence table. Raises AssertionError, naming the path, unless
+    Lemma 1's closed form first matches that table on every path."""
+    mismatch = _closed_form_mismatch(n)
+    if mismatch:
+        path, got, want = mismatch
+        raise AssertionError(f"n={n}, path {path}: {got} != {want}")
+    sums: defaultdict[tuple[int, int], int] = defaultdict(int)
+    for path, num in _presence_table(n).items():
+        for v in path[1:-1]:
+            sums[v, len(path) - 1] += num
+    return sums
 
 
 def exact_expected_pk(n: int, v: int, k: int) -> Fraction:
-    """E[count of length-k paths with v interior], by two independent routes.
-
-    Route one sums presence probabilities from enumerated histories; route
-    two sums the closed-form presence probability over candidate paths.
-    They must agree.
-    """
+    """E[count of length-k paths with v interior], summed from enumerated
+    histories once the closed form has matched them on every path."""
     if not (1 <= v <= n):
         raise OutOfRangeError(f"vertex {v} out of range for n={n}")
-    by_history, by_paths = (table.get((v, k), 0) for table in _expected_pk_tables(n))
-    total = _weight_totals(n)[n]
-    if by_history != by_paths:
-        raise AssertionError(f"n={n}, v={v}, k={k}: {Fraction(by_history, total)} by history, "
-                             f"{Fraction(by_paths, total)} by paths")
-    return Fraction(by_history, total)
+    return Fraction(_expected_pk_table(n).get((v, k), 0), _weight_totals(n)[n])
 
 
 def injection(sig: PathSignature, v: int) -> tuple[int, PathSignature, Fraction]:
-    """Theorem 3's length-preserving map moving v+1 to v, for v+1 interior.
+    """Theorem 3's length-preserving map moving v+1 to v, for v >= 1 with
+    v+1 interior.
 
     Returns (case, image, ratio): which of the six cases applies, the image
     path, in which v is interior, and the exact ratio
@@ -355,6 +352,8 @@ def injection(sig: PathSignature, v: int) -> tuple[int, PathSignature, Fraction]
     """
     a, b, c, L, R = sig.a, sig.b, sig.c, sig.L, sig.R
     w = v + 1
+    if v < 1:
+        raise PreconditionViolatedError(f"need v >= 1, got {v}")
     if w not in sig.interior:
         raise PreconditionViolatedError(f"{w} is not interior in {sig}")
     if v in sig.interior:

@@ -20,7 +20,7 @@ from functools import partial
 from .errors import BadSpecError, OutOfRangeError, UnknownCheckError
 from .profile_analysis import count_crossings, count_dips
 from .scale_free import (
-    _presence_table,
+    _closed_form_mismatch,
     _weight_totals,
     all_candidate_paths,
     exact_expected_pk,
@@ -251,17 +251,12 @@ def check_prop2() -> Cases:
 
 
 def check_lemma1(max_size: int = 7) -> Cases:
-    """Closed-form path probability equals the history-enumeration oracle."""
+    """Closed-form path probability equals the history-enumeration oracle
+    on every candidate path, and the oracle finds no other path."""
 
     def failure(n: int) -> str:
-        # The oracle's numerators over D_n; a path of no history is absent.
-        table, total = _presence_table(n), _weight_totals(n)[n]
-        for seq in all_candidate_paths(n):
-            got = path_probability(signature_of_path(seq))
-            want = table.get(seq, 0)
-            if got.numerator * total != want * got.denominator:
-                return f"path {seq}: {got} != {Fraction(want, total)}"
-        return ""
+        mismatch = _closed_form_mismatch(n)
+        return "" if mismatch is None else "path {}: {} != {}".format(*mismatch)
 
     _weight_totals(max(max_size, 1))  # reject a size past the exact cap
     for n in range(2, max_size + 1):
@@ -280,7 +275,9 @@ def check_theorem3(max_size: int = 7) -> Cases:
 
     def injection_failure() -> str:
         images: dict[tuple[int, int, object], object] = {}
-        for sig in map(signature_of_path, all_candidate_paths(max_size)):
+        # Paths that share a signature would repeat its checks; first
+        # occurrences keep the path order.
+        for sig in dict.fromkeys(map(signature_of_path, all_candidate_paths(max_size))):
             prob = path_probability(sig)
             for w in sorted(sig.interior):
                 v = w - 1

@@ -1,5 +1,6 @@
 """Preferential-attachment sampling, exact enumeration, and the injection map."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -343,6 +344,14 @@ class TestSignatures:
         with pytest.raises(NotASimplePathError):
             signature_of_path((3,))
 
+    def test_interior_is_built_once_and_eq_hash_repr_ignore_it(self):
+        sig, fresh = signature_of_path((5, 2, 1, 3, 7)), signature_of_path((7, 3, 1, 2, 5))
+        assert sig.interior == {1, 2, 3}
+        assert sig.interior is sig.interior
+        assert sig == fresh and hash(sig) == hash(fresh) and repr(sig) == repr(fresh)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sig.a = 1
+
     def test_reversal_invariant(self):
         sig = signature_of_path((5, 2, 1, 3, 7))
         assert sig == signature_of_path((7, 3, 1, 2, 5))
@@ -465,6 +474,12 @@ class TestPresenceTable:
         report = run_check("lemma1", max_size=8)
         assert report.passed and len(report.cases) == 7
 
+    @pytest.mark.parametrize("suite", ("lemma1", "theorem3"))
+    def test_suite_at_the_exact_cap(self, suite):
+        # n = 2..9 for lemma1; n = 3..9 and the injection case for theorem3.
+        report = run_check(suite, max_size=9)
+        assert report.passed and len(report.cases) == 8
+
     @pytest.mark.parametrize("seq", ([1, 2, 1], [3], [], [4, 4]))
     def test_rejects_non_simple(self, seq):
         with pytest.raises(NotASimplePathError):
@@ -503,22 +518,23 @@ class TestExpectations:
             exact_expected_pk(12, 1, 3)
 
     def test_routes_disagreeing_raises(self, monkeypatch):
-        # Skew the closed form on one path: the history route must catch it.
+        # Skew the closed form on one path: the history table catches it,
+        # and names the path, whichever (v, k) is asked for.
         def skewed(sig):
             return path_probability(sig) + (sig == signature_of_path((2, 1, 3)))
 
         monkeypatch.setattr(scale_free, "path_probability", skewed)
-        scale_free._expected_pk_tables.cache_clear()
+        scale_free._expected_pk_table.cache_clear()
         try:
-            with pytest.raises(AssertionError):
-                exact_expected_pk(4, 1, 2)
-            assert exact_expected_pk(4, 2, 2) == Fraction(11, 15)
+            for v in (1, 2):
+                with pytest.raises(AssertionError, match=r"^n=4, path \(2, 1, 3\): 5/3 != 2/3$"):
+                    exact_expected_pk(4, v, 2)
         finally:
-            scale_free._expected_pk_tables.cache_clear()
+            scale_free._expected_pk_table.cache_clear()
 
     def test_closed_form_off_the_common_denominator_raises(self, monkeypatch):
         # Every presence probability at n is a multiple of 1/D_n; a closed
-        # form half a unit off on one path is named when the tables are built.
+        # form half a unit off on one path is a mismatch like any other.
         off = signature_of_path((3, 1, 2, 4))
         half = Fraction(1, 2 * _weight_totals(4)[4])
 
@@ -526,13 +542,47 @@ class TestExpectations:
             return path_probability(sig) + half * (sig == off)
 
         monkeypatch.setattr(scale_free, "path_probability", skewed)
-        scale_free._expected_pk_tables.cache_clear()
+        scale_free._expected_pk_table.cache_clear()
         try:
-            with pytest.raises(AssertionError, match=r"^n=4, path \(3, 1, 2, 4\): 1/6 is not "
-                                                     r"a multiple of 1/15$"):
+            with pytest.raises(AssertionError, match=r"^n=4, path \(3, 1, 2, 4\): 1/6 != 2/15$"):
                 exact_expected_pk(4, 2, 2)
         finally:
-            scale_free._expected_pk_tables.cache_clear()
+            scale_free._expected_pk_table.cache_clear()
+
+    def test_every_path_is_checked_whatever_v_and_k(self, monkeypatch):
+        # (7, 1, 9) adds only to (1, 2); asking for other (v, k) at n = 9
+        # still meets the skew, since the table is built after every path.
+        def skewed(sig):
+            return path_probability(sig) * (1 + (sig == signature_of_path((7, 1, 9))))
+
+        monkeypatch.setattr(scale_free, "path_probability", skewed)
+        scale_free._expected_pk_table.cache_clear()
+        try:
+            for v, k in ((2, 3), (9, 2), (1, 4)):
+                with pytest.raises(AssertionError, match=r"^n=9, path \(7, 1, 9\): "):
+                    exact_expected_pk(9, v, k)
+        finally:
+            scale_free._expected_pk_table.cache_clear()
+
+    def test_a_table_path_that_is_no_candidate_is_named(self, monkeypatch):
+        # (1, 3, 2) descends after its minimum, so no recursive tree has it.
+        orig = scale_free._presence_table
+
+        def with_extra(n):
+            return {**orig(n), (1, 3, 2): 1} if n == 3 else orig(n)
+
+        monkeypatch.setenv("BCPROF_THREADS", "1")
+        monkeypatch.setattr(scale_free, "_presence_table", with_extra)
+        scale_free._expected_pk_table.cache_clear()
+        try:
+            report = run_check("lemma1", 3)
+            assert [(c.name, c.detail) for c in report.cases] == [
+                ("n=2", ""), ("n=3", "path (1, 3, 2): 0 != 1/3"),
+            ]
+            with pytest.raises(AssertionError, match=r"^n=3, path \(1, 3, 2\): 0 != 1/3$"):
+                exact_expected_pk(3, 1, 2)
+        finally:
+            scale_free._expected_pk_table.cache_clear()
 
 
 def _interior_shift_domain(max_label):
@@ -548,6 +598,9 @@ class TestInjection:
         sig = signature_of_path((1, 2, 3))
         with pytest.raises(PreconditionViolatedError):
             injection(sig, 5)
+        # Label 1 is interior in (2, 1, 3), but there is no label 0 to move it to.
+        with pytest.raises(PreconditionViolatedError, match=r"^need v >= 1, got 0$"):
+            injection(signature_of_path((2, 1, 3)), 0)
 
     def test_length_preserving_and_lands_interior(self):
         for sig, v in _interior_shift_domain(7):

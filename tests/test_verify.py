@@ -110,7 +110,8 @@ def test_sizes_that_check_nothing_start_no_child(monkeypatch, capsys, suite, siz
 @pytest.mark.parametrize("workers", (2, 3))
 @pytest.mark.parametrize("suite", sorted(PINNED))
 def test_pinned_bytes_on_workers(monkeypatch, capsys, suite, workers):
-    # Worker r checks cases r, r + W, ...; the report keeps case order.
+    # Worker r checks case count - 1 - r and every W-th case before it;
+    # the report keeps case order.
     _use_workers(monkeypatch, workers)
     monkeypatch.setattr("bcprof.workers.START_S", 0)
     code = main(["verify", "--check", suite])
@@ -392,7 +393,8 @@ def _no_crossings(orig):
 
 SIG_13 = "PathSignature(a=1, b=3, c=1, L=frozenset(), R=frozenset({2}))"
 
-# (suite, max size, name, make, case count, [(failing case, detail)])
+# (suite, max size, name, make, case count, [(failing case, detail)]); name
+# is an attribute of verify, or of scale_free when written "scale_free.<name>".
 FAULTS = {
     "prop1-crossing": ("prop1", 4, "_packed_chain", lambda orig: lambda *args: False, 3, [
         ("path n=2", "monotone=True, no_cross=False"),
@@ -448,7 +450,7 @@ FAULTS = {
         ("broom m=1000, n=50", "ratio <= 2 at k=2"),
     ]),
     "lemma1": (
-        "lemma1", 6, "path_probability",
+        "lemma1", 6, "scale_free.path_probability",
         lambda orig: lambda sig: orig(sig) * (1 + ((sig.a, sig.b) == (3, 5))),
         5, [
             ("n=5", "path (3, 1, 2, 4, 5): 4/105 != 2/105"),
@@ -495,7 +497,10 @@ def test_fault_gives_its_failures(monkeypatch, fault, workers):
     suite, size, name, make, count, failures = FAULTS[fault]
     _use_workers(monkeypatch, workers)
     monkeypatch.setattr("bcprof.workers.START_S", 0)
-    monkeypatch.setattr(verify, name, make(getattr(verify, name)))
+    # A name is verify's own unless it names its module first.
+    module, _, name = name.rpartition(".")
+    owner = {"": verify, "scale_free": scale_free}[module]
+    monkeypatch.setattr(owner, name, make(getattr(owner, name)))
     report = run_check(suite, size)
     assert len(report.cases) == count
     assert report.workers == workers
