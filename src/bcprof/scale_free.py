@@ -156,25 +156,30 @@ def signature_of_path(vertices: Sequence[int]) -> PathSignature:
     )
 
 
-def path_probability(sig: PathSignature) -> Fraction:
-    """Probability that a path with this signature occurs (closed form).
-
-    The factors are gathered into one integer numerator and denominator,
-    so a single Fraction reduces the product once.
-    """
+def _closed_form(
+    a: int, b: int, c: int, L: Iterable[int], R: Iterable[int]
+) -> tuple[int, int]:
+    """Lemma 1's product form for the signature (a, b, c, L, R), as one
+    unreduced integer numerator and denominator."""
     num = den = 1
-    for t in range(sig.a + 1, sig.b + 1):
+    for t in range(a + 1, b + 1):
         num *= 2 * t - 2
         den *= 2 * t - 3
-    den *= 2 * sig.b - 2
-    for i in sig.R:
+    den *= 2 * b - 2
+    for i in R:
         den *= 2 * i - 2
-    if sig.a != sig.c:
+    if a != c:
         num *= 2
-        den *= 2 * sig.c - 1
-        for i in sig.L:
+        den *= 2 * c - 1
+        for i in L:
             den *= 2 * i - 1
-    return Fraction(num, den)
+    return num, den
+
+
+def path_probability(sig: PathSignature) -> Fraction:
+    """Probability that a path with this signature occurs (closed form),
+    reduced once from `_closed_form`'s integers."""
+    return Fraction(*_closed_form(sig.a, sig.b, sig.c, sig.L, sig.R))
 
 
 def _weight_totals(n: int) -> list[int]:
@@ -300,18 +305,26 @@ def all_candidate_paths(n: int) -> tuple[tuple[int, ...], ...]:
 
 def _closed_form_mismatch(n: int) -> tuple[tuple[int, ...], Fraction, Fraction] | None:
     """(path, closed form, oracle value) for the first candidate path on
-    labels 1..n whose `path_probability` differs from the presence table,
-    or for a table path that is no candidate (closed form 0); None when
-    every path agrees. Every candidate's closed form is positive, so once
-    all match, each is a table key and an extra key makes the table longer.
+    labels 1..n whose `_closed_form` differs from the presence table, or
+    for a table path that is no candidate (closed form 0); None when every
+    path agrees. Every candidate's closed form is positive, so once all
+    match, each is a table key and an extra key makes the table longer.
+
+    Each candidate is written from its smaller endpoint a to its top label
+    b, so its signature is read off its sorted labels as `signature_of_path`
+    reads it, and the closed form is compared on integers against D_n: no
+    signature or Fraction is built unless there is a mismatch to report.
     """
     table, total = _presence_table(n), _weight_totals(n)[n]
     candidates = all_candidate_paths(n)
     for path in candidates:
-        got = path_probability(signature_of_path(path))
+        labels = sorted(path)
+        a = path[0]
+        i = labels.index(a)
+        num, den = _closed_form(a, labels[-1], labels[0], labels[1:i], labels[i + 1:-1])
         want = table.get(path, 0)
-        if got.numerator * total != want * got.denominator:
-            return path, got, Fraction(want, total)
+        if num * total != want * den:
+            return path, Fraction(num, den), Fraction(want, total)
     if len(table) > len(candidates):
         path = min(table.keys() - candidates)
         return path, Fraction(0), Fraction(table[path], total)

@@ -444,6 +444,78 @@ def reference_presence_table(n):
     return {path: Fraction(num, denominator) for path, num in sums.items()}
 
 
+def _skewed_closed_form(skew):
+    """A fault for `scale_free._closed_form`: the closed form p of every
+    signature sig becomes the Fraction skew(sig, p)."""
+    def make(orig):
+        def f(a, b, c, L, R):
+            sig = scale_free.PathSignature(a, b, c, frozenset(L), frozenset(R))
+            p = skew(sig, Fraction(*orig(a, b, c, L, R)))
+            return p.numerator, p.denominator
+        return f
+    return make
+
+
+# The faults the tests inject into Lemma 1's closed form; tests/test_verify.py
+# runs the last one through the lemma1 suite.
+CLOSED_FORM_FAULTS = {
+    "plus one on (2, 1, 3)": _skewed_closed_form(
+        lambda sig, p: p + (sig == signature_of_path((2, 1, 3)))),
+    "half of 1/D_4 on (3, 1, 2, 4)": _skewed_closed_form(
+        lambda sig, p: p + Fraction(1, 2 * _weight_totals(4)[4]) * (
+            sig == signature_of_path((3, 1, 2, 4)))),
+    "doubled on (7, 1, 9)": _skewed_closed_form(
+        lambda sig, p: p * (1 + (sig == signature_of_path((7, 1, 9))))),
+    "doubled on a = 3, b = 5": _skewed_closed_form(
+        lambda sig, p: p * (1 + ((sig.a, sig.b) == (3, 5)))),
+}
+
+
+def reference_closed_form_mismatch(n):
+    """`_closed_form_mismatch` as it was when every candidate built its
+    signature and a reduced Fraction, kept as the reference for its result.
+    It reaches the closed form through `path_probability`, so a fault
+    injected into `_closed_form` reaches it too."""
+    table, total = _presence_table(n), _weight_totals(n)[n]
+    candidates = all_candidate_paths(n)
+    for path in candidates:
+        got = scale_free.path_probability(signature_of_path(path))
+        want = table.get(path, 0)
+        if got.numerator * total != want * got.denominator:
+            return path, got, Fraction(want, total)
+    if len(table) > len(candidates):
+        path = min(table.keys() - candidates)
+        return path, Fraction(0), Fraction(table[path], total)
+    return None
+
+
+class TestClosedFormMismatch:
+    def test_reads_each_candidates_signature_off_its_sorted_labels(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(scale_free, "_closed_form", recording(calls, scale_free._closed_form))
+        assert scale_free._closed_form_mismatch(9) is None
+        paths = all_candidate_paths(9)
+        assert len(calls) == len(paths) == 4916
+        for path, (a, b, c, L, R) in zip(paths, calls):
+            sig = signature_of_path(path)
+            assert (a, b, c, set(L), set(R)) == (sig.a, sig.b, sig.c, sig.L, sig.R), path
+
+    @pytest.mark.parametrize("fault, mismatched", [
+        (None, []),
+        ("plus one on (2, 1, 3)", [3, 4, 5, 6, 7, 8]),
+        ("half of 1/D_4 on (3, 1, 2, 4)", [4, 5, 6, 7, 8]),
+        ("doubled on (7, 1, 9)", []),  # its path first occurs at n = 9
+        ("doubled on a = 3, b = 5", [5, 6, 7, 8]),
+    ])
+    def test_equals_the_reference(self, monkeypatch, fault, mismatched):
+        if fault is not None:
+            make = CLOSED_FORM_FAULTS[fault]
+            monkeypatch.setattr(scale_free, "_closed_form", make(scale_free._closed_form))
+        got = {n: scale_free._closed_form_mismatch(n) for n in range(1, 9)}
+        assert got == {n: reference_closed_form_mismatch(n) for n in range(1, 9)}
+        assert [n for n, mismatch in got.items() if mismatch] == mismatched
+
+
 class TestPresenceTable:
     def test_equals_the_full_history_reference(self):
         # Equal dicts: the same keys, each with an integer numerator over D_n
@@ -465,6 +537,18 @@ class TestPresenceTable:
         # Every history's tree has exactly one path per pair of vertices.
         for n in range(1, 10):
             assert sum(_presence_table(n).values()) == n * (n - 1) // 2 * _weight_totals(n)[n]
+
+    def test_settled_paths_keep_their_probability_at_every_n(self):
+        # A path is settled once its top label attaches, so the table at 8,
+        # cut to top labels <= n and scaled by D_n / D_8, is the table at n.
+        big, totals = _presence_table(8), _weight_totals(8)
+        for n in range(1, 9):
+            scaled = {}
+            for path, num in big.items():
+                if max(path) <= n:
+                    scaled[path], rest = divmod(num * totals[n], totals[8])
+                    assert rest == 0, (n, path)
+            assert scaled == _presence_table(n), n
 
     def test_keys_are_candidate_paths(self):
         for n in range(1, 10):
@@ -520,10 +604,8 @@ class TestExpectations:
     def test_routes_disagreeing_raises(self, monkeypatch):
         # Skew the closed form on one path: the history table catches it,
         # and names the path, whichever (v, k) is asked for.
-        def skewed(sig):
-            return path_probability(sig) + (sig == signature_of_path((2, 1, 3)))
-
-        monkeypatch.setattr(scale_free, "path_probability", skewed)
+        make = CLOSED_FORM_FAULTS["plus one on (2, 1, 3)"]
+        monkeypatch.setattr(scale_free, "_closed_form", make(scale_free._closed_form))
         scale_free._expected_pk_table.cache_clear()
         try:
             for v in (1, 2):
@@ -535,13 +617,8 @@ class TestExpectations:
     def test_closed_form_off_the_common_denominator_raises(self, monkeypatch):
         # Every presence probability at n is a multiple of 1/D_n; a closed
         # form half a unit off on one path is a mismatch like any other.
-        off = signature_of_path((3, 1, 2, 4))
-        half = Fraction(1, 2 * _weight_totals(4)[4])
-
-        def skewed(sig):
-            return path_probability(sig) + half * (sig == off)
-
-        monkeypatch.setattr(scale_free, "path_probability", skewed)
+        make = CLOSED_FORM_FAULTS["half of 1/D_4 on (3, 1, 2, 4)"]
+        monkeypatch.setattr(scale_free, "_closed_form", make(scale_free._closed_form))
         scale_free._expected_pk_table.cache_clear()
         try:
             with pytest.raises(AssertionError, match=r"^n=4, path \(3, 1, 2, 4\): 1/6 != 2/15$"):
@@ -552,10 +629,8 @@ class TestExpectations:
     def test_every_path_is_checked_whatever_v_and_k(self, monkeypatch):
         # (7, 1, 9) adds only to (1, 2); asking for other (v, k) at n = 9
         # still meets the skew, since the table is built after every path.
-        def skewed(sig):
-            return path_probability(sig) * (1 + (sig == signature_of_path((7, 1, 9))))
-
-        monkeypatch.setattr(scale_free, "path_probability", skewed)
+        make = CLOSED_FORM_FAULTS["doubled on (7, 1, 9)"]
+        monkeypatch.setattr(scale_free, "_closed_form", make(scale_free._closed_form))
         scale_free._expected_pk_table.cache_clear()
         try:
             for v, k in ((2, 3), (9, 2), (1, 4)):

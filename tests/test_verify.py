@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_experiments import _allow_cpus
+from test_scale_free import CLOSED_FORM_FAULTS
 
 import bcprof.scale_free as scale_free
 import bcprof.verify as verify
@@ -450,8 +451,7 @@ FAULTS = {
         ("broom m=1000, n=50", "ratio <= 2 at k=2"),
     ]),
     "lemma1": (
-        "lemma1", 6, "scale_free.path_probability",
-        lambda orig: lambda sig: orig(sig) * (1 + ((sig.a, sig.b) == (3, 5))),
+        "lemma1", 6, "scale_free._closed_form", CLOSED_FORM_FAULTS["doubled on a = 3, b = 5"],
         5, [
             ("n=5", "path (3, 1, 2, 4, 5): 4/105 != 2/105"),
             ("n=6", "path (3, 1, 2, 4, 5): 4/105 != 2/105"),
