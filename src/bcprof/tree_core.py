@@ -159,10 +159,14 @@ class PathCountTable:
     Pkv: tuple[tuple[int, ...], ...]
 
 
-def _finish_table(d: int, p: list[int], pv: list[list[int] | None]) -> PathCountTable:
-    Pk, Pkv = _prefix_rows(p, pv)
-    # A childless vertex's None row is zero, as its shared prefix row is.
-    pv = tuple(P if row is None else tuple(row) for row, P in zip(pv, Pkv))
+def _finish_table(
+    d: int, p: list[int], rows: list[list[int]], index: Iterable[int]
+) -> PathCountTable:
+    """The table of _counts's result (see _prefix_rows for rows and index).
+    A childless vertex's row is zero, so pv and Pkv share one zero tuple."""
+    zero = (0,) * (d + 1)
+    Pk, Pkv = _prefix_rows(p, rows, index, zero)
+    pv = _spread(map(tuple, rows), index, zero)
     return PathCountTable(d=d, p=tuple(p), pv=pv, Pk=Pk, Pkv=Pkv)
 
 
@@ -188,7 +192,7 @@ def path_counts_naive(t: Tree) -> PathCountTable:
             while w != s:
                 pv[w][length] += 1
                 w = parent[w]
-    return _finish_table(d, p, pv)
+    return _finish_table(d, p, pv, range(n))
 
 
 # Distance histograms are packed into one Python int: lane l holds the count
@@ -285,9 +289,10 @@ def _diameter_and_lengths(n: int, pairs: int, lane: int) -> tuple[int, list[int]
 
 def _counts(
     order: Sequence[int], parent: Sequence[int], lane: int, vertices: Sequence[int]
-) -> tuple[list[int], list[list[int] | None]]:
-    """(p_l, [p_l(v) for v in vertices]), l = 0..d, from one merge up to
-    order[0] (see _merge_up for order and parent).
+) -> tuple[list[int], list[list[int]], list[int]]:
+    """(p_l, rows, index), l = 0..d, from one merge up to order[0] (see
+    _merge_up for order and parent): rows[index[i]] is p_l(v) for the i-th
+    listed vertex v, and index -1 marks a zero row that was not computed.
 
     A path through v has its endpoints in two distinct branches of v. With
     b = down[v] - 1, the depth histogram of v's subtree without v itself:
@@ -299,19 +304,25 @@ def _counts(
     vertices, so the subtraction never borrows.
 
     A vertex with no child (b == 0: every leaf, and the lone vertex when
-    n = 1) lies inside no path, so its row is None: no walk, no up[v] and
+    n = 1) lies inside no path, so its index is -1: no walk, no up[v] and
     no unpack. No ancestor chain passes through it, so the memo still holds
     all a later vertex needs.
+
+    Rows are keyed by their packed value, which no lane carries out of, so
+    two vertices share an index exactly when their rows are equal (v and
+    n - 1 - v on a path, twin branches of G(i, j)), and each distinct row
+    is unpacked once.
     """
     top = dict.fromkeys(vertices, 0)
     down, pairs = _merge_up(order, parent, lane, top)
     d, p = _diameter_and_lengths(len(parent), pairs, lane)
     up = {order[0]: 0}
-    rows = []
+    packed: dict[int, int] = {}
+    index = []
     for v in vertices:
         b = down[v] - 1
         if not b:
-            rows.append(None)
+            index.append(-1)
             continue
         chain, w = [], v
         while w not in up:
@@ -320,8 +331,8 @@ def _counts(
         for w in reversed(chain):
             q = parent[w]
             up[w] = (up[q] + down[q] - (down[w] << lane)) << lane
-        rows.append(_unpack(top[v] - b + up[v] * b, lane, d + 1))
-    return p, rows
+        index.append(packed.setdefault(top[v] - b + up[v] * b, len(packed)))
+    return p, [_unpack(x, lane, d + 1) for x in packed], index
 
 
 def _check_vertices(n: int, vertices: Iterable[int]) -> list[int]:
@@ -335,14 +346,24 @@ def _check_vertices(n: int, vertices: Iterable[int]) -> list[int]:
 _PrefixRows = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]  # (P_k, (P_k(v)...))
 
 
-def _prefix_rows(p: list[int], rows: list[list[int] | None]) -> _PrefixRows:
+def _spread(rows: Iterable[tuple[int, ...]], index: Iterable[int], zero: tuple[int, ...]) -> tuple:
+    """(rows[i] for i in index) with index -1 giving zero: vertices with
+    the same index share one tuple."""
+    return tuple(map([*rows, zero].__getitem__, index))
+
+
+def _prefix_rows(
+    p: list[int], rows: list[list[int]], index: Iterable[int], zero: tuple[int, ...] | None = None
+) -> _PrefixRows:
     """(P_k, (P_k(v)...)): the running sums of _counts's per-length rows, as
-    tuples. Lanes 0 and 1 of every row are zero, so P_k is a plain running
-    sum. Every None row (a childless vertex) is one shared zero tuple."""
-    zero = (0,) * len(p)
-    return tuple(itertools.accumulate(p)), tuple(
-        zero if row is None else tuple(itertools.accumulate(row)) for row in rows
-    )
+    tuples; the i-th listed vertex has row rows[index[i]]. Lanes 0 and 1 of
+    every row are zero, so P_k is a plain running sum. Each distinct row is
+    summed once, and every index -1 (a childless vertex) is one shared zero
+    tuple, zero when given."""
+    if zero is None:
+        zero = (0,) * len(p)
+    sums = map(tuple, map(itertools.accumulate, rows))
+    return tuple(itertools.accumulate(p)), _spread(sums, index, zero)
 
 
 def prefix_counts(t: Tree, vertices: Iterable[int]) -> _PrefixRows:
@@ -372,8 +393,8 @@ def path_counts_fast(t: Tree) -> PathCountTable:
     """Same table as path_counts_naive: one pass up to root 0, one back down."""
     lane = _lane_bits(t.n)
     order, parent = _bfs_order(t, 0)
-    p, pv = _counts(order, parent, lane, range(t.n))
-    return _finish_table(len(p) - 1, p, pv)
+    p, rows, index = _counts(order, parent, lane, range(t.n))
+    return _finish_table(len(p) - 1, p, rows, index)
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,12 @@ from functools import partial
 from .errors import BadSpecError, OutOfRangeError, UnknownCheckError
 from .profile_analysis import count_crossings, count_dips
 from .scale_free import (
+    _closed_form,
     _closed_form_mismatch,
     _weight_totals,
     all_candidate_paths,
     exact_expected_pk,
     injection,
-    path_probability,
     signature_of_path,
 )
 from .tree_core import _LANE_FORMATS, _pack, path_counts_naive, prefix_counts
@@ -278,7 +278,7 @@ def check_theorem3(max_size: int = 7) -> Cases:
         # Paths that share a signature would repeat its checks; first
         # occurrences keep the path order.
         for sig in dict.fromkeys(map(signature_of_path, all_candidate_paths(max_size))):
-            prob = path_probability(sig)
+            num, den = _closed_form(sig.a, sig.b, sig.c, sig.L, sig.R)
             for w in sorted(sig.interior):
                 v = w - 1
                 if v < 1:
@@ -288,10 +288,9 @@ def check_theorem3(max_size: int = 7) -> Cases:
                     return f"f not length-preserving on {sig}, v={v}"
                 if v not in img.interior:
                     return f"v={v} not interior in image of {sig}"
-                # path_probability(img) == prob * ratio, cross-multiplied.
-                got = path_probability(img)
-                if (got.numerator * prob.denominator * ratio.denominator
-                        != prob.numerator * ratio.numerator * got.denominator):
+                # Lemma 1's closed form: image == sig's * ratio, cross-multiplied.
+                got_num, got_den = _closed_form(img.a, img.b, img.c, img.L, img.R)
+                if got_num * den * ratio.denominator != num * ratio.numerator * got_den:
                     return f"ratio mismatch (case {case}) on {sig}, v={v}"
                 key = (v, sig.length, img)
                 if key in images and images[key] != sig:

@@ -32,6 +32,9 @@ from bcprof import (
     build_tree,
     diameter,
     make_broom,
+    make_double_broom,
+    make_gij,
+    make_path,
     path_counts_fast,
     path_counts_naive,
     prefix_counts,
@@ -501,9 +504,10 @@ class TestChildlessVertices:
             assert table == naive
             assert len({id(rows[v]) for rows in (table.pv, table.Pkv) for v in leaves}) == 1
 
-    def test_unpacks_once_per_listed_vertex_with_a_child(self, monkeypatch):
-        # One unpack for the all-pairs histogram, then one per listed vertex
-        # with a child in the pass rooted at 0; leaves cost none.
+    def test_unpacks_once_per_distinct_row_with_a_child(self, monkeypatch):
+        # One unpack for the all-pairs histogram, then one per distinct row
+        # among the listed vertices with a child in the pass rooted at 0;
+        # leaves cost none. The distinct rows are counted on the oracle's.
         calls = []
         unpack = tree_core._unpack
 
@@ -511,13 +515,78 @@ class TestChildlessVertices:
             calls.append(count)
             return unpack(x, lane, count)
 
-        monkeypatch.setattr(tree_core, "_unpack", counted)
+        sizes = []
         for t in (sample_tree(300, random.Random(5)).tree(), make_broom(4, 20)[0]):
-            with_child = sum(len(t.adj[v]) > (v != 0) for v in range(t.n))
-            assert 2 * with_child < t.n
+            with_child = [v for v in range(t.n) if len(t.adj[v]) > (v != 0)]
+            assert 2 * len(with_child) < t.n
+            distinct = len({path_counts_naive(t).pv[v] for v in with_child})
+            monkeypatch.setattr(tree_core, "_unpack", counted)
             calls.clear()
             prefix_counts(t, range(t.n))
-            assert len(calls) == 1 + with_child
+            monkeypatch.undo()
+            assert len(calls) == 1 + distinct
+            sizes.append((distinct, len(with_child)))
+        # The recursive tree repeats rows; the broom's rows all differ.
+        assert sizes == [(85, 105), (5, 5)]
+
+
+class TestSharedRows:
+    # Vertices whose rows are equal share one tuple from every entry, and
+    # vertices whose rows differ never do.
+
+    @staticmethod
+    def routes(t):
+        """Every vertex's rows from each entry, after checking each against
+        the oracle: prefix_counts, _parent_prefix_counts, and the pv and
+        Pkv of path_counts_fast."""
+        naive = path_counts_naive(t)
+        parent = tree_core._bfs_order(t, 0)[1]
+        table = path_counts_fast(t)
+        assert table == naive
+        routes = [prefix_counts(t, range(t.n)), _parent_prefix_counts(parent, range(t.n))]
+        for route in routes:
+            assert route == as_rows(naive)
+        return [rows for _, rows in routes] + [table.pv, table.Pkv]
+
+    @staticmethod
+    def assert_shared_exactly_when_equal(t, routes):
+        # Over the vertices with a child in the pass rooted at 0, each
+        # distinct row is one object: a computed zero row is not the leaves'.
+        with_child = [v for v in range(t.n) if len(t.adj[v]) > (v != 0)]
+        for rows in routes:
+            kept = [rows[v] for v in with_child]
+            assert len({id(row) for row in kept}) == len(set(kept))
+
+    def test_mirror_rows_of_a_path(self):
+        for n in range(2, 41):
+            t = make_path(n)
+            routes = self.routes(t)
+            for rows in routes:
+                for v in range(1, n):
+                    assert rows[v] is rows[n - v]
+                assert rows[0] == rows[n] and rows[0] is not rows[n]
+                assert len({id(row) for row in rows[1:n]}) == n // 2
+            self.assert_shared_exactly_when_equal(t, routes)
+
+    @pytest.mark.parametrize("i, j", [(1, 1), (2, 3), (3, 5), (5, 2)])
+    def test_twin_branches_of_gij(self, i, j):
+        t, _ = make_gij(i, j)
+        central = i * (j + 1) + 2
+        twins = [
+            (central + 2 * b * j + s, central + (2 * b + 1) * j + s)
+            for b in range(i) for s in range(j)
+        ]
+        routes = self.routes(t)
+        for rows in routes:
+            assert all(rows[x] is rows[y] for x, y in twins)
+        self.assert_shared_exactly_when_equal(t, routes)
+
+    def test_brooms_and_recursive_trees(self):
+        trees = [make_broom(5, 7)[0], make_double_broom(6, 4)[0]]
+        rng = random.Random(37)
+        trees += [sample_tree(rng.randrange(2, 120), rng).tree() for _ in range(30)]
+        for t in trees:
+            self.assert_shared_exactly_when_equal(t, self.routes(t))
 
 
 class TestLaneWidth:

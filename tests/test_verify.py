@@ -379,7 +379,7 @@ def _shared_image(orig):
 
     def f(sig, v):
         case, img, ratio = orig(sig, v)
-        key = (v, sig.length, case, verify.path_probability(sig))
+        key = (v, sig.length, case, scale_free.path_probability(sig))
         return case, seen.setdefault(key, img), ratio
     return f
 
