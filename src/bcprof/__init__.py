@@ -72,7 +72,6 @@ from .scale_free import (
     PathSignature,
     RecursiveTree,
     all_candidate_paths,
-    enumerate_histories,
     estimate_expected_profiles,
     exact_expected_pk,
     exact_path_presence_prob,

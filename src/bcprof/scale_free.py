@@ -2,8 +2,8 @@
 
 The paper labels vertices 1..n in attachment order, vertex 1 first with one
 virtual degree unit; a RecursiveTree is the engine's 0-based parent array, in
-which vertex y carries label y + 1. Exact enumeration of attachment histories
-doubles as the oracle for the closed-form path presence probability.
+which vertex y carries label y + 1. A walk over attachment prefixes is the
+exact oracle for the closed-form path presence probability.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import itemgetter, lt, truediv
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     NotASimplePathError,
@@ -29,7 +29,7 @@ from .tree_core import (
     Tree, _check_parent_array, _parent_prefix_counts, _PrefixRows, _tree_of_checked_parents
 )
 
-MAX_EXACT_N = 9  # product of (t-1) histories; 9 keeps it at 8! = 40320
+MAX_EXACT_N = 9  # the prefix walk reaches (n-1)! complete prefixes; 8! = 40320 at 9
 
 _MASK64 = (1 << 64) - 1
 
@@ -196,35 +196,6 @@ def _weight_totals(n: int) -> list[int]:
     return totals
 
 
-def _history_numerators(n: int) -> tuple[int, Iterator[tuple[tuple[int, ...], int]]]:
-    """(D, every attachment history with its probability's numerator over D).
-
-    D = D_n of `_weight_totals`, so a history's numerator is the product
-    of the weights its chosen parents had when chosen.
-    """
-    denominator = _weight_totals(n)[n]
-
-    def histories():
-        for parents in itertools.product(*(range(1, t) for t in range(2, n + 1))):
-            # weight[i] = attachment weight of label i: its degree, plus the
-            # virtual unit for label 1; each label arrives with weight 1.
-            weight = [0] + [1] * n
-            num = 1
-            for p in parents:
-                num *= weight[p]
-                weight[p] += 1
-            yield parents, num
-
-    return denominator, histories()
-
-
-def enumerate_histories(n: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-    """All attachment histories with their exact probabilities."""
-    denominator, histories = _history_numerators(n)
-    for parents, num in histories:
-        yield parents, Fraction(num, denominator)
-
-
 @lru_cache(maxsize=None)
 def _presence_table(n: int) -> dict[tuple[int, ...], int]:
     """Presence probability of every path that occurs in some history, as
@@ -240,7 +211,7 @@ def _presence_table(n: int) -> dict[tuple[int, ...], int]:
     """
     totals = _weight_totals(n)
     sums: defaultdict[tuple[int, ...], int] = defaultdict(int)
-    weight = [0] + [1] * n  # as in _history_numerators
+    weight = [0] + [1] * n  # weight[i]: label i's degree, plus label 1's virtual unit
     into = [()] * (n + 1)  # into[b][a - 1]: the labels from a to b, for a < b
 
     def attach(b: int, num: int) -> None:
@@ -334,7 +305,7 @@ def _closed_form_mismatch(n: int) -> tuple[tuple[int, ...], Fraction, Fraction] 
 @lru_cache(maxsize=None)
 def _expected_pk_table(n: int) -> dict[tuple[int, int], int]:
     """E[p_k(v)] keyed by (v, k), as numerators over D_n, summed from the
-    history presence table. Raises AssertionError, naming the path, unless
+    presence table. Raises AssertionError, naming the path, unless
     Lemma 1's closed form first matches that table on every path."""
     mismatch = _closed_form_mismatch(n)
     if mismatch:
@@ -348,8 +319,8 @@ def _expected_pk_table(n: int) -> dict[tuple[int, int], int]:
 
 
 def exact_expected_pk(n: int, v: int, k: int) -> Fraction:
-    """E[count of length-k paths with v interior], summed from enumerated
-    histories once the closed form has matched them on every path."""
+    """E[count of length-k paths with v interior], summed from the
+    presence table once the closed form has matched it on every path."""
     if not (1 <= v <= n):
         raise OutOfRangeError(f"vertex {v} out of range for n={n}")
     return Fraction(_expected_pk_table(n).get((v, k), 0), _weight_totals(n)[n])

@@ -251,7 +251,7 @@ def check_prop2() -> Cases:
 
 
 def check_lemma1(max_size: int = 7) -> Cases:
-    """Closed-form path probability equals the history-enumeration oracle
+    """Closed-form path probability equals the prefix-walk oracle
     on every candidate path, and the oracle finds no other path."""
 
     def failure(n: int) -> str:

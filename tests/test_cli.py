@@ -11,6 +11,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -858,6 +859,9 @@ class TestOptimizedBytes:
         runs = {
             **{suite: ["verify", "--check", suite] for suite in VERIFY_PINNED},
             "expect": list(TestExpectCmd.MONTE_CARLO_ARGV),
+            # The exact route at the cap, with only src on the path: no
+            # test helper may stand in for a module the package ships.
+            "expect --exact": ["expect", "--n", "9", "--k", "4", "--exact"],
             "profile": ["profile", "--tree", str(tree), "--all"],
         }
         src = str(Path(bcprof.__file__).resolve().parents[1])
@@ -870,6 +874,7 @@ class TestOptimizedBytes:
         want = {
             **{suite: f"0 {digest}" for suite, digest in VERIFY_PINNED.items()},
             "expect": f"0 {TestExpectCmd.MONTE_CARLO_SHA256}",
+            "expect --exact": f"0 {TestExpectCmd.PINNED_EXACT[9, 4]}",
             "profile": f"0 {_GOLDENS[self.PROFILE_KEY]['sha256']}",
         }
         assert got == want
@@ -902,3 +907,32 @@ def test_import_loads_no_process_machinery():
     # A submodule loads its package too, so the packages are enough to test.
     for loaded in (imported, ran):
         assert {"multiprocessing", "concurrent.futures", "logging"}.isdisjoint(loaded)
+
+
+def test_public_names():
+    # What `import bcprof` exports, submodules left out; an export added or
+    # removed is an API change and edits this list.
+    names = {
+        name for name, value in vars(bcprof).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert names == {
+        "BadSpecError", "BcprofError", "CHECK_NAMES", "CheckCase", "CheckReport",
+        "CrossingReport", "DiameterTooSmallError", "DipReport", "DisconnectedError",
+        "DuplicateEdgeError", "ExperimentConfig", "ExperimentResult", "LengthMismatchError",
+        "NTooLargeError", "NotASimplePathError", "OddMError", "OutOfDomainError",
+        "OutOfRangeError", "OutOfTabulatedRangeError", "PathCountTable", "PathSignature",
+        "PreconditionViolatedError", "Profile", "RecursiveTree", "SearchCapExceededError",
+        "SelfLoopError", "TellChoice", "Tree", "UnknownCheckError", "WrongEdgeCountError",
+        "all_candidate_paths", "all_profiles", "bfs_distances", "build_tree",
+        "closed_form_gij_Pk", "closed_form_gij_Pkv", "closed_form_gij_pk",
+        "closed_form_path_Pkv", "closed_form_path_bck", "count_crossings", "count_dips",
+        "diameter", "dominates", "estimate_expected_profiles", "exact_expected_pk",
+        "exact_path_presence_prob", "injection", "is_monotone", "make_broom",
+        "make_double_broom", "make_gij", "make_path", "make_tell", "monotonicity_class",
+        "pair_analysis", "path_counts_fast", "path_counts_naive", "path_probability",
+        "prefix_counts", "profile", "read_tree", "run_check", "run_experiment",
+        "sample_tree", "signature_of_path", "splitmix64", "substream_seed",
+        "tabulated_gij_k_values", "tree_from_parents", "vertex_analysis", "write_csv",
+        "write_manifest", "write_tree",
+    }

@@ -7,6 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from histories import _history_numerators
 
 from bcprof import (
     BadSpecError,
@@ -31,7 +32,7 @@ from bcprof.experiments import (
     write_manifest,
 )
 from bcprof.profile_analysis import count_crossings, is_monotone
-from bcprof.scale_free import RecursiveTree, _history_numerators, sample_tree, substream_seed
+from bcprof.scale_free import RecursiveTree, sample_tree, substream_seed
 from bcprof.workers import share_items, start_method
 
 

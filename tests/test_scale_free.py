@@ -15,6 +15,7 @@ from operator import truediv
 from pathlib import Path
 
 import pytest
+from histories import _history_numerators, enumerate_histories
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,7 +28,6 @@ from bcprof import (
     RecursiveTree,
     all_candidate_paths,
     build_tree,
-    enumerate_histories,
     estimate_expected_profiles,
     exact_expected_pk,
     exact_path_presence_prob,
@@ -240,7 +240,7 @@ class TestHistories:
         # The same (parents, numerator) sequence, in the same order, and the
         # same D as the backtracking enumeration that came before the loop.
         for n in range(1, 10):
-            D, histories = scale_free._history_numerators(n)
+            D, histories = _history_numerators(n)
             want_D, want = _recursive_history_numerators(n)
             assert (D, list(histories)) == (want_D, list(want)), n
 
@@ -425,7 +425,7 @@ def _presence_by_edge_sets(n, seq):
 def reference_presence_table(n):
     """The presence table as it was when every pair of every full history
     was walked; kept verbatim as the reference for the prefix walk."""
-    denominator, histories = scale_free._history_numerators(n)
+    denominator, histories = _history_numerators(n)
     sums: defaultdict[tuple[int, ...], int] = defaultdict(int)
     for parents, num in histories:
         parent = (0, 0) + parents  # parent[t] for labels t >= 2
@@ -758,7 +758,7 @@ class TestEstimateExpectedProfiles:
         # tree's BC_d held past its diameter d. Sums of weight * P_K(v) are
         # kept per (v, K, P_K), so the only Fractions are built at the end.
         n = 8
-        denominator, histories = scale_free._history_numerators(n)
+        denominator, histories = _history_numerators(n)
         sums = Counter()
         for parents, num in histories:
             Pk, Pkv = _parent_prefix_counts([-1, *(p - 1 for p in parents)], range(n))
