@@ -148,12 +148,19 @@ def signature_of_path(vertices: Sequence[int]) -> PathSignature:
     falls = list(map(lt, seq[1:], seq))
     if True in falls[falls.count(True):]:
         raise NotASimplePathError(f"label sequence {seq} is impossible in a recursive tree")
-    first, last = seq[0], seq[-1]
-    a = first if first < last else last
+    a, b, c, L, R = _signature_parts(seq if seq[0] < seq[-1] else seq[::-1])
+    return PathSignature(a=a, b=b, c=c, L=frozenset(L), R=frozenset(R))
+
+
+def _signature_parts(path: Sequence[int]) -> tuple[int, int, int, tuple[int, ...], tuple[int, ...]]:
+    """(a, b, c, L, R) of a path written from its smaller endpoint a, read
+    off its sorted labels: c is the smallest and b the largest, L holds the
+    labels between c and a and R those between a and b, each in increasing
+    order. The path is not checked."""
+    labels = tuple(sorted(path))
+    a = path[0]
     i = labels.index(a)
-    return PathSignature(
-        a=a, b=labels[-1], c=labels[0], L=frozenset(labels[1:i]), R=frozenset(labels[i + 1:-1])
-    )
+    return a, labels[-1], labels[0], labels[1:i], labels[i + 1:-1]
 
 
 def _closed_form(
@@ -281,18 +288,15 @@ def _closed_form_mismatch(n: int) -> tuple[tuple[int, ...], Fraction, Fraction] 
     path agrees. Every candidate's closed form is positive, so once all
     match, each is a table key and an extra key makes the table longer.
 
-    Each candidate is written from its smaller endpoint a to its top label
-    b, so its signature is read off its sorted labels as `signature_of_path`
-    reads it, and the closed form is compared on integers against D_n: no
-    signature or Fraction is built unless there is a mismatch to report.
+    Each candidate is written from its smaller endpoint, so its signature
+    is read off its sorted labels by `_signature_parts`, and the closed form
+    is compared on integers against D_n: no signature or Fraction is built
+    unless there is a mismatch to report.
     """
     table, total = _presence_table(n), _weight_totals(n)[n]
     candidates = all_candidate_paths(n)
     for path in candidates:
-        labels = sorted(path)
-        a = path[0]
-        i = labels.index(a)
-        num, den = _closed_form(a, labels[-1], labels[0], labels[1:i], labels[i + 1:-1])
+        num, den = _closed_form(*_signature_parts(path))
         want = table.get(path, 0)
         if num * total != want * den:
             return path, Fraction(num, den), Fraction(want, total)

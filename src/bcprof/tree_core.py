@@ -300,13 +300,28 @@ def _counts(
     with one endpoint outside v's subtree. up[v] is the packed histogram, by
     distance from v, of the vertices outside v's subtree; it is memoised
     down each listed vertex's ancestor chain, so listing every vertex costs
-    one pass down. Every lane of down[q] - (down[w] << lane) is a count of
-    vertices, so the subtraction never borrows.
+    one pass down, and a vertex whose parent q already has it (every vertex
+    when parents are listed first) needs no walk. Every lane of
+    down[q] - (down[v] << lane) is a count of vertices, so the subtraction
+    never borrows.
 
     A vertex with no child (b == 0: every leaf, and the lone vertex when
     n = 1) lies inside no path, so its index is -1: no walk, no up[v] and
     no unpack. No ancestor chain passes through it, so the memo still holds
     all a later vertex needs.
+
+    Down a chain no product is needed. If v's parent q has v as its only
+    child, then up[v] = (up[q] + 1) << lane and q's row is
+    (up[q] << lane) * (b + 1), so on Python ints (where a lane of the middle
+    term may be negative; the sum is exact)
+
+        row(v) = row(q) + (top[v] - b) + ((b - up[q]) << lane).
+
+    A vertex with a child has exactly one when top[v] - b == 0, since no
+    pair then crosses two branches; its row waits in one_child until that
+    child, listed after it, takes it out. For labels that increase away
+    from order[0], range(n) lists every parent first. A vertex listed
+    before its parent, without it or again takes the product: same row.
 
     Rows are keyed by their packed value, which no lane carries out of, so
     two vertices share an index exactly when their rows are equal (v and
@@ -318,20 +333,34 @@ def _counts(
     d, p = _diameter_and_lengths(len(parent), pairs, lane)
     up = {order[0]: 0}
     packed: dict[int, int] = {}
+    one_child: dict[int, int] = {}
     index = []
     for v in vertices:
         b = down[v] - 1
         if not b:
             index.append(-1)
             continue
-        chain, w = [], v
-        while w not in up:
-            chain.append(w)
-            w = parent[w]
-        for w in reversed(chain):
-            q = parent[w]
-            up[w] = (up[q] + down[q] - (down[w] << lane)) << lane
-        index.append(packed.setdefault(top[v] - b + up[v] * b, len(packed)))
+        q = parent[v]
+        if v not in up:
+            if q not in up:
+                # No earlier vertex reached q: fill up[] down from the
+                # nearest ancestor that has it.
+                chain, w = [], q
+                while w not in up:
+                    chain.append(w)
+                    w = parent[w]
+                for w in reversed(chain):
+                    u = parent[w]
+                    up[w] = (up[u] + down[u] - (down[w] << lane)) << lane
+            up[v] = (up[q] + down[q] - (down[v] << lane)) << lane
+        across = top[v] - b
+        if q in one_child:
+            row = one_child.pop(q) + across + ((b - up[q]) << lane)
+        else:
+            row = across + up[v] * b
+        if not across:
+            one_child[v] = row
+        index.append(packed.setdefault(row, len(packed)))
     return p, [_unpack(x, lane, d + 1) for x in packed], index
 
 

@@ -20,13 +20,14 @@ from functools import partial
 from .errors import BadSpecError, OutOfRangeError, UnknownCheckError
 from .profile_analysis import count_crossings, count_dips
 from .scale_free import (
+    PathSignature,
     _closed_form,
     _closed_form_mismatch,
+    _signature_parts,
     _weight_totals,
     all_candidate_paths,
     exact_expected_pk,
     injection,
-    signature_of_path,
 )
 from .tree_core import _LANE_FORMATS, _pack, path_counts_naive, prefix_counts
 from .tree_families import (
@@ -276,9 +277,12 @@ def check_theorem3(max_size: int = 7) -> Cases:
     def injection_failure() -> str:
         images: dict[tuple[int, int, object], object] = {}
         # Paths that share a signature would repeat its checks; first
-        # occurrences keep the path order.
-        for sig in dict.fromkeys(map(signature_of_path, all_candidate_paths(max_size))):
-            num, den = _closed_form(sig.a, sig.b, sig.c, sig.L, sig.R)
+        # occurrences keep the path order. Each candidate is written from
+        # its smaller endpoint, so its signature is read off its labels.
+        for parts in dict.fromkeys(map(_signature_parts, all_candidate_paths(max_size))):
+            a, b, c, L, R = parts
+            sig = PathSignature(a, b, c, frozenset(L), frozenset(R))
+            num, den = _closed_form(*parts)
             for w in sorted(sig.interior):
                 v = w - 1
                 if v < 1:

@@ -64,7 +64,13 @@ def start_method() -> str | None:
     runs one thread, else None, the platform's default. A forked child
     starts without importing bcprof again, where a forkserver child (the
     Linux default from Python 3.14) or a spawned one pays for the import
-    and rebuilds its caches. Forking a process that runs threads is unsafe."""
+    and rebuilds its caches. Forking a process that runs threads is unsafe.
+
+    Only `threading` threads are counted. Threads started in C are not:
+    faulthandler's watchdog (`dump_traceback_later`, which the test suite
+    arms for every test) and the BLAS pool that `import numpy` starts still
+    leave "fork", and from Python 3.12 `os.fork` then warns that the
+    process is multi-threaded."""
     return "fork" if sys.platform == "linux" and threading.active_count() == 1 else None
 
 

@@ -491,6 +491,19 @@ class TestAnalyzeCmd:
         assert code == 0
         assert json.loads(out)["crossing_count"] >= 3
 
+    # sha256 of `analyze --pair 3 250` stdout on `gen path:400`, recorded
+    # while every row was a product. path:400 has 401 vertices, so its lanes
+    # are 32 bits wide, and every row below the root comes by addition down
+    # the chain. CI's installed-package step checks the same digest.
+    PINNED_DEEP_PAIR = "538845abf98ecd7a725390505e6b0da6e404f69d71c6bb34451aee21abfb2975"
+
+    def test_deep_path_pinned_bytes(self, tmp_path, capsys):
+        tree = tmp_path / "p.tree"
+        run_cli(capsys, "gen", "path:400", "--out", str(tree))
+        code, out, _ = run_cli(capsys, "analyze", "--tree", str(tree), "--pair", "3", "250")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_DEEP_PAIR
+
 
 class TestVerifyCmd:
     def test_known_check_passes(self, capsys):

@@ -35,6 +35,7 @@ from bcprof import (
     make_double_broom,
     make_gij,
     make_path,
+    make_tell,
     path_counts_fast,
     path_counts_naive,
     prefix_counts,
@@ -126,6 +127,90 @@ def leaf_heavy_parents():
         yield [*range(-1, spine - 1), *(s for s in range(1, spine) for _ in range(legs[s]))]
     for n, seed in ((3, 1), (12, 2), (40, 3), (60, 4), (362, 5), (363, 6)):
         yield list(sample_tree(n, random.Random(seed)).parent)
+
+
+def subdivided(parent, lengths):
+    """The parent array of parent's tree with edge (y, parent[y]) made a
+    path of lengths[y - 1] >= 1 edges; labels still increase away from 0."""
+    out, at = [-1], [0]
+    for y in range(1, len(parent)):
+        q = at[parent[y]]
+        for _ in range(lengths[y - 1]):
+            out.append(q)
+            q = len(out) - 1
+        at.append(q)
+    return out
+
+
+def family_parents(t):
+    """A family tree's parent array: every family is built with labels
+    that increase away from 0, so the BFS parents from 0 are its own."""
+    parent = tree_core._bfs_order(t, 0)[1]
+    assert all(p < y for y, p in enumerate(parent))
+    return parent
+
+
+@st.composite
+def chain_heavy_parents(draw, max_legs=8):
+    """Parent arrays (labels increasing away from 0) of trees made mostly of
+    single-child chains: a random tree with every edge subdivided, a
+    spider, a caterpillar with long legs, a broom, a double broom, G(i, j)
+    or a tell tree."""
+    kind = draw(st.sampled_from(
+        ("subdivided", "spider", "caterpillar", "broom", "double-broom", "gij", "tell")
+    ))
+    lengths = st.integers(1, 6)
+    if kind == "subdivided":
+        base = [-1] + [draw(st.integers(0, y - 1)) for y in range(1, draw(st.integers(1, 12)))]
+        return subdivided(base, [draw(lengths) for _ in base[1:]])
+    if kind == "spider":
+        legs = draw(st.integers(1, max_legs))
+        return subdivided([-1, *[0] * legs], [draw(st.integers(1, 12)) for _ in range(legs)])
+    if kind == "caterpillar":
+        # A spine 0..s-1 whose vertices carry legs, each a chain.
+        spine = draw(st.integers(1, 8))
+        base = [*range(-1, spine - 1)]
+        base += [draw(st.integers(0, spine - 1)) for _ in range(draw(st.integers(0, max_legs)))]
+        return subdivided(base, [1] * (spine - 1) + [draw(lengths) for _ in base[spine:]])
+    if kind == "broom":
+        return family_parents(make_broom(draw(st.integers(1, 40)), draw(st.integers(1, 8)))[0])
+    if kind == "double-broom":
+        m = 2 * draw(st.integers(1, 20))
+        return family_parents(make_double_broom(m, draw(st.integers(1, 6)))[0])
+    if kind == "gij":
+        return family_parents(make_gij(draw(st.integers(1, 4)), draw(st.integers(1, 5)))[0])
+    return family_parents(make_tell(draw(st.integers(1, 4)))[0])
+
+
+LISTINGS = ("top-down", "reversed", "shuffled", "repeats", "subset")
+
+
+def listed(listing, n, rng):
+    """Vertices 0..n-1 as the listing names them. For labels increasing
+    away from 0, range(n) lists every parent before its children."""
+    vs = list(range(n))
+    if listing == "reversed":
+        vs.reverse()
+    elif listing == "shuffled":
+        rng.shuffle(vs)
+    elif listing == "repeats":
+        # Each vertex once or twice in a row, then a second top-down pass.
+        vs = [v for v in vs for _ in range(rng.randint(1, 2))] + vs
+    elif listing == "subset":
+        vs = sorted(rng.sample(vs, rng.randint(1, n)))
+    return vs
+
+
+def assert_every_route_equals_naive(parent, listing, rng, naive=path_counts_naive):
+    """prefix_counts, _parent_prefix_counts and path_counts_fast agree with
+    the oracle on the tree of parent, with the vertices listed as named."""
+    t = tree_from_parents(parent)
+    want = naive(t)
+    assert path_counts_fast(t) == want
+    vs = listed(listing, t.n, rng)
+    rows = (want.Pk, tuple(want.Pkv[v] for v in vs))
+    assert prefix_counts(t, vs) == rows, (parent, vs)
+    assert _parent_prefix_counts(parent, vs) == rows, (parent, vs)
 
 
 # An 11-vertex reference tree: a length-4 path into a 3-way fan, each fan
@@ -343,6 +428,44 @@ class TestPathCounts:
         for v in (-1, t.n):
             with pytest.raises(OutOfRangeError):
                 prefix_counts(t, [v])
+
+    # Below a listed parent with one child, a row comes from the parent's
+    # by addition; a vertex listed before its parent, again, or without its
+    # parent takes the product. Every listing must give the oracle's rows.
+
+    @settings(max_examples=60, deadline=None)
+    @given(chain_heavy_parents(), st.sampled_from(LISTINGS), st.randoms(use_true_random=False))
+    def test_chain_heavy_trees_hypothesis(self, parent, listing, rng):
+        assert_every_route_equals_naive(parent, listing, rng)
+
+    @pytest.mark.parametrize("listing", LISTINGS)
+    def test_every_chain_family_in_every_listing(self, listing):
+        rng = random.Random(39)
+        trees = [
+            subdivided([-1, 0, 0, 1, 1, 2, 4], [1, 3, 2, 5, 1, 4]),
+            subdivided([-1, 0, 0, 0, 0], [7, 1, 4, 9]),  # spider
+            subdivided([-1, 0, 1, 2, 0, 1, 1, 3], [1, 1, 1, 3, 2, 6, 1]),  # caterpillar
+            [*range(-1, 15)],  # path
+            family_parents(make_broom(12, 5)[0]),
+            family_parents(make_double_broom(10, 3)[0]),
+            family_parents(make_gij(3, 4)[0]),
+            family_parents(make_tell(3)[0]),
+        ]
+        for parent in trees:
+            assert_every_route_equals_naive(parent, listing, rng)
+
+    @pytest.mark.parametrize("listing", LISTINGS)
+    def test_chain_heavy_trees_at_32_bit_lanes(self, listing):
+        rng = random.Random(363)
+        base = [-1, *(rng.randrange(y) for y in range(1, 60))]
+        trees = [
+            subdivided(base, [rng.randint(1, 12) for _ in base[1:]]),
+            family_parents(make_double_broom(300, 35)[0]),
+            family_parents(make_gij(24, 5)[0]),
+        ]
+        for parent in trees:
+            assert len(parent) >= 363 and _lane_bits(len(parent)) == 32
+            assert_every_route_equals_naive(parent, listing, rng, cached_naive)
 
     @pytest.mark.parametrize("n", (1, 2))
     def test_tiny_trees(self, n):
@@ -587,6 +710,13 @@ class TestSharedRows:
         trees += [sample_tree(rng.randrange(2, 120), rng).tree() for _ in range(30)]
         for t in trees:
             self.assert_shared_exactly_when_equal(t, self.routes(t))
+
+    @settings(max_examples=30, deadline=None)
+    @given(chain_heavy_parents())
+    def test_chain_heavy_trees(self, parent):
+        # Rows made by addition down a chain are keyed like the products.
+        t = tree_from_parents(parent)
+        self.assert_shared_exactly_when_equal(t, self.routes(t))
 
 
 class TestLaneWidth:
