@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from operator import itemgetter, lt, truediv
+from operator import lt, truediv
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -379,42 +379,52 @@ def estimate_expected_profiles(
     if k is not None and k < 2:
         raise OutOfRangeError(f"need k >= 2, got {k}")
     check_seed(seed)
-    # One row of doubles BC_k(v) = P_k(v) / P_k, k = 2..d, per vertex and
-    # trial; int / int rounds correctly. Counts are non-negative, so a row
-    # is zero iff its last prefix sum is. A zero row (every leaf's, about
-    # two thirds of them) is kept as None: only non-zero rows are divided
-    # and padded, and equal ones of a trial share one array. Every value is
-    # kept to the end, because the standard error needs the mean first.
-    ratios = []
+    # BC_k(v) = P_k(v) / P_k, k = 2..d, as an array of doubles per vertex
+    # and trial; int / int rounds correctly. A childless vertex lies inside
+    # no path, so only vertices with a child are counted. Counts are
+    # non-negative, so a row is zero iff its last prefix sum is. Each
+    # vertex keeps only its non-zero rows (a leaf's, about two thirds of
+    # the entries, is never stored), with the trials they came from, and
+    # equal rows of a trial share one array. Every value is kept to the
+    # end, because the standard error needs the mean first.
+    nonzero_trials: list[list[int]] = [[] for _ in range(n)]
+    ratios: list[list[array]] = [[] for _ in range(n)]
     max_d = 0
     for trial in range(trials):
-        rng = random.Random(substream_seed(seed, trial))
-        Pk, Pkv = sample_tree(n, rng).prefix_counts(range(n))
+        rt = sample_tree(n, random.Random(substream_seed(seed, trial)))
+        listed = sorted(set(rt.parent[1:]))
+        Pk, Pkv = rt.prefix_counts(listed)
         max_d = max(max_d, len(Pk) - 1)
         P = Pk[2:]
         bc = {row: array("d", map(truediv, row[2:], P)) for row in dict.fromkeys(Pkv) if row[-1]}
-        ratios.append(list(map(bc.get, Pkv)))
-    zeros = (0.0,) * (max_d - 1)
+        for v, row in zip(listed, Pkv):
+            if row[-1]:
+                nonzero_trials[v].append(trial)
+                ratios[v].append(bc[row])
     rows = []
     for v in range(n):
-        # Column k holds one value per trial, in trial order; past its
-        # diameter d a trial holds BC_d(v), and a zero row 0.0 throughout.
-        columns = list(zip(*(
-            zeros if x is None else x + x[-1:] * (max_d - 1 - len(x))
-            for x in map(itemgetter(v), ratios)
-        )))
+        # Column k holds v's non-zero values, in trial order; past its
+        # diameter d a trial holds BC_d(v). Every other trial holds 0.0.
+        columns = list(zip(*(x + x[-1:] * (max_d - 1 - len(x)) for x in ratios[v])))
         for col in range(2, max_d + 1) if k is None else (min(k, max_d),):
-            values = columns[col - 2]
+            values = columns[col - 2] if columns else ()
             # Left to right, as sum() added floats before Python 3.12 made
             # it compensated, so every supported Python prints these bytes.
+            # Values are non-negative, so adding a zero trial's 0.0 would
+            # leave the total as it is.
             total = 0.0
             for x in values:
                 total += x
             mean = total / trials
             if trials > 1:
+                # A zero trial's term is (0.0 - mean) ** 2: computed once,
+                # and added in trial order among the others.
+                terms = [(0.0 - mean) ** 2] * trials
+                for t, x in zip(nonzero_trials[v], values):
+                    terms[t] = (x - mean) ** 2
                 total = 0.0
-                for x in values:
-                    total += (x - mean) ** 2
+                for x in terms:
+                    total += x
                 var = total / (trials - 1)
                 stderr = math.sqrt(var / trials)
             else:

@@ -893,6 +893,25 @@ class TestOptimizedBytes:
         assert got == want
 
 
+def test_ci_installed_package_step_checks_the_pinned_digests():
+    # The workflow runs the installed console script away from the
+    # checkout and compares each stdout digest with a literal; every
+    # literal must be the digest these tests pin for the same command.
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    step = workflow.read_text().split("- name: Installed package runs on its own\n")[1]
+    step = step.split("- name:")[0]
+    checked = re.findall(
+        r'digest=\$\(bcprof ([^|]+) \| sha256\)\n\s*if \[ "\$digest" != ([0-9a-f]{64}) \]', step
+    )
+    assert checked == [
+        ("expect --n 9 --k 4 --exact", TestExpectCmd.PINNED_EXACT[9, 4]),
+        ("analyze --tree path400.tree --pair 3 250", TestAnalyzeCmd.PINNED_DEEP_PAIR),
+        (" ".join(TestExpectCmd.MONTE_CARLO_ARGV), TestExpectCmd.MONTE_CARLO_SHA256),
+    ]
+    assert len(re.findall(r"[0-9a-f]{64}", step)) == len(checked)
+    assert "bcprof gen path:400 --out path400.tree" in step
+
+
 def test_import_loads_no_process_machinery():
     # Only `experiment` and `verify` with more than one worker start
     # processes, and they import multiprocessing then. Modules the

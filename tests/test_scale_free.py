@@ -775,11 +775,17 @@ class TestEstimateExpectedProfiles:
             want = float(exact[r["vertex"], r["k"]])
             assert abs(r["mean"] - want) <= 4 * r["stderr"], (r, want)
 
-    @pytest.mark.parametrize("n", (3, 4, 8, 30, 60))
+    # (trial counts, seeds, k values) per n; n = 250, the size of the
+    # paper's experiments, runs a smaller grid.
+    REFERENCE_GRID = {250: ((1, 2, 37), range(2), (None, 2, 99))}
+
+    @pytest.mark.parametrize("n", (3, 4, 8, 30, 60, 250))
     def test_equals_the_reference_byte_for_byte(self, n):
+        grid = ((1, 2, 37, 200), range(4), (None, 2, 3, 99))
+        counts, seeds, ks = self.REFERENCE_GRID.get(n, grid)
         mixed = 0
-        for trials, seed in itertools.product((1, 2, 37, 200), range(4)):
-            for k in (None, 2, 3, 99):
+        for trials, seed in itertools.product(counts, seeds):
+            for k in ks:
                 got = estimate_expected_profiles(n, trials, seed, k)
                 assert repr(got) == repr(reference_estimate(n, trials, seed, k))
             # A vertex childless in some trials and not in others mixes
@@ -813,6 +819,22 @@ class TestEstimateExpectedProfiles:
         assert len(entered) == len(counted) == trials
         monkeypatch.undo()
         assert rows == reference_estimate(n, trials, seed)
+
+    def test_counts_only_the_vertices_with_a_child(self, monkeypatch):
+        # One engine call per trial, in trial order, listing exactly the
+        # vertices that are some vertex's parent, in increasing order.
+        n, trials, seed = 30, 40, 7
+        entered = []
+        entry = scale_free._parent_prefix_counts
+        monkeypatch.setattr(scale_free, "_parent_prefix_counts", recording(entered, entry))
+        estimate_expected_profiles(n, trials, seed)
+        monkeypatch.undo()
+        parents = [
+            sample_tree(n, random.Random(substream_seed(seed, t))).parent for t in range(trials)
+        ]
+        assert [(parent, list(vertices)) for parent, vertices in entered] == [
+            (parent, sorted(set(parent[1:]))) for parent in parents
+        ]
 
     def test_a_vertex_1_with_one_child_is_a_zero_row(self, monkeypatch):
         # Vertex 1 with one child is an endpoint of every path through it,

@@ -642,7 +642,8 @@ class TestChildlessVertices:
         for t in (sample_tree(300, random.Random(5)).tree(), make_broom(4, 20)[0]):
             with_child = [v for v in range(t.n) if len(t.adj[v]) > (v != 0)]
             assert 2 * len(with_child) < t.n
-            distinct = len({path_counts_naive(t).pv[v] for v in with_child})
+            pv = path_counts_naive(t).pv
+            distinct = len({pv[v] for v in with_child})
             monkeypatch.setattr(tree_core, "_unpack", counted)
             calls.clear()
             prefix_counts(t, range(t.n))
