@@ -5,8 +5,9 @@ point's estimate is an integer count of hits, so results are byte-identical
 regardless of worker count. With W workers (see workers.py), worker r
 runs trials T - 1 - r, T - 1 - r - W, ... of every grid point, T the
 trial count, and counts its hits per point; the parent adds them. Raw
-prefix counts P_k(v) share the tree-wide normalization P_k, so crossing
-indicators compare integer counts directly. Monotonicity compares
+prefix counts P_k(v) share the tree-wide normalization P_k, so a crossing
+kind compares the two rows of counts directly, from a rows-only count
+that builds no all-pairs histogram and no P_k. Monotonicity compares
 BC_k(v) = P_k(v) / P_k with BC_{k+1}(v) by cross-multiplying, since
 P_k > 0 for 2 <= k <= d, so it is exact with no fractions.
 """
@@ -28,6 +29,7 @@ from . import __version__
 from .errors import BadSpecError, OutOfRangeError
 from .profile_analysis import count_crossings
 from .scale_free import check_seed, sample_tree, substream_seed
+from .tree_core import _parent_prefix_counts
 from .workers import run_shares, share_items, worker_count
 
 # The fewest trial-points (grid points times trials) worth a worker: a run
@@ -101,7 +103,8 @@ def default_grid(which: str) -> tuple[int, ...]:
 def _trial_indicator(which: str, x: int, fixed_n: int, seed: int, trial: int) -> bool:
     rng = random.Random(substream_seed(seed, (x << TRIAL_BITS) + trial))
     n = x if which.endswith("_vs_n") else fixed_n
-    Pk, rows = sample_tree(n, rng).prefix_counts(_TRIAL_VERTICES[which](x))
+    vertices = _TRIAL_VERTICES[which](x)  # two for a crossing, which reads no P_k
+    Pk, rows = _parent_prefix_counts(sample_tree(n, rng).parent, vertices, len(vertices) == 2)
     if len(rows) == 2:
         return count_crossings(rows[0][2:], rows[1][2:]).count == 0
     # Step k has the sign of BC_{k+1}(v) - BC_k(v): a/p <= b/q iff a*q <= b*p.

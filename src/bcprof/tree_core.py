@@ -165,7 +165,7 @@ def _finish_table(
     """The table of _counts's result (see _prefix_rows for rows and index).
     A childless vertex's row is zero, so pv and Pkv share one zero tuple."""
     zero = (0,) * (d + 1)
-    Pk, Pkv = _prefix_rows(p, rows, index, zero)
+    Pk, Pkv = _prefix_rows(d, p, rows, index, zero)
     pv = _spread(map(tuple, rows), index, zero)
     return PathCountTable(d=d, p=tuple(p), pv=pv, Pk=Pk, Pkv=Pkv)
 
@@ -250,8 +250,8 @@ def _bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
 
 
 def _merge_up(
-    order: Sequence[int], parent: Sequence[int], lane: int, top: dict[int, int]
-) -> tuple[list[int], int]:
+    order: Sequence[int], parent: Sequence[int], lane: int, top: dict[int, int], rows_only=False
+) -> tuple[list[int], int | None]:
     """One bottom-up pass over a parent array; order[0] is the root and
     every other vertex comes after its parent.
 
@@ -260,9 +260,18 @@ def _merge_up(
     vertex pairs by distance. Each branch pairs with everything already
     merged into its parent, the parent itself included. For each key v of
     top (all 0 on entry), top[v] gathers the pairs formed at v: those whose
-    highest vertex is v.
+    highest vertex is v. With rows_only, pairs is None and a branch pairs
+    only where its parent is a key of top, which is all the rows need.
     """
     down = [1] * len(parent)
+    if rows_only:
+        for u in order[:0:-1]:
+            p = parent[u]
+            h = down[u] << lane
+            if p in top:
+                top[p] += down[p] * h
+            down[p] += h
+        return down, None
     pairs = 0
     for u in order[:0:-1]:
         p = parent[u]
@@ -288,11 +297,15 @@ def _diameter_and_lengths(n: int, pairs: int, lane: int) -> tuple[int, list[int]
 
 
 def _counts(
-    order: Sequence[int], parent: Sequence[int], lane: int, vertices: Sequence[int]
-) -> tuple[list[int], list[list[int]], list[int]]:
-    """(p_l, rows, index), l = 0..d, from one merge up to order[0] (see
+    order: Sequence[int], parent: Sequence[int], lane: int, vertices: Sequence[int], rows_only=False
+) -> tuple[int, list[int] | None, list[list[int]], list[int]]:
+    """(d, p_l, rows, index), l = 0..d, from one merge up to order[0] (see
     _merge_up for order and parent): rows[index[i]] is p_l(v) for the i-th
     listed vertex v, and index -1 marks a zero row that was not computed.
+
+    With rows_only, p_l is None, no all-pairs histogram is built, and d is
+    the top lane of the longest listed row (0 if all are zero). Past its
+    own top lane a row is zero, so its prefix row is constant there.
 
     A path through v has its endpoints in two distinct branches of v. With
     b = down[v] - 1, the depth histogram of v's subtree without v itself:
@@ -329,8 +342,7 @@ def _counts(
     is unpacked once.
     """
     top = dict.fromkeys(vertices, 0)
-    down, pairs = _merge_up(order, parent, lane, top)
-    d, p = _diameter_and_lengths(len(parent), pairs, lane)
+    down, pairs = _merge_up(order, parent, lane, top, rows_only)
     up = {order[0]: 0}
     packed: dict[int, int] = {}
     one_child: dict[int, int] = {}
@@ -361,7 +373,11 @@ def _counts(
         if not across:
             one_child[v] = row
         index.append(packed.setdefault(row, len(packed)))
-    return p, [_unpack(x, lane, d + 1) for x in packed], index
+    if rows_only:  # no lane carries, so the largest row has the top lane
+        p, d = None, max(max(packed, default=0).bit_length() - 1, 0) // lane
+    else:
+        d, p = _diameter_and_lengths(len(parent), pairs, lane)
+    return d, p, [_unpack(x, lane, d + 1) for x in packed], index
 
 
 def _check_vertices(n: int, vertices: Iterable[int]) -> list[int]:
@@ -372,7 +388,7 @@ def _check_vertices(n: int, vertices: Iterable[int]) -> list[int]:
     return vertices
 
 
-_PrefixRows = tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]  # (P_k, (P_k(v)...))
+_PrefixRows = tuple[tuple[int, ...] | None, tuple[tuple[int, ...], ...]]  # (P_k, (P_k(v)...))
 
 
 def _spread(rows: Iterable[tuple[int, ...]], index: Iterable[int], zero: tuple[int, ...]) -> tuple:
@@ -382,17 +398,18 @@ def _spread(rows: Iterable[tuple[int, ...]], index: Iterable[int], zero: tuple[i
 
 
 def _prefix_rows(
-    p: list[int], rows: list[list[int]], index: Iterable[int], zero: tuple[int, ...] | None = None
+    d: int, p: list[int] | None, rows: list[list[int]], index: Iterable[int],
+    zero: tuple[int, ...] | None = None,
 ) -> _PrefixRows:
     """(P_k, (P_k(v)...)): the running sums of _counts's per-length rows, as
-    tuples; the i-th listed vertex has row rows[index[i]]. Lanes 0 and 1 of
-    every row are zero, so P_k is a plain running sum. Each distinct row is
-    summed once, and every index -1 (a childless vertex) is one shared zero
-    tuple, zero when given."""
+    tuples for k = 0..d; the i-th listed vertex has row rows[index[i]].
+    Lanes 0 and 1 of every row are zero, so P_k is a plain running sum, or
+    None when p is. Each distinct row is summed once, and every index -1 (a
+    childless vertex) is one shared zero tuple, zero when given."""
     if zero is None:
-        zero = (0,) * len(p)
+        zero = (0,) * (d + 1)
     sums = map(tuple, map(itertools.accumulate, rows))
-    return tuple(itertools.accumulate(p)), _spread(sums, index, zero)
+    return (None if p is None else tuple(itertools.accumulate(p))), _spread(sums, index, zero)
 
 
 def prefix_counts(t: Tree, vertices: Iterable[int]) -> _PrefixRows:
@@ -407,23 +424,27 @@ def prefix_counts(t: Tree, vertices: Iterable[int]) -> _PrefixRows:
     return _prefix_rows(*_counts(order, parent, lane, vertices))
 
 
-def _parent_prefix_counts(parent: Sequence[int], vertices: Iterable[int]) -> _PrefixRows:
+def _parent_prefix_counts(
+    parent: Sequence[int], vertices: Iterable[int], rows_only: bool = False
+) -> _PrefixRows:
     """Exactly prefix_counts(tree_from_parents(parent), vertices), with no Tree.
 
     The array is not checked (its caller built or validated it): with
     parent[y] < y, range(n) is already an order rooted at 0, so no BFS runs.
+
+    With rows_only, P_k is None and the rows are cut (see _counts): two cut
+    rows cross as often as the full rows, as count_crossings skips ties.
     """
     n = len(parent)
     vertices = _check_vertices(n, vertices)
-    return _prefix_rows(*_counts(range(n), parent, _lane_bits(n), vertices))
+    return _prefix_rows(*_counts(range(n), parent, _lane_bits(n), vertices, rows_only))
 
 
 def path_counts_fast(t: Tree) -> PathCountTable:
     """Same table as path_counts_naive: one pass up to root 0, one back down."""
     lane = _lane_bits(t.n)
     order, parent = _bfs_order(t, 0)
-    p, rows, index = _counts(order, parent, lane, range(t.n))
-    return _finish_table(len(p) - 1, p, rows, index)
+    return _finish_table(*_counts(order, parent, lane, range(t.n)))
 
 
 @dataclass(frozen=True)

@@ -131,13 +131,17 @@ def _tell_minimal_search(l: int) -> list[int]:
     even k and -1 at odd k of the row (`on_u`). So base + val * slope, plus
     C(val, 2) * on_u for branch 0, is the exact row at val leaves, and the
     next branch needs no count at zero leaves.
+
+    Each count is rows-only, with no all-pairs histogram and no P_k: v lies
+    inside the path from u to branch 1's handle, of length 2l + 1, so the
+    cut rows reach every k < top.
     """
-    top = 2 * l + 2  # every tree here has d >= 4l - 1 >= top - 1
+    top = 2 * l + 2
 
     def margins(leaves: list[int]) -> list[int]:
         parent, u, v = _tell_parents(l, leaves)
         # u = 0 is the root of the count, so only v walks its ancestor chain.
-        _, (Pu, Pv) = _parent_prefix_counts(parent, (u, v))
+        _, (Pu, Pv) = _parent_prefix_counts(parent, (u, v), rows_only=True)
         return [Pv[k] - Pu[k] if k % 2 else Pu[k] - Pv[k] for k in range(top)]
 
     on_u = [0, 0, *((-1) ** k for k in range(2, top))]

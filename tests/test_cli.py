@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_experiments import TestDeterminism as ExperimentPins
 from test_experiments import _allow_cpus
 from test_verify import PINNED as VERIFY_PINNED
 
@@ -903,10 +904,14 @@ def test_ci_installed_package_step_checks_the_pinned_digests():
     checked = re.findall(
         r'digest=\$\(bcprof ([^|]+) \| sha256\)\n\s*if \[ "\$digest" != ([0-9a-f]{64}) \]', step
     )
+    grid, rows = ExperimentPins.PINNED_CSV["no_cross_ii1_vs_i"]
+    crossing = f"experiment --which no_cross_ii1_vs_i --grid {grid[0]},{grid[1]} --trials 200 --seed 11"
+    csv = "x,estimate,stderr,trials,seed\n" + rows
     assert checked == [
         ("expect --n 9 --k 4 --exact", TestExpectCmd.PINNED_EXACT[9, 4]),
         ("analyze --tree path400.tree --pair 3 250", TestAnalyzeCmd.PINNED_DEEP_PAIR),
         (" ".join(TestExpectCmd.MONTE_CARLO_ARGV), TestExpectCmd.MONTE_CARLO_SHA256),
+        (crossing, hashlib.sha256(csv.encode()).hexdigest()),
     ]
     assert len(re.findall(r"[0-9a-f]{64}", step)) == len(checked)
     assert "bcprof gen path:400 --out path400.tree" in step

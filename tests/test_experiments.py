@@ -20,6 +20,7 @@ from bcprof import (
     profile,
     tree_from_parents,
 )
+from bcprof import tree_core
 from bcprof.experiments import (
     MAX_TRIALS,
     ExperimentConfig,
@@ -293,6 +294,25 @@ class TestDeterminism:
         grid, rows = self.PINNED_CSV[which]
         cfg = ExperimentConfig(which=which, grid=grid, trials=200, seed=11)
         assert render_csv(run_experiment(cfg)) == "x,estimate,stderr,trials,seed\n" + rows
+
+    @pytest.mark.parametrize("which", sorted(PINNED_CSV))
+    def test_only_monotone_trials_read_the_all_pairs_lengths(self, monkeypatch, which):
+        # A crossing kind compares two rows, counted with no all-pairs
+        # histogram, so the stage that reads p_l and d off it never runs.
+        # A monotone kind needs P_k and must reach it, so the guard cannot
+        # pass vacuously.
+        def no_lengths(*args):
+            raise AssertionError("a trial read the all-pairs lengths")
+
+        monkeypatch.setattr(tree_core, "_diameter_and_lengths", no_lengths)
+        monkeypatch.setenv("BCPROF_THREADS", "1")
+        grid, rows = self.PINNED_CSV[which]
+        cfg = ExperimentConfig(which=which, grid=grid, trials=200, seed=11)
+        if which.startswith("monotone"):
+            with pytest.raises(AssertionError, match="all-pairs lengths"):
+                run_experiment(cfg)
+        else:
+            assert render_csv(run_experiment(cfg)) == "x,estimate,stderr,trials,seed\n" + rows
 
     def test_worker_count_invariant(self, monkeypatch):
         # 3 x 70 trials: each process takes every W-th trial of each point,

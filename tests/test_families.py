@@ -250,10 +250,23 @@ class TestTellSearchCounts:
     def test_one_count_per_branch(self, l, monkeypatch):
         calls = []
 
-        def counting(parent, vertices):
+        def counting(parent, vertices, rows_only=False):
             calls.append(vertices)
-            return _parent_prefix_counts(parent, vertices)
+            return _parent_prefix_counts(parent, vertices, rows_only)
 
         monkeypatch.setattr(tree_families, "_parent_prefix_counts", counting)
         make_tell(l)
         assert len(calls) == 2 * l + 1
+
+    def test_the_search_reads_no_all_pairs_lengths(self, monkeypatch):
+        # The search reads two rows per count, counted with no all-pairs
+        # histogram, so the stage that reads p_l and d off it never runs.
+        def no_lengths(*args):
+            raise AssertionError("the search read the all-pairs lengths")
+
+        want = [make_tell(l) for l in range(1, 9)]
+        monkeypatch.setattr(tree_core, "_diameter_and_lengths", no_lengths)
+        assert [make_tell(l) for l in range(1, 9)] == want
+        # The full route still reaches it.
+        with pytest.raises(AssertionError, match="all-pairs lengths"):
+            prefix_counts(want[0][0], (0, 2))

@@ -48,8 +48,8 @@ from bcprof.verify import run_check
 
 
 def recording(calls, f):
-    """f, appending the arguments of each call to calls first."""
-    return lambda *args: calls.append(args) or f(*args)
+    """f, appending the positional arguments of each call to calls first."""
+    return lambda *args, **kwargs: calls.append(args) or f(*args, **kwargs)
 
 
 def reference_estimate(n, trials, seed, k=None):

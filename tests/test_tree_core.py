@@ -30,6 +30,7 @@ from bcprof import (
     all_profiles,
     bfs_distances,
     build_tree,
+    count_crossings,
     diameter,
     make_broom,
     make_double_broom,
@@ -718,6 +719,108 @@ class TestSharedRows:
         # Rows made by addition down a chain are keyed like the products.
         t = tree_from_parents(parent)
         self.assert_shared_exactly_when_equal(t, self.routes(t))
+
+
+def assert_rows_only_match_naive(parent, vs, naive=path_counts_naive):
+    """A rows-only count of the listed vertices against the oracle: no P_k,
+    and every row cut one past the longest listed row's last non-zero
+    length (lane 0 when all are zero), equal to the full row up to there,
+    with the full row constant from there on. Two listed vertices cross
+    where and as often as their full rows do. Returns the crossing count
+    (0 unless two vertices are listed)."""
+    table = naive(tree_from_parents(parent))
+    Pk, rows = _parent_prefix_counts(parent, vs, rows_only=True)
+    assert Pk is None
+    last = max((l for v in vs for l, c in enumerate(table.pv[v]) if c), default=0)
+    assert len(rows) == len(vs)
+    for v, row in zip(vs, rows):
+        assert type(row) is tuple
+        assert row == table.Pkv[v][: last + 1], (parent, vs, v)
+        assert set(table.Pkv[v][last:]) == {row[-1]}, (parent, vs, v)
+    if len(vs) != 2:
+        return 0
+    (u, v), (cut_u, cut_v) = vs, rows
+    report = count_crossings(cut_u[2:], cut_v[2:])
+    assert report == count_crossings(table.Pkv[u][2:], table.Pkv[v][2:]), (parent, vs)
+    return report.count
+
+
+class TestRowsOnly:
+    # Crossing trials and the tell search count their rows with no all-pairs
+    # histogram and no P_k, cut at one shared length. Each family the engine
+    # tests draw is counted this way against the oracle.
+
+    def test_every_rooted_tree_up_to_8_vertices_and_every_pair(self):
+        for n in range(1, 9):
+            for levels in rooted_level_sequences(n):
+                parent = preorder_parents(levels)
+                table = path_counts_naive(tree_from_parents(parent))
+                oracle = lambda _: table  # noqa: E731 (one oracle per tree)
+                for u, v in itertools.product(range(n), repeat=2):
+                    assert_rows_only_match_naive(parent, (u, v), oracle)
+                assert_rows_only_match_naive(parent, range(n), oracle)
+                assert_rows_only_match_naive(parent, (), oracle)
+
+    @settings(max_examples=60, deadline=None)
+    @given(chain_heavy_parents(), st.sampled_from(LISTINGS), st.randoms(use_true_random=False))
+    def test_chain_heavy_trees_hypothesis(self, parent, listing, rng):
+        assert_rows_only_match_naive(parent, listed(listing, len(parent), rng))
+        assert_rows_only_match_naive(parent, [rng.randrange(len(parent)) for _ in range(2)])
+
+    @pytest.mark.parametrize("listing", LISTINGS)
+    def test_families_in_every_listing(self, listing):
+        rng = random.Random(41)
+        trees = [
+            [*range(-1, 15)],
+            family_parents(make_broom(12, 5)[0]),
+            family_parents(make_double_broom(10, 3)[0]),
+            family_parents(make_gij(3, 4)[0]),
+            subdivided([-1, 0, 0, 0, 0], [7, 1, 4, 9]),
+            *(family_parents(make_tell(l)[0]) for l in (1, 2, 3, 4)),
+        ]
+        for parent in trees:
+            assert_rows_only_match_naive(parent, listed(listing, len(parent), rng))
+
+    @pytest.mark.parametrize("l", (1, 2, 3, 4, 5))
+    def test_tell_pair_keeps_its_crossings(self, l):
+        # u = 0 and v = 2l: the pair the tell search counts, whose rows
+        # cross at least 2l - 3 times (the tell suite's bound).
+        parent = family_parents(make_tell(l)[0])
+        assert assert_rows_only_match_naive(parent, (0, 2 * l)) >= 2 * l - 3
+
+    def test_recursive_trees_at_the_trial_pairs(self):
+        # The pairs the crossing kinds list, on trees of n = 3 up, including
+        # two leaves; some pairs must cross, so the check is not vacuous.
+        rng = random.Random(43)
+        crossed = 0
+        for n in (3, 4, 5, 8, 13, 30, 60, 120):
+            for _ in range(12):
+                parent = sample_tree(n, rng).parent
+                for pair in ((0, 1), (n - 2, n - 1), (n // 2 - 1, n // 2)):
+                    crossed += assert_rows_only_match_naive(parent, pair) > 0
+        assert crossed
+
+    def test_pairs_with_no_child(self):
+        # Neither listed vertex has a child: both rows are the one lane 0.
+        star = [-1, *[0] * 6]
+        broom = [*range(-1, 3), *[3] * 5]
+        for parent in (star, broom, [-1], [-1, 0], [-1, 0, 0]):
+            n = len(parent)
+            leaves = [v for v in range(n) if v not in parent]
+            pairs = [(leaves[0], leaves[-1]), (leaves[-1], leaves[-1])]
+            for pair in pairs:
+                assert_rows_only_match_naive(parent, pair)
+                assert _parent_prefix_counts(parent, pair, rows_only=True) == (None, ((0,), (0,)))
+            # A leaf beside its parent, which has a child: the leaf's zero
+            # row takes the parent's row's length.
+            if n > 1:
+                assert_rows_only_match_naive(parent, (leaves[0], parent[leaves[0]]))
+
+    @pytest.mark.parametrize("pair", [(0, 1), (150, 151), (361, 362)])
+    def test_32_bit_lanes(self, pair):
+        parent = family_parents(make_double_broom(300, 35)[0])
+        assert _lane_bits(len(parent)) == 32
+        assert_rows_only_match_naive(parent, pair, cached_naive)
 
 
 class TestLaneWidth:
