@@ -298,10 +298,13 @@ def _diameter_and_lengths(n: int, pairs: int, lane: int) -> tuple[int, list[int]
 
 def _counts(
     order: Sequence[int], parent: Sequence[int], lane: int, vertices: Sequence[int], rows_only=False
-) -> tuple[int, list[int] | None, list[list[int]], list[int]]:
+) -> tuple[int, list[int] | None, list[int], list[int]]:
     """(d, p_l, rows, index), l = 0..d, from one merge up to order[0] (see
     _merge_up for order and parent): rows[index[i]] is p_l(v) for the i-th
-    listed vertex v, and index -1 marks a zero row that was not computed.
+    listed vertex v, packed at this lane (lane l holds p_l(v)), and index
+    -1 marks a zero row that was not computed. The rows stay packed, so a
+    caller that reads them by lane (verify's prop1 columns) never builds a
+    list; _unpacked turns them into lists for every other caller.
 
     With rows_only, p_l is None, no all-pairs histogram is built, and d is
     the top lane of the longest listed row (0 if all are zero). Past its
@@ -339,7 +342,10 @@ def _counts(
     Rows are keyed by their packed value, which no lane carries out of, so
     two vertices share an index exactly when their rows are equal (v and
     n - 1 - v on a path, twin branches of G(i, j)), and each distinct row
-    is unpacked once.
+    is unpacked at most once.
+
+    The lane must hold C(n, 2), the largest count (see _lane_bits); a wider
+    lane gives the same counts.
     """
     top = dict.fromkeys(vertices, 0)
     down, pairs = _merge_up(order, parent, lane, top, rows_only)
@@ -377,6 +383,14 @@ def _counts(
         p, d = None, max(max(packed, default=0).bit_length() - 1, 0) // lane
     else:
         d, p = _diameter_and_lengths(len(parent), pairs, lane)
+    return d, p, list(packed), index
+
+
+def _unpacked(
+    lane: int, d: int, p: list[int] | None, packed: list[int], index: list[int]
+) -> tuple[int, list[int] | None, list[list[int]], list[int]]:
+    """_counts's result at this lane with each distinct row unpacked once,
+    to lanes 0..d."""
     return d, p, [_unpack(x, lane, d + 1) for x in packed], index
 
 
@@ -421,7 +435,7 @@ def prefix_counts(t: Tree, vertices: Iterable[int]) -> _PrefixRows:
     vertices = _check_vertices(t.n, vertices)
     lane = _lane_bits(t.n)
     order, parent = _bfs_order(t, vertices[0] if vertices else 0)
-    return _prefix_rows(*_counts(order, parent, lane, vertices))
+    return _prefix_rows(*_unpacked(lane, *_counts(order, parent, lane, vertices)))
 
 
 def _parent_prefix_counts(
@@ -437,14 +451,15 @@ def _parent_prefix_counts(
     """
     n = len(parent)
     vertices = _check_vertices(n, vertices)
-    return _prefix_rows(*_counts(range(n), parent, _lane_bits(n), vertices, rows_only))
+    lane = _lane_bits(n)
+    return _prefix_rows(*_unpacked(lane, *_counts(range(n), parent, lane, vertices, rows_only)))
 
 
 def path_counts_fast(t: Tree) -> PathCountTable:
     """Same table as path_counts_naive: one pass up to root 0, one back down."""
     lane = _lane_bits(t.n)
     order, parent = _bfs_order(t, 0)
-    return _finish_table(*_counts(order, parent, lane, range(t.n)))
+    return _finish_table(*_unpacked(lane, *_counts(order, parent, lane, range(t.n))))
 
 
 @dataclass(frozen=True)

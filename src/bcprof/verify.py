@@ -12,6 +12,8 @@ acceptance tests run.
 
 from __future__ import annotations
 
+import itertools
+import sys
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -29,7 +31,7 @@ from .scale_free import (
     exact_expected_pk,
     injection,
 )
-from .tree_core import _LANE_FORMATS, _pack, path_counts_naive, prefix_counts
+from .tree_core import _LANE_FORMATS, _counts, _pack, _unpack, path_counts_naive, prefix_counts
 from .tree_families import (
     closed_form_gij_pk,
     closed_form_gij_Pk,
@@ -75,7 +77,9 @@ Cases = Iterator[Case]
 def _prop1_lane(n: int) -> int:
     """Lane width for path n's packed columns: every count is below n**2 / 2,
     so a product of two stays below n**4 / 4 and keeps each lane's top bit
-    clear for the guard."""
+    clear for the guard. The engine's own counts, at most C(n + 1, 2) on
+    the path's n + 1 vertices, are below n**4 / 4 too, so it counts exactly
+    at this lane."""
     bits = (n**4).bit_length()
     for lane in _LANE_FORMATS:
         if bits < lane:
@@ -108,22 +112,58 @@ def _packed_chain(columns: Sequence[int], lane: int, guard: int) -> bool:
     return all(_lanes_at_least(c >> lane, c & low, guard) for c in columns)
 
 
+def _prop1_columns(n: int) -> tuple[tuple[int, ...], list[int], int, int]:
+    """(P_k, columns, lane, count) for path n's vertices 0..n//2, k = 0..d:
+    columns[k] packs P_k(v) in lane v, for count = n//2 + 1 lanes.
+
+    The path is counted straight from its parent array: range(-1, n) is
+    make_path(n)'s, and range(n + 1) is already an order rooted at 0. The
+    engine runs at prop1's lane and hands its rows out packed, lane l
+    holding p_l(v), so the transpose is done in C: each row's bytes go into
+    one buffer through a strided view (lane l of row v lands at l * count +
+    v), and each per-length column is read back with one int.from_bytes.
+    The prefix columns are their running sums: no lane carries, as every
+    P_k(v) fits in its lane.
+    """
+    lane, count = _prop1_lane(n), n // 2 + 1
+    d, p, rows, index = _counts(range(n + 1), range(-1, n), lane, range(count))
+    code, size = _LANE_FORMATS[lane], (d + 1) * lane // 8
+    buf = bytearray(count * size)
+    lanes = memoryview(buf).cast(code)
+    # Rooted at 0, only vertex n is childless, so every listed vertex has
+    # a counted row (index >= 0).
+    for v, i in enumerate(index):
+        lanes[v::count] = memoryview(rows[i].to_bytes(size, sys.byteorder)).cast(code)
+    width = count * lane // 8
+    columns = (int.from_bytes(buf[k : k + width], sys.byteorder) for k in range(0, len(buf), width))
+    return tuple(itertools.accumulate(p)), list(itertools.accumulate(columns)), lane, count
+
+
+def _permuted(columns: Sequence[int], lane: int, count: int, order: Sequence[int]) -> list[int]:
+    """columns with lane j of each taken from its lane order[j]."""
+    return [_pack(map(_unpack(c, lane, count).__getitem__, order), lane) for c in columns]
+
+
 def check_prop1(max_size: int = 200) -> Cases:
     """Path profiles are non-decreasing and no vertex pair ever crosses.
 
     Rows i and n - i of path n are equal, so only vertices 0..n//2 are
-    counted. Their rows are packed column by column, one lane per row, so
-    each k is decided for every row by one exact subtraction.
+    counted. Their prefix rows come packed column by column, one lane per
+    row (see _prop1_columns), so each k is decided for every row by one
+    exact subtraction; no row is unpacked unless the lanes must be sorted.
     """
 
     def failure(n: int) -> str:
-        Pk, rows = prefix_counts(make_path(n), range(n // 2 + 1))
+        Pk, columns, lane, count = _prop1_columns(n)
         # A pair crosses iff its raw-count difference takes both signs, so
-        # no pair crosses iff the rows, sorted by sum, form a chain.
-        rows = sorted(rows, key=sum)
-        lane = _prop1_lane(n)
-        columns = [_pack(column, lane) for column in zip(*rows)][2:]
-        guard = _pack([1 << lane - 1] * len(rows), lane)
+        # no pair crosses iff the rows, sorted by sum, form a chain. Lane v
+        # of the columns' sum is row v's sum: its n - 1 non-zero entries
+        # are each below n**2 / 2, so it stays below n**4 / 4.
+        sums = _unpack(sum(columns), lane, count)
+        if sums != sorted(sums):  # else the stable sort keeps vertex order
+            columns = _permuted(columns, lane, count, sorted(range(count), key=sums.__getitem__))
+        columns = columns[2:]
+        guard = _pack([1 << lane - 1] * count, lane)
         # BC_k <= BC_{k+1} by cross-multiplication (shared denominators).
         mono = _packed_monotone(Pk[2:], columns, guard)
         no_cross = _packed_chain(columns, lane, guard)

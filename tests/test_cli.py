@@ -912,6 +912,7 @@ def test_ci_installed_package_step_checks_the_pinned_digests():
         ("analyze --tree path400.tree --pair 3 250", TestAnalyzeCmd.PINNED_DEEP_PAIR),
         (" ".join(TestExpectCmd.MONTE_CARLO_ARGV), TestExpectCmd.MONTE_CARLO_SHA256),
         (crossing, hashlib.sha256(csv.encode()).hexdigest()),
+        ("verify --check prop1", VERIFY_PINNED["prop1"]),
     ]
     assert len(re.findall(r"[0-9a-f]{64}", step)) == len(checked)
     assert "bcprof gen path:400 --out path400.tree" in step

@@ -15,19 +15,23 @@ from test_experiments import _allow_cpus
 from test_scale_free import CLOSED_FORM_FAULTS
 
 import bcprof.scale_free as scale_free
+import bcprof.tree_core as tree_core
+import bcprof.tree_families as tree_families
 import bcprof.verify as verify
 from bcprof import (
-    BadSpecError, NTooLargeError, OutOfRangeError, make_gij, make_path, prefix_counts,
+    BadSpecError, NTooLargeError, OutOfRangeError, make_gij, make_path, path_counts_naive,
+    prefix_counts, tree_from_parents,
 )
 from bcprof.cli import main
 from bcprof.profile_analysis import count_dips, dominates
-from bcprof.tree_core import _pack
+from bcprof.tree_core import _pack, _unpack
 from bcprof.verify import (
     CHECK_NAMES,
     CheckCase,
     _lanes_at_least,
     _packed_chain,
     _packed_monotone,
+    _prop1_columns,
     _prop1_lane,
     run_check,
 )
@@ -306,25 +310,34 @@ def test_guard_bits_catch_a_lane_one_below(lane):
     assert not _cellwise_chain(rows)
 
 
-def _rows_changed(f):
-    """A prefix_counts that applies f to every row. f sees only the row, so
-    mirrored vertices still get equal rows."""
+def _rows_of(columns, lane, count):
+    """The prefix rows packed in prop1's columns, in vertex order."""
+    return list(zip(*(_unpack(c, lane, count) for c in columns)))
+
+
+def _same(x):
+    return x
+
+
+def _pk2_one(Pk):
+    return [*Pk[:2], 1, *Pk[3:]]
+
+
+def _prop1_changed(pk=_same, row=_same):
+    """A make for verify._prop1_columns that applies pk to P_k and row to
+    every prefix row: it unpacks the columns into rows, changes them and
+    packs them again. row sees only the row, so mirrored vertices still
+    get equal rows."""
     def make(orig):
-        def counts(t, vs):
-            Pk, rows = orig(t, vs)
-            return Pk, [f(row) for row in rows]
-        return counts
+        def columns(n):
+            Pk, columns, lane, count = orig(n)
+            rows = map(row, _rows_of(columns, lane, count))
+            return pk(Pk), [_pack(col, lane) for col in zip(*rows)], lane, count
+        return columns
     return make
 
 
 # Each fault replaces one name in bcprof.verify with `make(original)`.
-
-def _pk2_one(orig):
-    def f(t, vs):
-        Pk, rows = orig(t, vs)
-        return [*Pk[:2], 1, *Pk[3:]], rows
-    return f
-
 
 def _leaf_instead_of_v(orig):
     return lambda i, j: (orig(i, j)[0], 0)
@@ -402,7 +415,7 @@ FAULTS = {
         ("path n=3", "monotone=True, no_cross=False"),
         ("path n=4", "monotone=True, no_cross=False"),
     ]),
-    "prop1-monotone": ("prop1", 5, "prefix_counts", _pk2_one, 4, [
+    "prop1-monotone": ("prop1", 5, "_prop1_columns", _prop1_changed(pk=_pk2_one), 4, [
         ("path n=3", "monotone=False, no_cross=True"),
         ("path n=4", "monotone=False, no_cross=True"),
         ("path n=5", "monotone=False, no_cross=True"),
@@ -519,36 +532,79 @@ def test_check_case_is_keyword_only():
     assert not CheckCase(name="n=3", detail="k=2: 1 > 0").passed
 
 
-# Changes to the counts prop1 reads, and the (monotone, no_cross) verdicts
-# they give over n = 2..60, so the oracle comparison meets all four.
+# Changes to the counts prop1 reads, as (change to P_k, change to each
+# prefix row), and the (monotone, no_cross) verdicts they give over
+# n = 2..60, so the oracle comparison meets all four.
 PROP1_ORACLE = {
-    "exact": (lambda orig: orig, {(True, True): 59}),
-    "P_2 = 1": (_pk2_one, {(False, True): 58, (True, True): 1}),
-    "rows reversed": (_rows_changed(lambda row: row[::-1]), {(False, True): 57, (True, True): 2}),
+    "exact": (_same, _same, {(True, True): 59}),
+    "P_2 = 1": (_pk2_one, _same, {(False, True): 58, (True, True): 1}),
+    "rows reversed": (_same, lambda row: row[::-1], {(False, True): 57, (True, True): 2}),
     "odd-sum rows doubled": (
-        _rows_changed(lambda row: [2 * x if sum(row) % 2 else x for x in row]),
+        _same, lambda row: [2 * x if sum(row) % 2 else x for x in row],
         {(True, False): 38, (True, True): 21}),
-    "rows mod 97": (_rows_changed(lambda row: [x % 97 for x in row]),
+    "rows mod 97": (_same, lambda row: [x % 97 for x in row],
                     {(False, False): 41, (True, True): 18}),
 }
+
+# The changes whose rows are out of sum order for some n, so prop1 sorts
+# its lanes; the path's own rows already come in sum order.
+PROP1_REORDERED = {"odd-sum rows doubled", "rows mod 97"}
 
 
 @pytest.mark.parametrize("change", sorted(PROP1_ORACLE))
 def test_prop1_equals_cellwise_verdict_on_all_rows(monkeypatch, change):
-    make, verdicts = PROP1_ORACLE[change]
-    counts = make(prefix_counts)
-    # One worker: a child sees the patched counts only when forked.
+    pk, row, verdicts = PROP1_ORACLE[change]
+    permute, permuted = verify._permuted, []
+
+    def spy(columns, lane, count, order):
+        permuted.append(order)
+        return permute(columns, lane, count, order)
+
+    # One worker: a child sees the patched names only when forked.
     monkeypatch.setenv("BCPROF_THREADS", "1")
-    monkeypatch.setattr(verify, "prefix_counts", counts)
+    monkeypatch.setattr(verify, "_prop1_columns", _prop1_changed(pk, row)(_prop1_columns))
+    monkeypatch.setattr(verify, "_permuted", spy)
     seen = Counter()
     for n, case in zip(range(2, 61), run_check("prop1", 60).cases, strict=True):
-        Pk, rows = counts(make_path(n), range(n + 1))
-        rows = [row[2:] for row in rows]
+        Pk, rows = prefix_counts(make_path(n), range(n + 1))
+        Pk, rows = pk(Pk), [row(r)[2:] for r in rows]
         mono, no_cross = _cellwise_monotone(Pk[2:], rows), _cellwise_chain(rows)
         want = "" if mono and no_cross else f"monotone={mono}, no_cross={no_cross}"
         assert (case.name, case.detail) == (f"path n={n}", want)
         seen[mono, no_cross] += 1
     assert seen == verdicts
+    assert bool(permuted) == (change in PROP1_REORDERED)
+    assert all(order != sorted(order) for order in permuted)
+
+
+@pytest.mark.parametrize("n", (2, 13, 14, 60, 200, 216))
+def test_prop1_columns_are_the_path_rows(n):
+    # 13 -> 14 steps prop1's lane from 16 to 32 bits, 215 -> 216 to 64.
+    # _prop1_columns counts range(-1, n) as make_path(n)'s parent array.
+    assert tree_from_parents(range(-1, n)) == make_path(n)
+    Pk, columns, lane, count = _prop1_columns(n)
+    assert (lane, count, len(columns)) == (_prop1_lane(n), n // 2 + 1, n + 1)
+    assert (Pk, tuple(_rows_of(columns, lane, count))) == prefix_counts(
+        make_path(n), range(n // 2 + 1))
+    if n <= 40:
+        table = path_counts_naive(make_path(n))
+        assert Pk == table.Pk
+        assert _rows_of(columns, lane, count) == list(table.Pkv[:count])
+
+
+def test_prop1_builds_no_tree_and_no_tuple_rows(monkeypatch):
+    # prop1 counts each path from its parent array and reads the engine's
+    # packed rows: no make_path, no BFS and no prefix_counts tuples.
+    def boom(*args):
+        raise AssertionError("prop1 built a Tree or tuple rows")
+
+    monkeypatch.setenv("BCPROF_THREADS", "1")
+    monkeypatch.setattr(tree_core, "_bfs_order", boom)
+    monkeypatch.setattr(verify, "prefix_counts", boom)
+    monkeypatch.setattr(tree_families, "make_path", boom)
+    monkeypatch.setattr(verify, "make_path", boom)
+    report = run_check("prop1", 60)
+    assert report.passed and len(report.cases) == 59
 
 
 def test_path_rows_are_mirror_symmetric():
@@ -574,9 +630,9 @@ def test_prop1_lane_rejects_n4_beyond_63_bits():
 
 
 def test_oversized_prop1_exits_before_its_first_case(monkeypatch, capsys):
-    def no_case(t, vs):
+    def no_case(n):
         raise AssertionError("a case ran before the size check")
-    monkeypatch.setattr(verify, "prefix_counts", no_case)
+    monkeypatch.setattr(verify, "_prop1_columns", no_case)
     assert main(["verify", "--check", "prop1", "--max-size", "55109"]) == OutOfRangeError.exit_code
     captured = capsys.readouterr()
     assert captured.out == ""
