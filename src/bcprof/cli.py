@@ -155,9 +155,11 @@ def _write_profile_rows(out, fmt: str, Pk: Sequence[int], rows) -> None:
     """Write each (vertex, P_k(v) row) of rows as profile rows in fmt, one
     exact-size write per vertex. Pk and every row run over k = 0..d.
 
-    Each distinct row is formatted once. Its text is kept only while an
-    equal row is still to come, and each later equal row is that text with
-    the vertex field swapped."""
+    Rows are keyed by object, as the engine shares one tuple among equal
+    rows: each is formatted once, its text kept only while that row is still
+    to come, and each later occurrence swaps the vertex field. An equal row
+    that is another object is formatted again. rows is held to the end, so
+    no id is reused."""
     head, cell, sep, tail = _ROW_FORMATS[fmt]
     # Every cell opens with lead and then the vertex, and lead occurs
     # nowhere else in a row.
@@ -174,18 +176,16 @@ def _write_profile_rows(out, fmt: str, Pk: Sequence[int], rows) -> None:
     spans = [slice(4 * a, 4 * (a + c)) for a in starts]
     args = [0] * (4 * m)
     rows = list(rows)
-    # Rows are keyed by hash and compared in full on a hit, so the output
-    # never depends on the hash. A text is dropped at its key's last row.
-    keys = [hash(tuple(Pkv)) for _, Pkv in rows]
-    last = {key: i for i, key in enumerate(keys)}
+    # A text is dropped at its row's last occurrence.
+    last = {id(Pkv): i for i, (_, Pkv) in enumerate(rows)}
     kept = {}
     out.write(head)
     cut = len(sep)  # the first row follows the head, not a separator
     for i, (v, Pkv) in enumerate(rows):
-        key = keys[i]
+        key = id(Pkv)
         hit = kept.get(key)
-        if hit is not None and hit[1] == Pkv:
-            u, _, text = hit
+        if hit is not None:
+            u, text = hit
             text = text.replace(f"{lead}{u},", f"{lead}{v},")
         else:
             row = Pkv[2:]
@@ -196,8 +196,8 @@ def _write_profile_rows(out, fmt: str, Pk: Sequence[int], rows) -> None:
             args[3::4] = map(truediv, row, P)
             flat = tuple(args)
             text = "".join(map(str.__mod__, pieces, map(flat.__getitem__, spans)))
-            if hit is None and last[key] > i:
-                kept[key] = v, Pkv, text
+            if last[key] > i:
+                kept[key] = v, text
         if last[key] == i:
             kept.pop(key, None)
         out.write(text[cut:])

@@ -104,7 +104,8 @@ def _trial_indicator(which: str, x: int, fixed_n: int, seed: int, trial: int) ->
     rng = random.Random(substream_seed(seed, (x << TRIAL_BITS) + trial))
     n = x if which.endswith("_vs_n") else fixed_n
     vertices = _TRIAL_VERTICES[which](x)  # two for a crossing, which reads no P_k
-    Pk, rows = _parent_prefix_counts(sample_tree(n, rng).parent, vertices, len(vertices) == 2)
+    parent = sample_tree(n, rng).parent
+    Pk, rows = _parent_prefix_counts(parent, vertices, rows_only=len(vertices) == 2)
     if len(rows) == 2:
         return count_crossings(rows[0][2:], rows[1][2:]).count == 0
     # Step k has the sign of BC_{k+1}(v) - BC_k(v): a/p <= b/q iff a*q <= b*p.

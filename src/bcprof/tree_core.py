@@ -162,12 +162,13 @@ class PathCountTable:
 def _finish_table(
     d: int, p: list[int], rows: list[list[int]], index: Iterable[int]
 ) -> PathCountTable:
-    """The table of _counts's result (see _prefix_rows for rows and index).
-    A childless vertex's row is zero, so pv and Pkv share one zero tuple."""
+    """The table of _counts's result with its rows unpacked: the i-th
+    vertex has row rows[index[i]]. Each distinct row is summed once, and
+    every index -1 (a zero row) is one zero tuple that pv and Pkv share."""
     zero = (0,) * (d + 1)
-    Pk, Pkv = _prefix_rows(d, p, rows, index, zero)
     pv = _spread(map(tuple, rows), index, zero)
-    return PathCountTable(d=d, p=tuple(p), pv=pv, Pk=Pk, Pkv=Pkv)
+    Pkv = _spread(map(tuple, map(itertools.accumulate, rows)), index, zero)
+    return PathCountTable(d=d, p=tuple(p), pv=pv, Pk=tuple(itertools.accumulate(p)), Pkv=Pkv)
 
 
 def path_counts_naive(t: Tree) -> PathCountTable:
@@ -302,9 +303,9 @@ def _counts(
     """(d, p_l, rows, index), l = 0..d, from one merge up to order[0] (see
     _merge_up for order and parent): rows[index[i]] is p_l(v) for the i-th
     listed vertex v, packed at this lane (lane l holds p_l(v)), and index
-    -1 marks a zero row that was not computed. The rows stay packed, so a
-    caller that reads them by lane (verify's prop1 columns) never builds a
-    list; _unpacked turns them into lists for every other caller.
+    -1 marks a zero row. The rows stay packed, so a caller that reads them
+    by lane (verify's prop1 columns) never builds a list; _rows unpacks
+    them for the others.
 
     With rows_only, p_l is None, no all-pairs histogram is built, and d is
     the top lane of the longest listed row (0 if all are zero). Past its
@@ -324,7 +325,9 @@ def _counts(
     A vertex with no child (b == 0: every leaf, and the lone vertex when
     n = 1) lies inside no path, so its index is -1: no walk, no up[v] and
     no unpack. No ancestor chain passes through it, so the memo still holds
-    all a later vertex needs.
+    all a later vertex needs. The only computed row that can be zero is
+    that of a root with one child (up is 0 there), which is an endpoint of
+    every path through it; its index is -1 too.
 
     Down a chain no product is needed. If v's parent q has v as its only
     child, then up[v] = (up[q] + 1) << lane and q's row is
@@ -339,10 +342,10 @@ def _counts(
     from order[0], range(n) lists every parent first. A vertex listed
     before its parent, without it or again takes the product: same row.
 
-    Rows are keyed by their packed value, which no lane carries out of, so
-    two vertices share an index exactly when their rows are equal (v and
-    n - 1 - v on a path, twin branches of G(i, j)), and each distinct row
-    is unpacked at most once.
+    Non-zero rows are keyed by their packed value, which no lane carries
+    out of, so two vertices share an index exactly when their rows are
+    equal (v and n - 1 - v on a path, twin branches of G(i, j), every zero
+    row), and each distinct non-zero row is unpacked at most once.
 
     The lane must hold C(n, 2), the largest count (see _lane_bits); a wider
     lane gives the same counts.
@@ -378,20 +381,12 @@ def _counts(
             row = across + up[v] * b
         if not across:
             one_child[v] = row
-        index.append(packed.setdefault(row, len(packed)))
+        index.append(packed.setdefault(row, len(packed)) if row else -1)
     if rows_only:  # no lane carries, so the largest row has the top lane
         p, d = None, max(max(packed, default=0).bit_length() - 1, 0) // lane
     else:
         d, p = _diameter_and_lengths(len(parent), pairs, lane)
     return d, p, list(packed), index
-
-
-def _unpacked(
-    lane: int, d: int, p: list[int] | None, packed: list[int], index: list[int]
-) -> tuple[int, list[int] | None, list[list[int]], list[int]]:
-    """_counts's result at this lane with each distinct row unpacked once,
-    to lanes 0..d."""
-    return d, p, [_unpack(x, lane, d + 1) for x in packed], index
 
 
 def _check_vertices(n: int, vertices: Iterable[int]) -> list[int]:
@@ -411,19 +406,18 @@ def _spread(rows: Iterable[tuple[int, ...]], index: Iterable[int], zero: tuple[i
     return tuple(map([*rows, zero].__getitem__, index))
 
 
-def _prefix_rows(
-    d: int, p: list[int] | None, rows: list[list[int]], index: Iterable[int],
-    zero: tuple[int, ...] | None = None,
+def _rows(
+    lane: int, order: Sequence[int], parent: Sequence[int], vertices: Sequence[int],
+    rows_only: bool = False,
 ) -> _PrefixRows:
-    """(P_k, (P_k(v)...)): the running sums of _counts's per-length rows, as
-    tuples for k = 0..d; the i-th listed vertex has row rows[index[i]].
-    Lanes 0 and 1 of every row are zero, so P_k is a plain running sum, or
-    None when p is. Each distinct row is summed once, and every index -1 (a
-    childless vertex) is one shared zero tuple, zero when given."""
-    if zero is None:
-        zero = (0,) * (d + 1)
-    sums = map(tuple, map(itertools.accumulate, rows))
-    return (None if p is None else tuple(itertools.accumulate(p))), _spread(sums, index, zero)
+    """(P_k, (P_k(v)...)) from _counts at this lane, as tuples for k = 0..d,
+    P_k None when p_l is. Lanes 0 and 1 of every row are zero, so P_k is a
+    plain running sum. Each distinct non-zero row is unpacked and summed
+    once, and every zero row is one shared zero tuple."""
+    d, p, packed, index = _counts(order, parent, lane, vertices, rows_only)
+    sums = (tuple(itertools.accumulate(_unpack(x, lane, d + 1))) for x in packed)
+    Pk = None if p is None else tuple(itertools.accumulate(p))
+    return Pk, _spread(sums, index, (0,) * (d + 1))
 
 
 def prefix_counts(t: Tree, vertices: Iterable[int]) -> _PrefixRows:
@@ -435,7 +429,7 @@ def prefix_counts(t: Tree, vertices: Iterable[int]) -> _PrefixRows:
     vertices = _check_vertices(t.n, vertices)
     lane = _lane_bits(t.n)
     order, parent = _bfs_order(t, vertices[0] if vertices else 0)
-    return _prefix_rows(*_unpacked(lane, *_counts(order, parent, lane, vertices)))
+    return _rows(lane, order, parent, vertices)
 
 
 def _parent_prefix_counts(
@@ -452,14 +446,15 @@ def _parent_prefix_counts(
     n = len(parent)
     vertices = _check_vertices(n, vertices)
     lane = _lane_bits(n)
-    return _prefix_rows(*_unpacked(lane, *_counts(range(n), parent, lane, vertices, rows_only)))
+    return _rows(lane, range(n), parent, vertices, rows_only)
 
 
 def path_counts_fast(t: Tree) -> PathCountTable:
     """Same table as path_counts_naive: one pass up to root 0, one back down."""
     lane = _lane_bits(t.n)
     order, parent = _bfs_order(t, 0)
-    return _finish_table(*_unpacked(lane, *_counts(order, parent, lane, range(t.n))))
+    d, p, packed, index = _counts(order, parent, lane, range(t.n))
+    return _finish_table(d, p, [_unpack(x, lane, d + 1) for x in packed], index)
 
 
 @dataclass(frozen=True)

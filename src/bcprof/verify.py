@@ -122,18 +122,18 @@ def _prop1_columns(n: int) -> tuple[tuple[int, ...], list[int], int, int]:
     holding p_l(v), so the transpose is done in C: each row's bytes go into
     one buffer through a strided view (lane l of row v lands at l * count +
     v), and each per-length column is read back with one int.from_bytes.
-    The prefix columns are their running sums: no lane carries, as every
-    P_k(v) fits in its lane.
+    A zero row (index -1: vertex 0, an endpoint of every path through it)
+    is skipped, as the buffer starts zero-filled. The prefix columns are
+    their running sums: no lane carries, as every P_k(v) fits in its lane.
     """
     lane, count = _prop1_lane(n), n // 2 + 1
     d, p, rows, index = _counts(range(n + 1), range(-1, n), lane, range(count))
     code, size = _LANE_FORMATS[lane], (d + 1) * lane // 8
     buf = bytearray(count * size)
     lanes = memoryview(buf).cast(code)
-    # Rooted at 0, only vertex n is childless, so every listed vertex has
-    # a counted row (index >= 0).
     for v, i in enumerate(index):
-        lanes[v::count] = memoryview(rows[i].to_bytes(size, sys.byteorder)).cast(code)
+        if i >= 0:
+            lanes[v::count] = memoryview(rows[i].to_bytes(size, sys.byteorder)).cast(code)
     width = count * lane // 8
     columns = (int.from_bytes(buf[k : k + width], sys.byteorder) for k in range(0, len(buf), width))
     return tuple(itertools.accumulate(p)), list(itertools.accumulate(columns)), lane, count

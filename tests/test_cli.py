@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -206,7 +207,9 @@ def _reference_profile_output(t, fmt, vertices):
 
 class TestProfileBytes:
     # sha256 of profile's stdout, recorded before profile wrote its rows
-    # straight from the counts. Trees come from `gen SPEC --seed 7`.
+    # straight from the counts; path:400's (32-bit lanes, zero rows at
+    # both ends) before rows were keyed by object. Trees come from
+    # `gen SPEC --seed 7`.
     PINNED = {
         ("path:40", "--all", "csv"):
             "2538cf16903c580b8953817ea41c06c83fa2f599cb656bfa67acc504e76fca3c",
@@ -224,6 +227,8 @@ class TestProfileBytes:
             "e6c190d62c199a4ce4bd607a720143e649b6f016d0f2bba1140f0a8fa471f589",
         ("gij:3,5", "--vertex=3", "json"):
             "8b4ab7d73ecd33eaf21bcec9c3604d1bfb89ccc5c578229f65791db26bde4c06",
+        ("path:400", "--all", "csv"):
+            "fbf71ac2b3e77c38e1d2058a4681264c06dd5ab9d48c480dfa8e6e8f74fb9c74",
     }
 
     @pytest.mark.parametrize("spec, select, fmt", sorted(PINNED))
@@ -375,13 +380,31 @@ class TestRenderRepeatedRows:
         _assert_renders_reference(fmt, self.Pk, [(4, self.A)])
 
     @pytest.mark.parametrize("fmt", ("csv", "json"))
-    def test_equal_hashes_of_distinct_rows(self, fmt):
-        # Rows are keyed by hash; two distinct rows on one key must each
-        # print their own cells.
-        x, y = [0, 0, -1], [0, 0, -2]
-        if hash(tuple(x)) != hash(tuple(y)):
-            pytest.skip("this Python does not hash -1 and -2 alike")
+    def test_equal_rows_of_distinct_objects(self, fmt):
+        # Rows are keyed by object; equal rows that are two objects are
+        # each formatted, with the same cells.
+        x, y = [0, 0, 3], [0, 0, 3]
         _assert_renders_reference(fmt, [0, 0, 5], [(0, x), (1, y), (2, x), (3, y), (4, y)])
+
+    @pytest.mark.parametrize("tree", [
+        make_path(40), make_gij(3, 5)[0], make_broom(5, 30)[0],
+    ], ids=("path:40", "gij:3,5", "broom:5,30"))
+    def test_profile_formats_each_distinct_row_once(self, tmp_path, capsys, monkeypatch, tree):
+        # The engine hands equal rows out as one tuple, zero rows included,
+        # so `profile --all` takes the gcd row of each distinct row once.
+        path = tmp_path / "t.tree"
+        path.write_text(write_tree(tree))
+        Pk, Pkv = prefix_counts(tree, range(tree.n))
+        calls = []
+
+        def counted(a, b):
+            calls.append(a)
+            return math.gcd(a, b)
+
+        monkeypatch.setattr("bcprof.cli.gcd", counted)
+        code, _, _ = run_cli(capsys, "profile", "--tree", str(path), "--all")
+        assert code == 0
+        assert len(calls) == (len(Pk) - 2) * len(set(Pkv))
 
 
 class TestRenderMemory:
@@ -910,6 +933,7 @@ def test_ci_installed_package_step_checks_the_pinned_digests():
     assert checked == [
         ("expect --n 9 --k 4 --exact", TestExpectCmd.PINNED_EXACT[9, 4]),
         ("analyze --tree path400.tree --pair 3 250", TestAnalyzeCmd.PINNED_DEEP_PAIR),
+        ("profile --tree path400.tree --all", TestProfileBytes.PINNED["path:400", "--all", "csv"]),
         (" ".join(TestExpectCmd.MONTE_CARLO_ARGV), TestExpectCmd.MONTE_CARLO_SHA256),
         (crossing, hashlib.sha256(csv.encode()).hexdigest()),
         ("verify --check prop1", VERIFY_PINNED["prop1"]),

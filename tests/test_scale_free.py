@@ -838,10 +838,10 @@ class TestEstimateExpectedProfiles:
 
     def test_a_vertex_1_with_one_child_is_a_zero_row(self, monkeypatch):
         # Vertex 1 with one child is an endpoint of every path through it,
-        # so its row is zero; but it has a child, so the engine computes
-        # that row instead of handing out the shared zero tuple. The
-        # estimator must still find it zero by its last prefix sum and
-        # build no ratio array for it.
+        # so its row is zero: the engine computes it, as it has a child,
+        # and hands out the shared zero tuple of the leaves. The estimator
+        # finds it zero by its last prefix sum and builds no ratio array
+        # for it.
         n, trials, seed = 4, 50, 2
         lone = want = 0
         for t in range(trials):
@@ -849,7 +849,7 @@ class TestEstimateExpectedProfiles:
             _, Pkv = rt.prefix_counts(range(n))
             if rt.parent.count(0) == 1:
                 lone += 1
-                assert not any(Pkv[0]) and Pkv[0] is not Pkv[n - 1]
+                assert not any(Pkv[0]) and Pkv[0] is Pkv[n - 1]
             want += len({row for row in Pkv if any(row)})
         assert 0 < lone < trials
         built = []

@@ -629,9 +629,10 @@ class TestChildlessVertices:
             assert len({id(rows[v]) for rows in (table.pv, table.Pkv) for v in leaves}) == 1
 
     def test_unpacks_once_per_distinct_row_with_a_child(self, monkeypatch):
-        # One unpack for the all-pairs histogram, then one per distinct row
-        # among the listed vertices with a child in the pass rooted at 0;
-        # leaves cost none. The distinct rows are counted on the oracle's.
+        # One unpack for the all-pairs histogram, then one per distinct
+        # non-zero row among the listed vertices with a child in the pass
+        # rooted at 0; leaves and a root with one child cost none. The
+        # distinct rows are counted on the oracle's.
         calls = []
         unpack = tree_core._unpack
 
@@ -644,53 +645,58 @@ class TestChildlessVertices:
             with_child = [v for v in range(t.n) if len(t.adj[v]) > (v != 0)]
             assert 2 * len(with_child) < t.n
             pv = path_counts_naive(t).pv
-            distinct = len({pv[v] for v in with_child})
+            distinct = len({pv[v] for v in with_child if any(pv[v])})
             monkeypatch.setattr(tree_core, "_unpack", counted)
             calls.clear()
             prefix_counts(t, range(t.n))
             monkeypatch.undo()
             assert len(calls) == 1 + distinct
             sizes.append((distinct, len(with_child)))
-        # The recursive tree repeats rows; the broom's rows all differ.
-        assert sizes == [(85, 105), (5, 5)]
+        # The recursive tree repeats rows; the broom's rows all differ, and
+        # its handle's end, vertex 0, has a zero row.
+        assert sizes == [(85, 105), (4, 5)]
 
 
 class TestSharedRows:
-    # Vertices whose rows are equal share one tuple from every entry, and
-    # vertices whose rows differ never do.
+    # Vertices whose rows are equal share one tuple from every entry, zero
+    # rows included, and vertices whose rows differ never do.
 
     @staticmethod
     def routes(t):
         """Every vertex's rows from each entry, after checking each against
-        the oracle: prefix_counts, _parent_prefix_counts, and the pv and
-        Pkv of path_counts_fast."""
+        the oracle: prefix_counts rooted at the first and at the last
+        vertex, _parent_prefix_counts with and without rows_only, and the
+        pv and Pkv of path_counts_fast."""
         naive = path_counts_naive(t)
         parent = tree_core._bfs_order(t, 0)[1]
         table = path_counts_fast(t)
         assert table == naive
-        routes = [prefix_counts(t, range(t.n)), _parent_prefix_counts(parent, range(t.n))]
+        last_first = prefix_counts(t, reversed(range(t.n)))
+        routes = [
+            prefix_counts(t, range(t.n)),
+            (last_first[0], last_first[1][::-1]),
+            _parent_prefix_counts(parent, range(t.n)),
+        ]
         for route in routes:
             assert route == as_rows(naive)
-        return [rows for _, rows in routes] + [table.pv, table.Pkv]
+        Pk, cut = _parent_prefix_counts(parent, range(t.n), rows_only=True)
+        assert Pk is None and cut == tuple(row[: len(cut[0])] for row in naive.Pkv)
+        return [rows for _, rows in routes] + [cut, table.pv, table.Pkv]
 
     @staticmethod
     def assert_shared_exactly_when_equal(t, routes):
-        # Over the vertices with a child in the pass rooted at 0, each
-        # distinct row is one object: a computed zero row is not the leaves'.
-        with_child = [v for v in range(t.n) if len(t.adj[v]) > (v != 0)]
+        # Over every vertex, each distinct row is one object.
         for rows in routes:
-            kept = [rows[v] for v in with_child]
-            assert len({id(row) for row in kept}) == len(set(kept))
+            assert len({id(row) for row in rows}) == len(set(rows))
 
     def test_mirror_rows_of_a_path(self):
         for n in range(2, 41):
             t = make_path(n)
             routes = self.routes(t)
             for rows in routes:
-                for v in range(1, n):
+                for v in range(n + 1):
                     assert rows[v] is rows[n - v]
-                assert rows[0] == rows[n] and rows[0] is not rows[n]
-                assert len({id(row) for row in rows[1:n]}) == n // 2
+                assert len({id(row) for row in rows}) == n // 2 + 1
             self.assert_shared_exactly_when_equal(t, routes)
 
     @pytest.mark.parametrize("i, j", [(1, 1), (2, 3), (3, 5), (5, 2)])
