@@ -10,6 +10,15 @@ kind compares the two rows of counts directly, from a rows-only count
 that builds no all-pairs histogram and no P_k. Monotonicity compares
 BC_k(v) = P_k(v) / P_k with BC_{k+1}(v) by cross-multiplying, since
 P_k > 0 for 2 <= k <= d, so it is exact with no fractions.
+
+A trial stops as soon as its answer is known. A vertex with no child lies
+inside no path, so its row of counts is zero. A zero row crosses no row,
+since counts are non-negative and a crossing needs the rows strictly apart
+at two lengths, and every step of it is 0, so it is monotone. So a trial
+that lists a childless vertex is a hit with no count, and one that lists
+vertex n - 1 is a hit before it samples: sample_tree attaches each vertex
+to an earlier one, so the last label is never a parent. Each trial owns
+its substream, so a trial that draws nothing changes no other trial.
 """
 
 from __future__ import annotations
@@ -101,10 +110,16 @@ def default_grid(which: str) -> tuple[int, ...]:
 
 
 def _trial_indicator(which: str, x: int, fixed_n: int, seed: int, trial: int) -> bool:
-    rng = random.Random(substream_seed(seed, (x << TRIAL_BITS) + trial))
     n = x if which.endswith("_vs_n") else fixed_n
     vertices = _TRIAL_VERTICES[which](x)  # two for a crossing, which reads no P_k
+    # A childless vertex has a zero row, which is a hit: see the module
+    # docstring. Vertex n - 1 is never a parent, so its trial draws nothing.
+    if n - 1 in vertices:
+        return True
+    rng = random.Random(substream_seed(seed, (x << TRIAL_BITS) + trial))
     parent = sample_tree(n, rng).parent
+    if not all(map(parent.__contains__, vertices)):
+        return True
     Pk, rows = _parent_prefix_counts(parent, vertices, rows_only=len(vertices) == 2)
     if len(rows) == 2:
         return count_crossings(rows[0][2:], rows[1][2:]).count == 0

@@ -927,15 +927,19 @@ def test_ci_installed_package_step_checks_the_pinned_digests():
     checked = re.findall(
         r'digest=\$\(bcprof ([^|]+) \| sha256\)\n\s*if \[ "\$digest" != ([0-9a-f]{64}) \]', step
     )
-    grid, rows = ExperimentPins.PINNED_CSV["no_cross_ii1_vs_i"]
-    crossing = f"experiment --which no_cross_ii1_vs_i --grid {grid[0]},{grid[1]} --trials 200 --seed 11"
-    csv = "x,estimate,stderr,trials,seed\n" + rows
+    def experiment(which):
+        grid, rows = ExperimentPins.PINNED_CSV[which]
+        csv = "x,estimate,stderr,trials,seed\n" + rows
+        return (f"experiment --which {which} --grid {grid[0]},{grid[1]} --trials 200 --seed 11",
+                hashlib.sha256(csv.encode()).hexdigest())
+
     assert checked == [
         ("expect --n 9 --k 4 --exact", TestExpectCmd.PINNED_EXACT[9, 4]),
         ("analyze --tree path400.tree --pair 3 250", TestAnalyzeCmd.PINNED_DEEP_PAIR),
         ("profile --tree path400.tree --all", TestProfileBytes.PINNED["path:400", "--all", "csv"]),
         (" ".join(TestExpectCmd.MONTE_CARLO_ARGV), TestExpectCmd.MONTE_CARLO_SHA256),
-        (crossing, hashlib.sha256(csv.encode()).hexdigest()),
+        experiment("no_cross_ii1_vs_i"),
+        experiment("monotone_i_vs_i"),
         ("verify --check prop1", VERIFY_PINNED["prop1"]),
     ]
     assert len(re.findall(r"[0-9a-f]{64}", step)) == len(checked)

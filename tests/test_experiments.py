@@ -140,20 +140,12 @@ class TestIndicators:
         "monotone_i_vs_i": lambda profile, x: is_monotone(profile(x - 1)),
     }
 
-    @pytest.mark.parametrize("which", sorted(FRACTION_INDICATORS))
-    def test_integer_indicator_equals_fraction_reference(self, which):
-        # The trial decides from integer counts (crossings directly,
-        # monotonicity by cross-multiplying); the reference builds Fraction
-        # profiles of the same tree. n = 3 has diameter 2, so one-entry
-        # profiles; at n = 30 both outcomes must occur, so no kind agrees
-        # vacuously.
-        seed, trials = 21, 200
-        if which.endswith("_vs_n"):
-            points = ((3, 3), (30, 30))
-        else:
-            points = ((3, 1), (3, 2), (30, 1), (30, 5))
-        outcomes = {3: set(), 30: set()}
-        for n, x in points:
+    def assert_agrees(self, which, seed, points):
+        """Each trial's indicator equals FRACTION_INDICATORS on the same
+        sampled tree, at every (n, x, trials) of points; returns the
+        outcomes seen at each n."""
+        outcomes = {}
+        for n, x, trials in points:
             for trial in range(trials):
                 rng = random.Random(substream_seed(seed, (x << 24) + trial))
                 t = sample_tree(n, rng).tree()
@@ -163,8 +155,82 @@ class TestIndicators:
                 )
                 got = _trial_indicator(which, x, n, seed, trial)
                 assert got == want, (n, x, trial)
-                outcomes[n].add(got)
-        assert outcomes == {3: {True}, 30: {True, False}}
+                outcomes.setdefault(n, set()).add(got)
+        return outcomes
+
+    @pytest.mark.parametrize("which", sorted(FRACTION_INDICATORS))
+    def test_integer_indicator_equals_fraction_reference(self, which):
+        # The trial decides from integer counts (crossings directly,
+        # monotonicity by cross-multiplying); the reference builds Fraction
+        # profiles of the same tree. n = 3 has diameter 2, so one-entry
+        # profiles; at n = 30 both outcomes must occur, so no kind agrees
+        # vacuously.
+        if which.endswith("_vs_n"):
+            points = ((3, 3, 200), (30, 30, 200))
+        else:
+            points = ((3, 1, 200), (3, 2, 200), (30, 1, 200), (30, 5, 200))
+        assert self.assert_agrees(which, 21, points) == {3: {True}, 30: {True, False}}
+
+    @pytest.mark.parametrize("which", sorted(FRACTION_INDICATORS))
+    def test_indicator_equals_fraction_reference_at_bench_scale(self, which):
+        # At n = 250, every grid point the experiment workload runs, where
+        # a listed vertex past the first few is often childless and the
+        # trial returns before it counts, and x = 248, the last point at
+        # which the crossing kind samples; at n = 10, every x. Both outcomes
+        # must occur, so the early hits cannot agree vacuously. The seed
+        # was chosen before the first run.
+        seed = 4404
+        if which.endswith("_vs_n"):
+            points = ((10, 10, 60), (50, 50, 30), (250, 250, 30))
+        else:
+            points = tuple((250, x, 30) for x in (1, 50, 100, 125, 200, 248, 249))
+            points += tuple((10, x, 60) for x in range(1, 10))
+        outcomes = self.assert_agrees(which, seed, points)
+        assert set().union(*outcomes.values()) == {True, False}
+        assert outcomes[250] == {True, False}
+
+    @pytest.mark.parametrize("which, grid, listed", [
+        ("no_cross_ii1_vs_i", (100, 249), lambda x: (x - 1, x)),
+        ("monotone_i_vs_i", (125,), lambda x: (x - 1,)),
+    ], ids=["no_cross_ii1_vs_i", "monotone_i_vs_i"])
+    def test_only_trials_whose_vertices_all_have_a_child_count(self, monkeypatch, which, grid,
+                                                               listed):
+        # A listed childless vertex makes the trial a hit with no count, and
+        # vertex n - 1 is never a parent, so its trials draw no tree. The
+        # engine must run on exactly the sampled trees in which every listed
+        # vertex has a child, recomputed here from the same substreams, and
+        # both kinds of trial must occur.
+        n, trials, seed = 250, 200, 3
+        sampled, counted = [], []
+
+        def sample(n, rng):
+            tree = sample_tree(n, rng)
+            sampled.append(tree.parent)
+            return tree
+
+        def count(parent, vertices, **kwargs):
+            counted.append((parent, vertices))
+            return tree_core._parent_prefix_counts(parent, vertices, **kwargs)
+
+        monkeypatch.setattr("bcprof.experiments.sample_tree", sample)
+        monkeypatch.setattr("bcprof.experiments._parent_prefix_counts", count)
+        monkeypatch.setenv("BCPROF_THREADS", "1")
+        run_experiment(ExperimentConfig(which=which, grid=grid, trials=trials, fixed_n=n,
+                                        seed=seed))
+        drawn, want = [], []
+        for x in grid:
+            if x == n - 1:
+                continue
+            for trial in share_items(trials, 0, 1):
+                rng = random.Random(substream_seed(seed, (x << 24) + trial))
+                parent = sample_tree(n, rng).parent
+                drawn.append(parent)
+                if all(v in parent for v in listed(x)):
+                    want.append((parent, listed(x)))
+        assert sampled == drawn
+        assert len(drawn) == trials
+        assert counted == want
+        assert 0 < len(counted) < len(drawn)
 
     def test_monotone_trivial_at_n3(self):
         cfg = ExperimentConfig(which="monotone_1_vs_n", grid=(3,), trials=25, seed=0)

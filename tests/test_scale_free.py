@@ -129,6 +129,14 @@ class TestSampler:
         assert t.parent[0] == -1 and all(0 <= p < y for y, p in enumerate(t.parent[1:], 1))
         assert t.tree().n == 100
 
+    def test_last_label_is_never_a_parent(self):
+        # Each vertex attaches to an earlier one, so vertex n - 1 has no
+        # child; an experiment trial that lists it is a hit without a tree.
+        for seed in range(20):
+            rng = random.Random(seed)
+            for n in range(1, 301):
+                assert n - 1 not in sample_tree(n, rng).parent, (n, seed)
+
     def test_draws_equal_randrange(self):
         # sample_tree draws each parent as randrange does internally; this
         # reference calls randrange, so a Python whose randrange draws
