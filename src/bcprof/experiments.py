@@ -18,7 +18,8 @@ at two lengths, and every step of it is 0, so it is monotone. So a trial
 that lists a childless vertex is a hit with no count, and one that lists
 vertex n - 1 is a hit before it samples: sample_tree attaches each vertex
 to an earlier one, so the last label is never a parent. Each trial owns
-its substream, so a trial that draws nothing changes no other trial.
+its substream, so a trial that draws nothing changes no other trial. Only
+trial-points that sample count toward the worker pool's size.
 """
 
 from __future__ import annotations
@@ -109,15 +110,21 @@ def default_grid(which: str) -> tuple[int, ...]:
     return DEFAULT_N_GRID if which.endswith("_vs_n") else DEFAULT_I_GRID
 
 
-def _trial_indicator(which: str, x: int, fixed_n: int, seed: int, trial: int) -> bool:
+def _tree_size(which: str, x: int, fixed_n: int) -> int:
+    """n, the size of the tree each trial at grid point x samples, or 0 when
+    its trials list vertex n - 1, never a parent, and sample nothing."""
     n = x if which.endswith("_vs_n") else fixed_n
-    vertices = _TRIAL_VERTICES[which](x)  # two for a crossing, which reads no P_k
-    # A childless vertex has a zero row, which is a hit: see the module
-    # docstring. Vertex n - 1 is never a parent, so its trial draws nothing.
-    if n - 1 in vertices:
+    return 0 if n - 1 in _TRIAL_VERTICES[which](x) else n
+
+
+def _trial_indicator(which: str, x: int, fixed_n: int, seed: int, trial: int) -> bool:
+    n = _tree_size(which, x, fixed_n)
+    if not n:
         return True
+    vertices = _TRIAL_VERTICES[which](x)  # two for a crossing, which reads no P_k
     rng = random.Random(substream_seed(seed, (x << TRIAL_BITS) + trial))
     parent = sample_tree(n, rng).parent
+    # A childless vertex has a zero row, which is a hit (module docstring).
     if not all(map(parent.__contains__, vertices)):
         return True
     Pk, rows = _parent_prefix_counts(parent, vertices, rows_only=len(vertices) == 2)
@@ -145,7 +152,8 @@ def _share_hits(cfg: ExperimentConfig, first: int, stride: int) -> tuple[list[in
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     start = time.monotonic()
-    workers = worker_count(-(-cfg.trials * len(cfg.grid) // CHUNK))
+    sampling = sum(1 for x in cfg.grid if _tree_size(cfg.which, x, cfg.fixed_n))
+    workers = worker_count(-(-cfg.trials * sampling // CHUNK))
     shares = run_shares(_share_hits, (cfg,), workers)
     point_hits = [sum(hits) for hits in zip(*(hits for hits, _ in shares))]
     rows = []

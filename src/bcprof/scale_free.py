@@ -25,9 +25,7 @@ from .errors import (
     OutOfRangeError,
     PreconditionViolatedError,
 )
-from .tree_core import (
-    Tree, _check_parent_array, _parent_prefix_counts, _PrefixRows, _tree_of_checked_parents
-)
+from .tree_core import Tree, _check_parent_array, _parent_prefix_counts, tree_from_parents
 
 MAX_EXACT_N = 9  # the prefix walk reaches (n-1)! complete prefixes; 8! = 40320 at 9
 
@@ -70,14 +68,8 @@ class RecursiveTree:
         _check_parent_array(self.parent)
 
     def tree(self) -> Tree:
-        """The Tree view, built straight from the parent array, which the
-        constructor has checked."""
-        return _tree_of_checked_parents(self.parent)
-
-    def prefix_counts(self, vertices: Iterable[int]) -> _PrefixRows:
-        """Exactly tree_core.prefix_counts(self.tree(), vertices), with no Tree:
-        the parent array is already an order rooted at vertex 0."""
-        return _parent_prefix_counts(self.parent, vertices)
+        """The Tree view of the parent array."""
+        return tree_from_parents(self.parent)
 
 
 def sample_tree(n: int, rng: random.Random) -> RecursiveTree:
@@ -391,9 +383,9 @@ def estimate_expected_profiles(
     ratios: list[list[array]] = [[] for _ in range(n)]
     max_d = 0
     for trial in range(trials):
-        rt = sample_tree(n, random.Random(substream_seed(seed, trial)))
-        listed = sorted(set(rt.parent[1:]))
-        Pk, Pkv = rt.prefix_counts(listed)
+        parent = sample_tree(n, random.Random(substream_seed(seed, trial))).parent
+        listed = sorted(set(parent[1:]))
+        Pk, Pkv = _parent_prefix_counts(parent, listed)
         max_d = max(max_d, len(Pk) - 1)
         P = Pk[2:]
         bc = {row: array("d", map(truediv, row[2:], P)) for row in dict.fromkeys(Pkv) if row[-1]}

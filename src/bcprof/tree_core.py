@@ -101,16 +101,10 @@ def tree_from_parents(parent: Sequence[int]) -> Tree:
     0 <= parent[y] < y for every other y.
 
     Such an array is connected and acyclic by construction, so no edge set
-    or BFS is needed.
+    or BFS is needed. Appending in y order keeps every adjacency list
+    sorted: y's parent comes first, then its children in increasing order.
     """
     _check_parent_array(parent)
-    return _tree_of_checked_parents(parent)
-
-
-def _tree_of_checked_parents(parent: Sequence[int]) -> Tree:
-    """tree_from_parents for an array that already passed its check.
-    Appending in y order keeps every adjacency list sorted: y's parent
-    comes first, then its children in increasing order."""
     adj: list[list[int]] = [[] for _ in parent]
     for y, p in enumerate(parent[1:], 1):
         adj[y].append(p)

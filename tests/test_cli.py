@@ -62,6 +62,16 @@ class TestGen:
         _, out3, _ = run_cli(capsys, "gen", "scale-free:250", "--seed", "8")
         assert out3 != out1
 
+    # sha256 of `gen scale-free:250 --seed 7` stdout, recorded before
+    # RecursiveTree.tree() built its Tree through tree_from_parents.
+    SCALE_FREE_ARGV = ("gen", "scale-free:250", "--seed", "7")
+    SCALE_FREE_SHA256 = "7fbba5215525f5f8992f0199c290eee8131e4cdc3eb9636f6f31f36339b8bbcd"
+
+    def test_scale_free_pinned_bytes(self, capsys):
+        code, out, _ = run_cli(capsys, *self.SCALE_FREE_ARGV)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SCALE_FREE_SHA256
+
     def test_bad_spec_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "gen", "broom:0,3")
         assert code == 24 and "broom" in err
@@ -941,6 +951,7 @@ def test_ci_installed_package_step_checks_the_pinned_digests():
         experiment("no_cross_ii1_vs_i"),
         experiment("monotone_i_vs_i"),
         ("verify --check prop1", VERIFY_PINNED["prop1"]),
+        (" ".join(TestGen.SCALE_FREE_ARGV), TestGen.SCALE_FREE_SHA256),
     ]
     assert len(re.findall(r"[0-9a-f]{64}", step)) == len(checked)
     assert "bcprof gen path:400 --out path400.tree" in step

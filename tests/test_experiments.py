@@ -448,8 +448,8 @@ class TestChildren:
 
 
 class TestWorkerCount:
-    # Only test_chunk_of_trial_points runs an experiment: the other tests
-    # compute the worker count, and no child starts.
+    # Only the test_chunk_* tests and the no-child test run an experiment:
+    # the other tests compute the worker count, and no child starts.
     # `cpus` is how many CPUs the process may run on, of a host with 8.
     @pytest.mark.parametrize("raw, cpus, shares, expected", [
         ("1", 8, 1000, 1),
@@ -477,6 +477,34 @@ class TestWorkerCount:
         grid = (10, 12)[:points]
         cfg = ExperimentConfig(which="no_cross_12_vs_n", grid=grid, trials=trials, seed=0)
         assert run_experiment(cfg).workers == expected
+
+    @pytest.mark.parametrize("trials, expected", [(64, 1), (65, 2)])
+    def test_chunk_counts_only_trial_points_that_sample(self, monkeypatch, trials, expected):
+        # At x = n - 1 = 249 a trial lists the last label and samples no
+        # tree, so of grid (249, 100) only x = 100's trials count.
+        monkeypatch.setenv("BCPROF_THREADS", "1")
+        cfg = ExperimentConfig(which="no_cross_ii1_vs_i", grid=(249, 100), trials=trials, seed=3)
+        serial = render_csv(run_experiment(cfg))
+        monkeypatch.setenv("BCPROF_THREADS", "2")
+        _allow_cpus(monkeypatch, 2)
+        res = run_experiment(cfg)
+        assert res.workers == expected and render_csv(res) == serial
+
+    def test_run_that_samples_no_tree_starts_no_child(self, monkeypatch):
+        # The bench's `experiment --which no_cross_ii1_vs_i --grid 249
+        # --fixed-n 250 --trials 450` op: every trial is a hit that samples
+        # nothing, so it runs in the calling process, with the CSV bytes
+        # recorded when it forked a child.
+        def no_child(self):
+            raise AssertionError("a child process was started")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_child)
+        monkeypatch.setenv("BCPROF_THREADS", "2")
+        _allow_cpus(monkeypatch, 2)
+        cfg = ExperimentConfig(which="no_cross_ii1_vs_i", grid=(249,), trials=450, fixed_n=250)
+        res = run_experiment(cfg)
+        assert res.workers == 1
+        assert render_csv(res) == "x,estimate,stderr,trials,seed\n249,1.000000,0.000000,450,0\n"
 
     @pytest.mark.parametrize("host, expected", [(3, 3), (None, 1)])
     def test_cpu_count_without_affinity(self, monkeypatch, host, expected):

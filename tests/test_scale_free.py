@@ -18,6 +18,7 @@ import pytest
 from histories import _history_numerators, enumerate_histories
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from path_process import path_presence, weight_total
 
 import bcprof
 from bcprof import (
@@ -53,9 +54,9 @@ def recording(calls, f):
 
 
 def reference_estimate(n, trials, seed, k=None):
-    """The estimator as it was when every trial went through prefix_counts
+    """The estimator as it was when every trial counted every vertex
     and each vertex's zero row was keyed, divided and padded like any
-    other; kept verbatim as the reference for byte-equal output."""
+    other; kept as the reference for byte-equal output."""
     if n < 3:
         raise OutOfRangeError(f"need n >= 3 for nonempty profiles, got {n}")
     if trials < 1:
@@ -71,7 +72,7 @@ def reference_estimate(n, trials, seed, k=None):
     ratios = []
     for trial in range(trials):
         rng = random.Random(substream_seed(seed, trial))
-        Pk, Pkv = sample_tree(n, rng).prefix_counts(range(n))
+        Pk, Pkv = _parent_prefix_counts(sample_tree(n, rng).parent, range(n))
         keys = list(map(tuple, Pkv))
         bc = {key: array("d", map(truediv, key[2:], Pk[2:])) for key in dict.fromkeys(keys)}
         ratios.append(list(map(bc.__getitem__, keys)))
@@ -182,14 +183,18 @@ class TestRecursiveTreeInvariant:
         )
         assert proc.returncode == 1 and "OutOfRangeError" in proc.stderr
 
-    def test_tree_checks_the_array_once(self, monkeypatch):
-        # The constructor checks it; tree() builds without a second check.
-        calls = []
-        check = recording(calls, tree_core._check_parent_array)
+    def test_tree_builds_through_tree_from_parents(self, monkeypatch):
+        # One way from a parent array to a Tree: tree() hands the array to
+        # tree_from_parents, whose check runs after the constructor's.
+        built, checked = [], []
+        build = recording(built, tree_core.tree_from_parents)
+        monkeypatch.setattr(scale_free, "tree_from_parents", build)
+        check = recording(checked, tree_core._check_parent_array)
         monkeypatch.setattr(tree_core, "_check_parent_array", check)
         monkeypatch.setattr(scale_free, "_check_parent_array", check)
-        sample_tree(250, random.Random(5)).tree()
-        assert len(calls) == 1
+        rt = sample_tree(250, random.Random(5))
+        rt.tree()
+        assert built == [(rt.parent,)] and checked == [(rt.parent,)] * 2
 
     def test_tree_equals_build_tree(self):
         # tree() skips build_tree's checks; it must build the same Tree.
@@ -203,7 +208,8 @@ class TestRecursiveTreeInvariant:
 
 
 class TestParentArrayCounts:
-    """RecursiveTree.prefix_counts runs the merge over the parent array."""
+    """_parent_prefix_counts runs the merge over a recursive tree's parent
+    array."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -218,17 +224,17 @@ class TestParentArrayCounts:
         vs = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
         vs += data.draw(st.sampled_from(([], [0], vs[:1])))  # repeats and vertex 0
         t = rt.tree()
-        Pk, rows = rt.prefix_counts(vs)
+        Pk, rows = _parent_prefix_counts(rt.parent, vs)
         assert (Pk, rows) == prefix_counts(t, vs)
         naive = path_counts_naive(t)
         assert Pk == naive.Pk
         assert rows == tuple(naive.Pkv[v] for v in vs)
         # Listing every vertex gives path_counts_fast's table.
         table = path_counts_fast(t)
-        assert rt.prefix_counts(range(n)) == (table.Pk, table.Pkv)
+        assert _parent_prefix_counts(rt.parent, range(n)) == (table.Pk, table.Pkv)
         for v in (-1, n):
             with pytest.raises(OutOfRangeError):
-                rt.prefix_counts([0, v])
+                _parent_prefix_counts(rt.parent, [0, v])
 
 
 class TestHistories:
@@ -524,6 +530,63 @@ class TestClosedFormMismatch:
         assert [n for n, mismatch in got.items() if mismatch] == mismatched
 
 
+def _path_oracle_mismatches(n, paths):
+    """One line, naming n, the path and both values, for each path whose
+    `_closed_form` differs from the per-path attachment oracle."""
+    total = weight_total(n)
+    lines = []
+    for path in paths:
+        num, den = scale_free._closed_form(*scale_free._signature_parts(path))
+        want = path_presence(n, path)
+        if num * total != want * den:
+            lines.append(f"n={n}, path {path}: closed form {Fraction(num, den)}"
+                         f" != oracle {Fraction(want, total)}")
+    return lines
+
+
+class TestClosedFormPastTheCap:
+    """Lemma 1 against `tests/path_process.py`, which runs the attachment
+    process over one path's label weights and so reaches past
+    MAX_EXACT_N."""
+
+    def test_path_oracle_equals_the_presence_table(self):
+        for n in range(1, 9):
+            table = _presence_table(n)
+            assert weight_total(n) == _weight_totals(n)[n]
+            assert {path: path_presence(n, path) for path in all_candidate_paths(n)} == table
+        # No recursive tree has a label peak inside a path.
+        assert path_presence(5, (1, 3, 2)) == path_presence(5, (2, 5, 1, 3)) == 0
+
+    def test_closed_form_equals_the_path_oracle_past_the_cap(self):
+        # Candidate paths written from their smaller end, as
+        # all_candidate_paths writes them: a label set, its minimum c and
+        # largest label b, and a random split of the rest into the sides.
+        rng = random.Random(4545)
+        drawn = {}
+        for n in (12, 16, 20):
+            paths = []
+            for _ in range(30):
+                c, *rest, b = sorted(rng.sample(range(1, n + 1), rng.randint(2, 8)))
+                left = [x for x in rest if rng.random() < 0.5]
+                right = [x for x in rest if x not in left]
+                paths.append((*left[::-1], c, *right, b))
+            drawn[n] = paths
+            assert not (mismatches := _path_oracle_mismatches(n, paths)), "\n".join(mismatches)
+        every = [path for paths in drawn.values() for path in paths]
+        assert {len(path) for path in every} == set(range(2, 9))
+        assert any(path[0] == min(path) for path in every)
+        assert any(path[0] != min(path) for path in every)
+        assert max(max(path) for path in drawn[20]) == 20
+
+    def test_a_fault_past_the_cap_is_named(self, monkeypatch):
+        p = path_probability(signature_of_path((3, 1, 17)))
+        doubled = _skewed_closed_form(lambda sig, q: q * (1 + (sig.b == 17)))
+        monkeypatch.setattr(scale_free, "_closed_form", doubled(scale_free._closed_form))
+        assert _path_oracle_mismatches(20, [(3, 1, 17), (2, 5), (4, 2, 1, 18)]) == [
+            f"n=20, path (3, 1, 17): closed form {2 * p} != oracle {p}"
+        ]
+
+
 class TestPresenceTable:
     def test_equals_the_full_history_reference(self):
         # Equal dicts: the same keys, each with an integer numerator over D_n
@@ -814,7 +877,8 @@ class TestEstimateExpectedProfiles:
         n, trials, seed = 60, 200, 1
         want = 0
         for t in range(trials):
-            _, Pkv = sample_tree(n, random.Random(substream_seed(seed, t))).prefix_counts(range(n))
+            parent = sample_tree(n, random.Random(substream_seed(seed, t))).parent
+            _, Pkv = _parent_prefix_counts(parent, range(n))
             want += len({row for row in Pkv if any(row)})
         built, entered, counted = [], [], []
         assert "_counts" not in vars(scale_free) and "_lane_bits" not in vars(scale_free)
@@ -854,7 +918,7 @@ class TestEstimateExpectedProfiles:
         lone = want = 0
         for t in range(trials):
             rt = sample_tree(n, random.Random(substream_seed(seed, t)))
-            _, Pkv = rt.prefix_counts(range(n))
+            _, Pkv = _parent_prefix_counts(rt.parent, range(n))
             if rt.parent.count(0) == 1:
                 lone += 1
                 assert not any(Pkv[0]) and Pkv[0] is Pkv[n - 1]

@@ -618,7 +618,9 @@ class TestChildlessVertices:
             vs = [*range(t.n), leaves[0]]
             rt = RecursiveTree(tuple(parent))
             for Pk, rows in (
-                prefix_counts(t, vs), _parent_prefix_counts(parent, vs), rt.prefix_counts(vs)
+                prefix_counts(t, vs),
+                _parent_prefix_counts(parent, vs),
+                _parent_prefix_counts(rt.parent, vs),
             ):
                 assert type(Pk) is type(rows) is tuple
                 assert all(type(row) is tuple for row in rows)
