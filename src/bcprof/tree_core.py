@@ -463,14 +463,21 @@ class Profile:
 
 
 def profile(t: Tree, v: int, table: PathCountTable | None = None) -> Profile:
-    _check_vertices(t.n, (v,))
+    """v's profile BC_k(v) = P_k(v) / P_k for k = 2..d.
+
+    The counts come from table, which must be t's, when one is passed (a
+    caller that profiles many vertices counts once); otherwise only v's
+    row is counted.
+    """
     if table is None:
-        table = path_counts_fast(t)
-    if table.d < 2:
-        raise DiameterTooSmallError(f"diameter {table.d} < 2: profile is empty")
-    entries = tuple(
-        Fraction(table.Pkv[v][k], table.Pk[k]) for k in range(2, table.d + 1)
-    )
+        Pk, (Pkv,) = prefix_counts(t, (v,))
+    else:
+        _check_vertices(t.n, (v,))
+        Pk, Pkv = table.Pk, table.Pkv[v]
+    d = len(Pk) - 1
+    if d < 2:
+        raise DiameterTooSmallError(f"diameter {d} < 2: profile is empty")
+    entries = tuple(Fraction(Pkv[k], Pk[k]) for k in range(2, d + 1))
     return Profile(vertex=v, entries=entries)
 
 

@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_experiments import TestDeterminism as ExperimentPins
 from test_experiments import _allow_cpus
 from test_verify import PINNED as VERIFY_PINNED
 
@@ -526,9 +525,8 @@ class TestAnalyzeCmd:
         assert json.loads(out)["crossing_count"] >= 3
 
     # sha256 of `analyze --pair 3 250` stdout on `gen path:400`, recorded
-    # while every row was a product. path:400 has 401 vertices, so its lanes
-    # are 32 bits wide, and every row below the root comes by addition down
-    # the chain. CI's installed-package step checks the same digest.
+    # while every row was a product. path:400 has 401 vertices (32-bit
+    # lanes), and every row below the root comes by addition down the chain.
     PINNED_DEEP_PAIR = "538845abf98ecd7a725390505e6b0da6e404f69d71c6bb34451aee21abfb2975"
 
     def test_deep_path_pinned_bytes(self, tmp_path, capsys):
@@ -906,8 +904,8 @@ class TestOptimizedBytes:
         runs = {
             **{suite: ["verify", "--check", suite] for suite in VERIFY_PINNED},
             "expect": list(TestExpectCmd.MONTE_CARLO_ARGV),
-            # The exact route at the cap, with only src on the path: no
-            # test helper may stand in for a module the package ships.
+            # The exact route at the cap, with only the directory holding bcprof
+            # on the path: no test helper may stand in for a module the package ships.
             "expect --exact": ["expect", "--n", "9", "--k", "4", "--exact"],
             "profile": ["profile", "--tree", str(tree), "--all"],
         }
@@ -925,36 +923,6 @@ class TestOptimizedBytes:
             "profile": f"0 {_GOLDENS[self.PROFILE_KEY]['sha256']}",
         }
         assert got == want
-
-
-def test_ci_installed_package_step_checks_the_pinned_digests():
-    # The workflow runs the installed console script away from the
-    # checkout and compares each stdout digest with a literal; every
-    # literal must be the digest these tests pin for the same command.
-    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
-    step = workflow.read_text().split("- name: Installed package runs on its own\n")[1]
-    step = step.split("- name:")[0]
-    checked = re.findall(
-        r'digest=\$\(bcprof ([^|]+) \| sha256\)\n\s*if \[ "\$digest" != ([0-9a-f]{64}) \]', step
-    )
-    def experiment(which):
-        grid, rows = ExperimentPins.PINNED_CSV[which]
-        csv = "x,estimate,stderr,trials,seed\n" + rows
-        return (f"experiment --which {which} --grid {grid[0]},{grid[1]} --trials 200 --seed 11",
-                hashlib.sha256(csv.encode()).hexdigest())
-
-    assert checked == [
-        ("expect --n 9 --k 4 --exact", TestExpectCmd.PINNED_EXACT[9, 4]),
-        ("analyze --tree path400.tree --pair 3 250", TestAnalyzeCmd.PINNED_DEEP_PAIR),
-        ("profile --tree path400.tree --all", TestProfileBytes.PINNED["path:400", "--all", "csv"]),
-        (" ".join(TestExpectCmd.MONTE_CARLO_ARGV), TestExpectCmd.MONTE_CARLO_SHA256),
-        experiment("no_cross_ii1_vs_i"),
-        experiment("monotone_i_vs_i"),
-        ("verify --check prop1", VERIFY_PINNED["prop1"]),
-        (" ".join(TestGen.SCALE_FREE_ARGV), TestGen.SCALE_FREE_SHA256),
-    ]
-    assert len(re.findall(r"[0-9a-f]{64}", step)) == len(checked)
-    assert "bcprof gen path:400 --out path400.tree" in step
 
 
 def test_import_loads_no_process_machinery():

@@ -896,16 +896,27 @@ class TestProfile:
         p5, p6, p7 = (profile(t, v) for v in (5, 6, 7))
         assert p5.entries == p6.entries == p7.entries
 
+    def test_counts_only_its_row(self, monkeypatch):
+        trees = [make_path(40), make_broom(5, 30)[0], make_gij(3, 5)[0], make_tell(3)[0]]
+        trees += [sample_tree(n, random.Random(n)).tree() for n in (3, 17, 60)]
+        want = [[profile(t, v, path_counts_fast(t)) for v in range(t.n)] for t in trees]
+        monkeypatch.setattr(tree_core, "path_counts_fast", None)  # a call raises
+        assert [[profile(t, v) for v in range(t.n)] for t in trees] == want
+
     def test_two_vertex_tree_has_no_profile(self):
-        t = build_tree(2, [(0, 1)])
-        with pytest.raises(DiameterTooSmallError):
-            profile(t, 0)
+        for t in (build_tree(1, []), build_tree(2, [(0, 1)])):
+            message = f"^diameter {t.n - 1} < 2: profile is empty$"
+            for table in (None, path_counts_fast(t)):
+                with pytest.raises(DiameterTooSmallError, match=message):
+                    profile(t, 0, table)
+                with pytest.raises(OutOfRangeError):  # checked before the diameter
+                    profile(t, t.n, table)
 
     def test_vertex_out_of_range(self):
         t = build_tree(3, [(0, 1), (1, 2)])
-        for v in (-1, 3):
+        for v, table in itertools.product((-1, 3), (None, path_counts_fast(t))):
             with pytest.raises(OutOfRangeError, match=f"^vertex {v} out of range for n=3$"):
-                profile(t, v)
+                profile(t, v, table)
 
 
 class TestTreeIo:
