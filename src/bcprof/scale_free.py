@@ -2,8 +2,8 @@
 
 The paper labels vertices 1..n in attachment order, vertex 1 first with one
 virtual degree unit; a RecursiveTree is the engine's 0-based parent array, in
-which vertex y carries label y + 1. A walk over attachment prefixes is the
-exact oracle for the closed-form path presence probability.
+which vertex y carries label y + 1; tree() checks it. A walk over attachment
+prefixes is the exact oracle for the closed-form path presence probability.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import (
     OutOfRangeError,
     PreconditionViolatedError,
 )
-from .tree_core import Tree, _check_parent_array, _parent_prefix_counts, tree_from_parents
+from .tree_core import Tree, _parent_prefix_counts, tree_from_parents
 
 MAX_EXACT_N = 9  # the prefix walk reaches (n-1)! complete prefixes; 8! = 40320 at 9
 
@@ -59,13 +59,10 @@ def check_seed(seed: int) -> None:
 
 @dataclass(frozen=True)
 class RecursiveTree:
-    """Recursive tree as the engine's 0-based parent array, checked as
-    tree_from_parents checks it; vertex y carries label y + 1."""
+    """Recursive tree as the engine's 0-based parent array; vertex y
+    carries label y + 1. The array is checked where it becomes a Tree."""
 
     parent: tuple[int, ...]
-
-    def __post_init__(self):
-        _check_parent_array(self.parent)
 
     def tree(self) -> Tree:
         """The Tree view of the parent array."""

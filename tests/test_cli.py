@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_experiments import _allow_cpus
+from test_experiments import TestDeterminism as ExperimentPins, _allow_cpus
 from test_verify import PINNED as VERIFY_PINNED
 
 import bcprof
@@ -80,9 +80,10 @@ class TestGen:
         assert code == 24
 
     # sha256 of `gen tell:l` stdout, recorded before the tell search counted
-    # its candidates from parent arrays (l = 8, 14, 18), before it kept its
-    # leaf counts in one list (l = 1..12) and before it counted each branch
-    # once (l = 24, 30).
+    # its candidates from parent arrays (l = 8), before it kept its leaf
+    # counts in one list (l = 1..12) and before it counted each branch once
+    # (l = 24, 30). l = 14 and 18 are pinned in perfbench/goldens.json,
+    # which TestBenchGoldens replays.
     PINNED_TELL = {
         1: "e2af76187b2f5f89c941864da1bd0af26c3bf524305419c419771c59dee5b1e0",
         2: "5383c5ad589228e886db9e0ca06ff52b8e4b16007e3b47967c894cdca60822ad",
@@ -96,8 +97,6 @@ class TestGen:
         10: "1f6ae37b1151a6ba3e3c15ffa432c075fa9abb4baef266ca70cdbcd0d6ae19e7",
         11: "3138014459ed5915bbc991c61bd0abbb0c7f6076f68c4a9ae3d8a949d0899895",
         12: "279fe33814029ae56e23a701d7dfd210ff1bf97183d4b692ba75d2506161eaed",
-        14: "4e9b32bd4244183be5cc4bf266f9213daf897e6d672a351b9d3e1246f8531644",
-        18: "6dd934c30b4adc47088b9f94caf74e62a75f3e6664a909e303cf9322ba7309b0",
         24: "4855b76af654d374ae4644f8bfca3f05f037e136ca521d15680c1636b690134d",
         30: "581edf9c53a534236a6f8f18244e540f875b04a6551f7ffaaea6d999da385953",
     }
@@ -446,9 +445,10 @@ class TestRenderMemory:
         assert peak < bound * sink.chars
 
 
-_GOLDENS = json.loads(
+_BENCH = json.loads(
     (Path(__file__).resolve().parent.parent / "perfbench" / "goldens.json").read_text()
-)["outputs"]
+)
+_GOLDENS = _BENCH["outputs"]
 
 
 def _golden_tree(spec):
@@ -464,22 +464,45 @@ def _golden_tree(spec):
 
 
 class TestBenchGoldens:
-    """profile --all and Monte Carlo expect on the benchmark's inputs, byte
-    for byte as recorded in perfbench/goldens.json, so a change that would
-    fail the benchmark's output check fails here first."""
+    """Every output of the benchmark's ops, byte for byte as recorded in
+    perfbench/goldens.json, so a change that would fail the benchmark's
+    output check fails here first. Each of these outputs is pinned only
+    there."""
 
     KEYS = sorted(key for key in _GOLDENS if key.startswith("profile "))
+    ANALYZE_KEYS = sorted(key for key in _GOLDENS if key.startswith("analyze "))
+    GEN_KEYS = sorted(key for key in _GOLDENS if key.startswith("gen "))
     EXPECT_KEYS = sorted(key for key in _GOLDENS if key.startswith("expect "))
+    EXPERIMENT_KEYS = sorted(_BENCH["experiment_csv"])
 
     @staticmethod
-    def check_golden(key, argv):
+    def stdout_of(argv):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             code = main(argv)
         assert code == 0
-        data = out.getvalue().encode()
+        return out.getvalue()
+
+    @classmethod
+    def check_golden(cls, key, argv):
+        data = cls.stdout_of(argv).encode()
         assert len(data) == _GOLDENS[key]["bytes"]
         assert hashlib.sha256(data).hexdigest() == _GOLDENS[key]["sha256"]
+
+    @pytest.fixture(scope="class")
+    def on_tree_file(self, tmp_path_factory):
+        """The argv of a `<command> --tree <spec> ...` key, with the spec's
+        tree written to a file once per spec."""
+        directory, paths = tmp_path_factory.mktemp("trees"), {}
+
+        def argv(key):
+            command, option, spec, *rest = key.split()
+            if spec not in paths:
+                paths[spec] = directory / f"{len(paths)}.tree"
+                paths[spec].write_text(write_tree(_golden_tree(spec)))
+            return [command, option, str(paths[spec]), *rest]
+
+        return argv
 
     def test_every_profile_golden_is_covered(self):
         assert len(self.KEYS) == 9
@@ -487,16 +510,29 @@ class TestBenchGoldens:
     def test_every_expect_golden_is_covered(self):
         assert len(self.EXPECT_KEYS) == 18
 
+    def test_every_other_golden_is_covered(self):
+        assert (len(self.ANALYZE_KEYS), len(self.GEN_KEYS), len(self.EXPERIMENT_KEYS)) == (71, 2, 48)
+        assert len(self.KEYS + self.ANALYZE_KEYS + self.GEN_KEYS + self.EXPECT_KEYS) == len(_GOLDENS)
+
     @pytest.mark.parametrize("key", KEYS)
-    def test_profile_all_bytes(self, tmp_path, key):
-        _, _, spec, *rest = key.split()
-        tree = tmp_path / "t.tree"
-        tree.write_text(write_tree(_golden_tree(spec)))
-        self.check_golden(key, ["profile", "--tree", str(tree), *rest])
+    def test_profile_all_bytes(self, on_tree_file, key):
+        self.check_golden(key, on_tree_file(key))
+
+    @pytest.mark.parametrize("key", ANALYZE_KEYS)
+    def test_analyze_bytes(self, on_tree_file, key):
+        self.check_golden(key, on_tree_file(key))
+
+    @pytest.mark.parametrize("key", GEN_KEYS)
+    def test_gen_bytes(self, key):
+        self.check_golden(key, key.split())
 
     @pytest.mark.parametrize("key", EXPECT_KEYS)
     def test_expect_bytes(self, key):
         self.check_golden(key, key.split())
+
+    @pytest.mark.parametrize("key", EXPERIMENT_KEYS)
+    def test_experiment_csv(self, key):
+        assert self.stdout_of(key.split()) == _BENCH["experiment_csv"][key]
 
 
 class TestAnalyzeCmd:
@@ -897,10 +933,13 @@ class TestOptimizedBytes:
         "    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())\n"
     )
     PROFILE_KEY = "profile --tree pa:1300:3 --all"
+    EXPERIMENT = "monotone_i_vs_i"
 
     def test_pinned_digests_under_dash_o(self, tmp_path):
         tree = tmp_path / "t.tree"
         tree.write_text(write_tree(_golden_tree("pa:1300:3")))
+        grid, rows = ExperimentPins.PINNED_CSV[self.EXPERIMENT]
+        csv = "x,estimate,stderr,trials,seed\n" + rows
         runs = {
             **{suite: ["verify", "--check", suite] for suite in VERIFY_PINNED},
             "expect": list(TestExpectCmd.MONTE_CARLO_ARGV),
@@ -908,6 +947,9 @@ class TestOptimizedBytes:
             # on the path: no test helper may stand in for a module the package ships.
             "expect --exact": ["expect", "--n", "9", "--k", "4", "--exact"],
             "profile": ["profile", "--tree", str(tree), "--all"],
+            "gen scale-free": list(TestGen.SCALE_FREE_ARGV),
+            "experiment": ["experiment", "--which", self.EXPERIMENT, "--grid",
+                           ",".join(map(str, grid)), "--trials", "200", "--seed", "11"],
         }
         src = str(Path(bcprof.__file__).resolve().parents[1])
         proc = subprocess.run(
@@ -921,6 +963,8 @@ class TestOptimizedBytes:
             "expect": f"0 {TestExpectCmd.MONTE_CARLO_SHA256}",
             "expect --exact": f"0 {TestExpectCmd.PINNED_EXACT[9, 4]}",
             "profile": f"0 {_GOLDENS[self.PROFILE_KEY]['sha256']}",
+            "gen scale-free": f"0 {TestGen.SCALE_FREE_SHA256}",
+            "experiment": f"0 {hashlib.sha256(csv.encode()).hexdigest()}",
         }
         assert got == want
 

@@ -44,7 +44,7 @@ from bcprof import (
 )
 from bcprof import scale_free, tree_core
 from bcprof.scale_free import _presence_table, _weight_totals, check_seed
-from bcprof.tree_core import _parent_prefix_counts
+from bcprof.tree_core import _check_parent_array, _parent_prefix_counts
 from bcprof.verify import run_check
 
 
@@ -131,12 +131,15 @@ class TestSampler:
         assert t.tree().n == 100
 
     def test_last_label_is_never_a_parent(self):
-        # Each vertex attaches to an earlier one, so vertex n - 1 has no
-        # child; an experiment trial that lists it is a hit without a tree.
+        # Each vertex attaches to an earlier one, so the array is valid,
+        # though sampling never checks it, and vertex n - 1 has no child:
+        # an experiment trial that lists it is a hit without a tree.
         for seed in range(20):
             rng = random.Random(seed)
             for n in range(1, 301):
-                assert n - 1 not in sample_tree(n, rng).parent, (n, seed)
+                parent = sample_tree(n, rng).parent
+                _check_parent_array(parent)
+                assert n - 1 not in parent, (n, seed)
 
     def test_draws_equal_randrange(self):
         # sample_tree draws each parent as randrange does internally; this
@@ -176,7 +179,7 @@ class TestRecursiveTreeInvariant:
     def test_bad_parents_rejected_under_optimize(self):
         # `python -O` strips asserts; the parent check must survive it.
         src = str(Path(bcprof.__file__).resolve().parents[1])
-        code = "from bcprof import RecursiveTree; RecursiveTree((-1, 0, 4))"
+        code = "from bcprof import RecursiveTree; RecursiveTree((-1, 0, 4)).tree()"
         proc = subprocess.run(
             [sys.executable, "-O", "-c", code], capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": src}, timeout=120,
@@ -185,16 +188,18 @@ class TestRecursiveTreeInvariant:
 
     def test_tree_builds_through_tree_from_parents(self, monkeypatch):
         # One way from a parent array to a Tree: tree() hands the array to
-        # tree_from_parents, whose check runs after the constructor's.
+        # tree_from_parents, whose check is the only one. Sampling runs none.
         built, checked = [], []
         build = recording(built, tree_core.tree_from_parents)
         monkeypatch.setattr(scale_free, "tree_from_parents", build)
         check = recording(checked, tree_core._check_parent_array)
         monkeypatch.setattr(tree_core, "_check_parent_array", check)
-        monkeypatch.setattr(scale_free, "_check_parent_array", check)
+        # Also caught if scale_free imports the check again and calls it.
+        monkeypatch.setattr(scale_free, "_check_parent_array", check, raising=False)
         rt = sample_tree(250, random.Random(5))
+        assert checked == []
         rt.tree()
-        assert built == [(rt.parent,)] and checked == [(rt.parent,)] * 2
+        assert built == [(rt.parent,)] and checked == [(rt.parent,)]
 
     def test_tree_equals_build_tree(self):
         # tree() skips build_tree's checks; it must build the same Tree.

@@ -275,9 +275,10 @@ BAD_PARENT_ARRAYS = {
 class TestTreeFromParents:
     @pytest.mark.parametrize("parent", BAD_PARENT_ARRAYS)
     def test_rejects_bad_entries(self, parent):
-        # tree_from_parents and RecursiveTree run the same check.
+        # RecursiveTree checks its array only where tree() hands it to
+        # tree_from_parents.
         message = BAD_PARENT_ARRAYS[parent]
-        for build in (tree_from_parents, RecursiveTree):
+        for build in (tree_from_parents, lambda p: RecursiveTree(p).tree()):
             with pytest.raises(OutOfRangeError, match=f"^{re.escape(message)}$"):
                 build(parent)
 

@@ -5,10 +5,12 @@ import os
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from test_experiments import _allow_cpus
 
+import bcprof
 from bcprof import NTooLargeError
 from bcprof.experiments import ExperimentConfig, render_csv, run_experiment
 import bcprof.verify as verify
@@ -46,6 +48,10 @@ def _item(i):
 
 def _items_from(count, start, first, stride):
     return [_item(start + i) for i in share_items(count - start, first, stride)]
+
+
+def _bcprof_file(first, stride):
+    return str(Path(bcprof.__file__).resolve())
 
 
 def _no_child(*args):
@@ -221,3 +227,13 @@ def test_spawned_children_rebuild_their_share(monkeypatch):
     report, res = run_check("tell"), run_experiment(cfg)
     assert (report.workers, res.workers) == (2, 2)
     assert (report, render_csv(res)) == serial
+
+
+def test_spawned_children_import_the_parents_bcprof(monkeypatch):
+    # A spawned child rebuilds sys.path from the parent's, so a directory
+    # that a test module puts in front of the tested copy (say, the source
+    # tree of a checkout whose installed package is under test) would have
+    # the children test another copy of bcprof.
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method=None: spawn)
+    assert run_shares(_bcprof_file, (), 2) == [_bcprof_file(0, 2)] * 2
