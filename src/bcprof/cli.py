@@ -35,7 +35,9 @@ from .experiments import (
     write_manifest,
 )
 from .scale_free import check_seed, estimate_expected_profiles, exact_expected_pk, sample_tree
-from .tree_core import path_counts_fast, prefix_counts, profile, read_tree, write_tree
+from .tree_core import (
+    path_counts_fast, prefix_counts, profile, read_tree, tree_from_parents, write_tree,
+)
 from .tree_families import (
     make_broom,
     make_double_broom,
@@ -98,7 +100,7 @@ def build_family(spec: str, seed: int):
         if name == "scale-free":
             (n,) = _parse_ints(parts, spec, 1)
             check_seed(seed)
-            tree = sample_tree(n, random.Random(seed)).tree()
+            tree = tree_from_parents(sample_tree(n, random.Random(seed)).parent)
             return tree, comments + [f"seed: {seed}"]
     except (ValueError, OverflowError, OutOfRangeError, OddMError) as exc:
         raise BadSpecError(f"bad family spec {spec!r}: {exc}")

@@ -60,7 +60,9 @@ def check_seed(seed: int) -> None:
 @dataclass(frozen=True)
 class RecursiveTree:
     """Recursive tree as the engine's 0-based parent array; vertex y
-    carries label y + 1. The array is checked where it becomes a Tree."""
+    carries label y + 1. The package reads only `.parent` and builds a
+    Tree through `tree_from_parents`, the one check of the array, as
+    `tree()` does."""
 
     parent: tuple[int, ...]
 
@@ -298,12 +300,7 @@ def _closed_form_mismatch(n: int) -> tuple[tuple[int, ...], Fraction, Fraction] 
 @lru_cache(maxsize=None)
 def _expected_pk_table(n: int) -> dict[tuple[int, int], int]:
     """E[p_k(v)] keyed by (v, k), as numerators over D_n, summed from the
-    presence table. Raises AssertionError, naming the path, unless
-    Lemma 1's closed form first matches that table on every path."""
-    mismatch = _closed_form_mismatch(n)
-    if mismatch:
-        path, got, want = mismatch
-        raise AssertionError(f"n={n}, path {path}: {got} != {want}")
+    presence table alone: Lemma 1's closed form is checked by `lemma1`."""
     sums: defaultdict[tuple[int, int], int] = defaultdict(int)
     for path, num in _presence_table(n).items():
         for v in path[1:-1]:
@@ -313,7 +310,7 @@ def _expected_pk_table(n: int) -> dict[tuple[int, int], int]:
 
 def exact_expected_pk(n: int, v: int, k: int) -> Fraction:
     """E[count of length-k paths with v interior], summed from the
-    presence table once the closed form has matched it on every path."""
+    presence table; no closed form is read."""
     if not (1 <= v <= n):
         raise OutOfRangeError(f"vertex {v} out of range for n={n}")
     return Fraction(_expected_pk_table(n).get((v, k), 0), _weight_totals(n)[n])

@@ -20,14 +20,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_experiments import TestDeterminism as ExperimentPins, _allow_cpus
+from test_scale_free import CLOSED_FORM_FAULTS
 from test_verify import PINNED as VERIFY_PINNED
 
 import bcprof
 from bcprof import (
+    LengthMismatchError,
+    OutOfDomainError,
+    OutOfRangeError,
     RecursiveTree,
     all_profiles,
+    bfs_distances,
     build_tree,
+    closed_form_gij_Pk,
+    closed_form_gij_Pkv,
+    dominates,
+    exact_expected_pk,
     make_broom,
+    make_double_broom,
     make_gij,
     make_path,
     prefix_counts,
@@ -70,6 +80,14 @@ class TestGen:
         code, out, _ = run_cli(capsys, *self.SCALE_FREE_ARGV)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.SCALE_FREE_SHA256
+
+    def test_scale_free_builds_its_tree_from_the_parent_array(self, capsys, monkeypatch):
+        # As every other parent array does, through tree_from_parents.
+        def no_tree(self):
+            raise AssertionError("gen scale-free: called RecursiveTree.tree()")
+
+        monkeypatch.setattr(RecursiveTree, "tree", no_tree)
+        self.test_scale_free_pinned_bytes(capsys)
 
     def test_bad_spec_exit_code(self, capsys):
         code, _, err = run_cli(capsys, "gen", "broom:0,3")
@@ -609,6 +627,25 @@ class TestVerifyCmd:
                            "lemma1: pass (3 cases)\n")
             assert re.fullmatch(rf"lemma1: \d+\.\d{{3}} s, {workers}\n", err)
 
+    def test_closed_form_fault_fails_each_suites_own_case(self, capsys, monkeypatch):
+        # theorem3's order cases sum the prefix walk alone, so only its
+        # injection case reads the faulty closed form; neither suite raises.
+        monkeypatch.setenv("BCPROF_THREADS", "1")
+        faulty = CLOSED_FORM_FAULTS["doubled on a = 3, b = 5"](bcprof.scale_free._closed_form)
+        monkeypatch.setattr(bcprof.scale_free, "_closed_form", faulty)
+        monkeypatch.setattr(bcprof.verify, "_closed_form", faulty)
+        bcprof.scale_free._expected_pk_table.cache_clear()
+        for suite, failures in (
+            ("theorem3", ["FAIL theorem3 injection labels <= 6: ratio mismatch (case 6) on "
+                          "PathSignature(a=2, b=5, c=1, L=frozenset(), R=frozenset({3, 4})), v=2"]),
+            ("lemma1", [f"FAIL lemma1 n={n}: path (3, 1, 2, 4, 5): 4/105 != 2/105"
+                        for n in (5, 6)]),
+        ):
+            code, out, err = run_cli(capsys, "verify", "--check", suite, "--max-size", "6")
+            assert code == 1 and "Traceback" not in err
+            assert [ln for ln in out.splitlines() if ln.startswith("FAIL ")] == failures
+            assert out.endswith(f"{suite}: FAIL (5 cases)\n")
+
 
 class TestMalformedInput:
     @pytest.mark.parametrize("argv, tree_bytes, named", [
@@ -735,6 +772,15 @@ class TestExpectCmd:
         code, out, _ = run_cli(capsys, "expect", "--n", str(n), "--k", str(k), "--exact")
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED_EXACT[n, k]
+
+    @pytest.mark.parametrize("fault", sorted(CLOSED_FORM_FAULTS))
+    def test_exact_bytes_ignore_the_closed_form(self, capsys, monkeypatch, fault):
+        # The expectations are the prefix walk's sums; the closed form is
+        # Lemma 1's statement, which `verify --check lemma1` checks.
+        faulty = CLOSED_FORM_FAULTS[fault](bcprof.scale_free._closed_form)
+        monkeypatch.setattr(bcprof.scale_free, "_closed_form", faulty)
+        bcprof.scale_free._expected_pk_table.cache_clear()
+        self.test_exact_pinned_bytes(capsys, 7, 3)
 
     def test_monte_carlo(self, capsys):
         code, out, _ = run_cli(capsys, "expect", "--n", "5", "--k", "2",
@@ -864,6 +910,9 @@ class TestErrorExits:
         (("gen", "double-broom:0,1"), 24, "error: bad family spec 'double-broom:0,1'"),
         (("gen", "gij:0,5"), 24, "error: bad family spec 'gij:0,5'"),
         (("gen", "broom:0,2"), 24, "error: bad family spec 'broom:0,2'"),
+        (("gen", "double-broom:2,0"), 24,
+         "error: bad family spec 'double-broom:2,0': double broom needs n >= 1, got 0\n"),
+        (("gen", "scale-free:0"), 24, "error: bad family spec 'scale-free:0': need n >= 1, got 0\n"),
         (("gen", "tell:2,nope"), 24, "error: unknown strategy 'nope'\n"),
         # A wrong number of family parameters names the expected count.
         *((("gen", spec), 24, f"error: bad family spec {spec!r}: expected {want}\n")
@@ -917,6 +966,46 @@ class TestErrorExits:
     def test_largest_seed_runs(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv, "--seed", str(2**64 - 1))
         assert (code, err) == (0, "") and out
+
+
+class TestApiInputErrors:
+    # A bad argument to a public function: the error, its exit code and
+    # its whole message.
+    CASES = {
+        "sample_tree": (lambda: sample_tree(0, random.Random(0)),
+                        OutOfRangeError, 12, "need n >= 1, got 0"),
+        "bfs_distances": (lambda: bfs_distances(make_path(3), 4),
+                          OutOfRangeError, 12, "source 4 out of range for n=4"),
+        "exact_expected_pk-v0": (lambda: exact_expected_pk(4, 0, 2),
+                                 OutOfRangeError, 12, "vertex 0 out of range for n=4"),
+        "exact_expected_pk-v5": (lambda: exact_expected_pk(4, 5, 2),
+                                 OutOfRangeError, 12, "vertex 5 out of range for n=4"),
+        "make_double_broom": (lambda: make_double_broom(2, 0),
+                              OutOfRangeError, 12, "double broom needs n >= 1, got 0"),
+        "dominates": (lambda: dominates((1, 2), (1,)),
+                      LengthMismatchError, 16, "profile lengths differ: 2 vs 1"),
+        "closed_form_gij_Pk": (lambda: closed_form_gij_Pk(5, 4, 2), OutOfDomainError, 18,
+                               "need j >= 5 and 2 <= r <= i-1, got i=5, j=4, r=2"),
+        "closed_form_gij_Pkv": (lambda: closed_form_gij_Pkv(5, 5, 1), OutOfDomainError, 18,
+                                "need 2 <= r <= i-1 and j >= 1, got i=5, j=5, r=1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_error_class_code_and_message(self, case):
+        call, error, exit_code, message = self.CASES[case]
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert (info.value.exit_code, str(info.value)) == (exit_code, message)
+
+    def test_module_runs_as_a_script(self, capsys):
+        # No argv: main reads sys.argv, behind the __main__ guard.
+        src = str(Path(bcprof.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "bcprof.cli", "gen", "path:3"], capture_output=True,
+            text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == run_cli(capsys, "gen", "path:3")
 
 
 class TestOptimizedBytes:
