@@ -262,9 +262,10 @@ def cmd_expect(args) -> int:
             print(f"{v},{args.k},{e.numerator}/{e.denominator},{float(e):.6f}")
         return 0
     rows = estimate_expected_profiles(args.n, args.trials, args.seed, args.k)
-    print("vertex,k,mean,stderr,trials")
-    for r in rows:
-        print(f"{r['vertex']},{r['k']},{r['mean']:.6f},{r['stderr']:.6f},{r['trials']}")
+    text = "".join(
+        f"{r['vertex']},{r['k']},{r['mean']:.6f},{r['stderr']:.6f},{r['trials']}\n" for r in rows
+    )
+    sys.stdout.write("vertex,k,mean,stderr,trials\n" + text)
     return 0
 
 

@@ -16,6 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate, islice
 from operator import lt, truediv
 from typing import Iterable, Sequence
 
@@ -25,7 +26,7 @@ from .errors import (
     OutOfRangeError,
     PreconditionViolatedError,
 )
-from .tree_core import Tree, _parent_prefix_counts, tree_from_parents
+from .tree_core import Tree, _counts, _lane_bits, _unpack, tree_from_parents
 
 MAX_EXACT_N = 9  # the prefix walk reaches (n-1)! complete prefixes; 8! = 40320 at 9
 
@@ -367,26 +368,33 @@ def estimate_expected_profiles(
     check_seed(seed)
     # BC_k(v) = P_k(v) / P_k, k = 2..d, as an array of doubles per vertex
     # and trial; int / int rounds correctly. A childless vertex lies inside
-    # no path, so only vertices with a child are counted. Counts are
-    # non-negative, so a row is zero iff its last prefix sum is. Each
-    # vertex keeps only its non-zero rows (a leaf's, about two thirds of
-    # the entries, is never stored), with the trials they came from, and
-    # equal rows of a trial share one array. Every value is kept to the
-    # end, because the standard error needs the mean first.
+    # no path, so only vertices with a child are counted. Each trial is one
+    # engine pass over its parent array (range(n) is already an order rooted
+    # at 0), whose distinct non-zero rows come out packed: each is unpacked,
+    # summed and divided once, straight from its lanes, and equal rows of a
+    # trial share that array. Index -1 marks every zero row and no other.
+    # Each vertex keeps only its non-zero rows (a leaf's, about two thirds
+    # of the entries, is never stored), with the trials they came from.
+    # Every value is kept to the end, because the standard error needs the
+    # mean first.
     nonzero_trials: list[list[int]] = [[] for _ in range(n)]
     ratios: list[list[array]] = [[] for _ in range(n)]
     max_d = 0
+    lane = _lane_bits(n)
     for trial in range(trials):
         parent = sample_tree(n, random.Random(substream_seed(seed, trial))).parent
         listed = sorted(set(parent[1:]))
-        Pk, Pkv = _parent_prefix_counts(parent, listed)
-        max_d = max(max_d, len(Pk) - 1)
-        P = Pk[2:]
-        bc = {row: array("d", map(truediv, row[2:], P)) for row in dict.fromkeys(Pkv) if row[-1]}
-        for v, row in zip(listed, Pkv):
-            if row[-1]:
+        d, p, packed, index = _counts(range(n), parent, lane, listed)
+        max_d = max(max_d, d)
+        P = tuple(accumulate(p))[2:]
+        bc = [
+            array("d", map(truediv, islice(accumulate(_unpack(x, lane, d + 1)), 2, None), P))
+            for x in packed
+        ]
+        for v, i in zip(listed, index):
+            if i >= 0:
                 nonzero_trials[v].append(trial)
-                ratios[v].append(bc[row])
+                ratios[v].append(bc[i])
     rows = []
     for v in range(n):
         # Column k holds v's non-zero values, in trial order; past its

@@ -297,9 +297,10 @@ def _counts(
     """(d, p_l, rows, index), l = 0..d, from one merge up to order[0] (see
     _merge_up for order and parent): rows[index[i]] is p_l(v) for the i-th
     listed vertex v, packed at this lane (lane l holds p_l(v)), and index
-    -1 marks a zero row. The rows stay packed, so a caller that reads them
-    by lane (verify's prop1 columns) never builds a list; _rows unpacks
-    them for the others.
+    -1 marks a zero row. The rows stay packed for the callers that read
+    them by lane, verify's prop1 columns and the Monte Carlo estimator's
+    ratio rows, so neither builds a tuple row; _rows unpacks them into
+    tuples for the others.
 
     With rows_only, p_l is None, no all-pairs histogram is built, and d is
     the top lane of the longest listed row (0 if all are zero). Past its

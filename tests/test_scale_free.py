@@ -835,10 +835,14 @@ class TestEstimateExpectedProfiles:
             assert abs(r["mean"] - want) <= 4 * r["stderr"], (r, want)
 
     # (trial counts, seeds, k values) per n; n = 250, the size of the
-    # paper's experiments, runs a smaller grid.
-    REFERENCE_GRID = {250: ((1, 2, 37), range(2), (None, 2, 99))}
+    # paper's experiments, and n = 363, the first size counted at 32-bit
+    # lanes (C(363, 2) = 65 703), run smaller grids.
+    REFERENCE_GRID = {
+        250: ((1, 2, 37), range(2), (None, 2, 99)),
+        363: ((1, 2, 5), range(2), (None, 2, 99)),
+    }
 
-    @pytest.mark.parametrize("n", (3, 4, 8, 30, 60, 250))
+    @pytest.mark.parametrize("n", (3, 4, 8, 30, 60, 250, 363))
     def test_equals_the_reference_byte_for_byte(self, n):
         grid = ((1, 2, 37, 200), range(4), (None, 2, 3, 99))
         counts, seeds, ks = self.REFERENCE_GRID.get(n, grid)
@@ -858,49 +862,52 @@ class TestEstimateExpectedProfiles:
         assert mixed
 
     def test_divides_each_distinct_non_zero_row_once(self, monkeypatch):
-        # The op of `expect --n 60 --trials 200 --seed 1`: one ratio array
-        # per distinct non-zero row of each trial, and each trial counted
-        # by one call of the parent-array entry, with no other way into
-        # the engine.
+        # The op of `expect --n 60 --trials 200 --seed 1`: each trial is one
+        # engine pass, read packed, and each distinct non-zero row of it
+        # becomes one ratio array; the parent-array entry is never used.
         n, trials, seed = 60, 200, 1
         want = 0
         for t in range(trials):
             parent = sample_tree(n, random.Random(substream_seed(seed, t))).parent
             _, Pkv = _parent_prefix_counts(parent, range(n))
             want += len({row for row in Pkv if any(row)})
-        built, entered, counted = [], [], []
-        assert "_counts" not in vars(scale_free) and "_lane_bits" not in vars(scale_free)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the estimator counts through _counts alone")
+
+        built, counted = [], []
         monkeypatch.setattr(scale_free, "array", recording(built, array))
-        entry = scale_free._parent_prefix_counts
-        monkeypatch.setattr(scale_free, "_parent_prefix_counts", recording(entered, entry))
-        monkeypatch.setattr(tree_core, "_counts", recording(counted, tree_core._counts))
+        monkeypatch.setattr(tree_core, "_parent_prefix_counts", refuse)
+        monkeypatch.setattr(scale_free, "_parent_prefix_counts", refuse, raising=False)
+        monkeypatch.setattr(scale_free, "_counts", recording(counted, tree_core._counts))
         rows = estimate_expected_profiles(n, trials, seed)
         assert len(built) == want < trials * n / 2
-        assert len(entered) == len(counted) == trials
+        assert len(counted) == trials
         monkeypatch.undo()
         assert rows == reference_estimate(n, trials, seed)
 
     def test_counts_only_the_vertices_with_a_child(self, monkeypatch):
-        # One engine call per trial, in trial order, listing exactly the
-        # vertices that are some vertex's parent, in increasing order.
+        # One engine call per trial, in trial order, over the order range(n)
+        # at the lane of n, listing exactly the vertices that are some
+        # vertex's parent, in increasing order.
         n, trials, seed = 30, 40, 7
-        entered = []
-        entry = scale_free._parent_prefix_counts
-        monkeypatch.setattr(scale_free, "_parent_prefix_counts", recording(entered, entry))
+        counted = []
+        monkeypatch.setattr(scale_free, "_counts", recording(counted, tree_core._counts))
         estimate_expected_profiles(n, trials, seed)
         monkeypatch.undo()
         parents = [
             sample_tree(n, random.Random(substream_seed(seed, t))).parent for t in range(trials)
         ]
-        assert [(parent, list(vertices)) for parent, vertices in entered] == [
-            (parent, sorted(set(parent[1:]))) for parent in parents
+        lane = tree_core._lane_bits(n)
+        assert [(order, parent, at, list(vertices)) for order, parent, at, vertices in counted] == [
+            (range(n), parent, lane, sorted(set(parent[1:]))) for parent in parents
         ]
 
     def test_a_vertex_1_with_one_child_is_a_zero_row(self, monkeypatch):
         # Vertex 1 with one child is an endpoint of every path through it,
         # so its row is zero: the engine computes it, as it has a child,
         # and hands out the shared zero tuple of the leaves. The estimator
-        # finds it zero by its last prefix sum and builds no ratio array
+        # finds it zero by its engine index, -1, and builds no ratio array
         # for it.
         n, trials, seed = 4, 50, 2
         lone = want = 0
