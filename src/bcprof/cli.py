@@ -3,12 +3,16 @@
 Every command is deterministic given its flags. Errors exit with the code
 of their error class (see errors.py); success exits 0. Decimal columns are
 for humans only — all decisions inside the library are made on exact values.
+`main` exits 3 for any other OSError and 0 when the reader closes stdout;
+a usage error is argparse's exit 2. README.md's exit-code table lists them
+all.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -119,6 +123,8 @@ def cmd_gen(args) -> int:
 
 
 def _load_tree(path: str):
+    """The tree in the file at path. A byte-order mark anywhere but at the
+    start is a bad token in read_tree (exit 24)."""
     try:
         # utf-8-sig drops a leading byte-order mark, as some editors write.
         with open(path, encoding="utf-8-sig") as fh:
@@ -208,6 +214,9 @@ def _write_profile_rows(out, fmt: str, Pk: Sequence[int], rows) -> None:
 
 
 def cmd_profile(args) -> int:
+    # One prefix_counts pass for either selection: --all lists every vertex
+    # from a pass rooted at 0, --vertex only that vertex, from a pass rooted
+    # at it.
     tree = _load_tree(args.tree)
     vertices = range(tree.n) if args.all else [args.vertex]
     Pk, Pkv = prefix_counts(tree, vertices)
@@ -351,10 +360,21 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.argv = list(argv)  # the experiment manifest records it for reruns
     try:
-        return args.func(args)
+        code = args.func(args)
+        # A closed stdout shows here, not in the interpreter's exit flush.
+        sys.stdout.flush()
+        return code
     except BcprofError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code
+    except BrokenPipeError:
+        # The reader closed stdout (`bcprof ... | head -1`): stop quietly, as
+        # most Unix tools do. What is still buffered goes to the null device
+        # at exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

@@ -1,5 +1,7 @@
 """Seeded Monte Carlo harness for the crossing/monotonicity experiments.
 
+Each trial counts straight from the parent array `sample_tree` filled,
+through `_parent_prefix_counts`: no copy, Tree, adjacency list or BFS.
 Each (grid point, trial) pair gets its own PRNG substream, and a grid
 point's estimate is an integer count of hits, so results are byte-identical
 regardless of worker count. With W workers (see workers.py), worker r
@@ -9,7 +11,8 @@ prefix counts P_k(v) share the tree-wide normalization P_k, so a crossing
 kind compares the two rows of counts directly, from a rows-only count
 that builds no all-pairs histogram and no P_k. Monotonicity compares
 BC_k(v) = P_k(v) / P_k with BC_{k+1}(v) by cross-multiplying, since
-P_k > 0 for 2 <= k <= d, so it is exact with no fractions.
+P_k > 0 for 2 <= k <= d, so it is exact with no fractions; a one-entry
+profile (d = 2) is monotone. The _vs_n kinds ignore fixed_n.
 
 A trial stops as soon as its answer is known. A vertex with no child lies
 inside no path, so its row of counts is zero. A zero row crosses no row,

@@ -4,6 +4,8 @@ The paper labels vertices 1..n in attachment order, vertex 1 first with one
 virtual degree unit; a RecursiveTree is the engine's 0-based parent array, in
 which vertex y carries label y + 1; tree() checks it. A walk over attachment
 prefixes is the exact oracle for the closed-form path presence probability.
+The exact machinery (signatures, prefixes) keeps the paper's labels and
+never reads a RecursiveTree.
 """
 
 from __future__ import annotations
@@ -77,7 +79,8 @@ def sample_tree(n: int, rng: random.Random) -> RecursiveTree:
 
     The target list holds each vertex as many times as its attachment
     weight (degree, plus one for vertex 0), so a uniform pick is
-    degree-proportional.
+    degree-proportional. It holds only earlier vertices, so the parent
+    array is valid by construction and is filled with no check.
     """
     if n < 1:
         raise OutOfRangeError(f"need n >= 1, got {n}")
@@ -184,7 +187,8 @@ def path_probability(sig: PathSignature) -> Fraction:
 def _weight_totals(n: int) -> list[int]:
     """[D_0, ..., D_n], where D_b = prod_{t=2..b} (2t - 3) is the product of
     the total attachment weights up to label b: the denominator of every
-    history's probability on labels 1..b. Raises past the exact cap."""
+    history's probability on labels 1..b. Raises past the exact cap: this
+    is the one test of MAX_EXACT_N, for every exact route."""
     if n > MAX_EXACT_N:
         raise NTooLargeError(f"exact enumeration capped at n={MAX_EXACT_N}, got {n}")
     if n < 1:
@@ -207,6 +211,9 @@ def _presence_table(n: int) -> dict[tuple[int, ...], int]:
     (see `_weight_totals`): each prefix adds its numerator times D_n / D_b
     to the paths that end at its newest label. Paths are keyed by their
     labels from the smaller endpoint, as `all_candidate_paths` writes them.
+    That gives the numerators of a sum over every whole history (the tests
+    keep that loop as the walk's reference), with no use of Lemma 1's
+    product form, so the oracle stays independent of what it checks.
     """
     totals = _weight_totals(n)
     sums: defaultdict[tuple[int, ...], int] = defaultdict(int)
@@ -323,7 +330,8 @@ def injection(sig: PathSignature, v: int) -> tuple[int, PathSignature, Fraction]
 
     Returns (case, image, ratio): which of the six cases applies, the image
     path, in which v is interior, and the exact ratio
-    path_probability(image) / path_probability(sig).
+    path_probability(image) / path_probability(sig). Raises
+    PreconditionViolatedError when v < 1 or v+1 is not interior.
     """
     a, b, c, L, R = sig.a, sig.b, sig.c, sig.L, sig.R
     w = v + 1

@@ -2,6 +2,13 @@
 
 All counts are plain Python integers (arbitrary precision) and all
 betweenness values are `fractions.Fraction`; nothing here ever rounds.
+
+All counting is one engine, `_counts`, which reads only an order and a
+parent array, so a BFS order from a `Tree` and the labels of a recursive
+tree feed the same code. Apart from verify's prop1 and the Monte Carlo
+estimator, which read its packed rows, every module counts through
+`prefix_counts`, `_parent_prefix_counts` or `path_counts_fast`; the
+brute-force `path_counts_naive` is the oracle they are tested against.
 """
 
 from __future__ import annotations
@@ -28,7 +35,11 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Tree:
-    """Immutable tree on vertices 0..n-1 with sorted adjacency lists."""
+    """Immutable tree on vertices 0..n-1 with sorted adjacency lists.
+
+    A plain dataclass that checks nothing: every counting entry goes
+    through `_bfs_order`, which rejects an adjacency that is not a tree.
+    """
 
     n: int
     adj: tuple[tuple[int, ...], ...]
@@ -50,10 +61,13 @@ def build_tree(n: int, edges: Iterable[tuple[int, int]]) -> Tree:
 def _tree_from_ends(n: int, ends: list[int]) -> Tree:
     """build_tree for the edges listed flat as [u0, v0, u1, v1, ...].
 
-    n - 1 edges in range that pass _bfs_order's guard from vertex 0 reach
-    all n vertices, so they hold no self-loop or repeat: they form a tree.
-    Only when the guard fails are the edges walked in order, to raise the
-    error of the first faulty edge (DisconnectedError if none is).
+    The edge count is checked before anything of size n is allocated,
+    and the range by the min and max of all endpoints. n - 1 edges in
+    range that pass _bfs_order's guard from vertex 0 reach all n vertices,
+    so they hold no self-loop or repeat: they form a tree. Only when the
+    guard fails are the edges walked in order, to raise the error of the
+    first faulty edge (DisconnectedError if none is), with the same class
+    and text as a line-by-line check would give.
     """
     if n < 1:
         raise OutOfRangeError(f"vertex count must be >= 1, got {n}")
@@ -87,7 +101,10 @@ def _tree_from_ends(n: int, ends: list[int]) -> Tree:
 
 
 def _check_parent_array(parent: Sequence[int]) -> None:
-    """Raise OutOfRangeError unless parent[0] = -1 and 0 <= parent[y] < y for y >= 1."""
+    """Raise OutOfRangeError unless parent[0] = -1 and 0 <= parent[y] < y for y >= 1.
+
+    One walk, which names the first bad entry; tree_from_parents is its
+    only caller."""
     n = len(parent)
     if n < 1 or parent[0] != -1:
         raise OutOfRangeError(f"a parent array starts with -1, got {list(parent[:1])}")
@@ -103,6 +120,8 @@ def tree_from_parents(parent: Sequence[int]) -> Tree:
     Such an array is connected and acyclic by construction, so no edge set
     or BFS is needed. Appending in y order keeps every adjacency list
     sorted: y's parent comes first, then its children in increasing order.
+    Every family constructor and `gen scale-free:` build through here;
+    build_tree, with its edge checks, is left to tree files.
     """
     _check_parent_array(parent)
     adj: list[list[int]] = [[] for _ in parent]
@@ -113,7 +132,10 @@ def tree_from_parents(parent: Sequence[int]) -> Tree:
 
 
 def bfs_distances(t: Tree, source: int) -> list[int]:
-    """Hop distances from source; -1 for unreachable vertices."""
+    """Hop distances from source; -1 for unreachable vertices.
+
+    A BFS of its own, independent of the engine's `_bfs_order`: `diameter`
+    and the tests use it as a reference."""
     if not 0 <= source < t.n:
         raise OutOfRangeError(f"source {source} out of range for n={t.n}")
     dist = [-1] * t.n
@@ -205,8 +227,12 @@ def _lane_bits(n: int) -> int:
     Every lane counts vertices or vertex pairs, so it never exceeds
     C(n, 2) = n(n-1)/2: the narrowest lane that holds C(n, 2) never carries
     into the next. A lane's top bit may be set, so the highest non-zero lane
-    is (bit_length() - 1) // lane. Raises OutOfRangeError when C(n, 2) does
-    not fit in 64 bits.
+    is (bit_length() - 1) // lane: a star on 362 vertices has 64 980 pairs
+    at distance 2, which fills the top bit of a 16-bit lane.
+
+    16-bit lanes reach n = 362, 32-bit lanes n = 92 682, and 64-bit lanes
+    n = 6 074 001 000. Past that, OutOfRangeError is raised, before any work
+    on the tree.
     """
     bits = (n * (n - 1) // 2).bit_length()
     for lane in _LANE_FORMATS:
@@ -216,7 +242,8 @@ def _lane_bits(n: int) -> int:
 
 
 def _unpack(x: int, lane: int, count: int) -> list[int]:
-    """Lanes 0..count-1 of x; x must have no non-zero lane past them."""
+    """Lanes 0..count-1 of x, by one memoryview cast of its bytes; x must
+    have no non-zero lane past them."""
     raw = x.to_bytes(count * lane // 8, sys.byteorder)
     return memoryview(raw).cast(_LANE_FORMATS[lane]).tolist()
 
@@ -232,7 +259,13 @@ def _bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
     it (parent[root] = -1). Every vertex comes after its parent. Only n
     entries are expanded; unless they list each vertex once, the adjacency
     is not a tree (a cycle or self-loop repeats a vertex, a second
-    component leaves one out) and PreconditionViolatedError is raised."""
+    component leaves one out) and PreconditionViolatedError is raised.
+
+    The builders never hand the engine such a tree, so the CLI cannot reach
+    this; it stops a hand-built non-tree at once instead of looping. The
+    guard reads only what the BFS reaches, so it assumes every edge is
+    listed at both ends: a one-way edge that still reaches all n vertices
+    passes it, as adj = ((1,), (0, 2), ()) from root 0 does."""
     order, parent = [root], [-1] * t.n
     for u in itertools.islice(order, t.n):
         for w in t.adj[u]:
@@ -334,13 +367,19 @@ def _counts(
     A vertex with a child has exactly one when top[v] - b == 0, since no
     pair then crosses two branches; its row waits in one_child until that
     child, listed after it, takes it out. For labels that increase away
-    from order[0], range(n) lists every parent first. A vertex listed
-    before its parent, without it or again takes the product: same row.
+    from order[0], as in every generated family, range(n) lists every
+    parent first, so on paths, brooms, G(i, j) and the tell trees nearly
+    every row comes by addition. A vertex listed before its parent, without
+    it or again takes the product: same row.
 
     Non-zero rows are keyed by their packed value, which no lane carries
     out of, so two vertices share an index exactly when their rows are
     equal (v and n - 1 - v on a path, twin branches of G(i, j), every zero
     row), and each distinct non-zero row is unpacked at most once.
+
+    Over a parent array, each listed vertex's walk down its ancestor chain
+    costs its depth: O(log n) in a preferential-attachment tree, where
+    about two thirds of the vertices are leaves and take no walk.
 
     The lane must hold C(n, 2), the largest count (see _lane_bits); a wider
     lane gives the same counts.
@@ -416,7 +455,8 @@ def _rows(
 
 
 def prefix_counts(t: Tree, vertices: Iterable[int]) -> _PrefixRows:
-    """(P_k, (P_k(v) for v in vertices)), tuples for k = 0..d (zero below 2).
+    """(P_k, (P_k(v) for v in vertices)), tuples for k = 0..d (zero below 2):
+    the shape of PathCountTable's Pk and Pkv.
 
     One pass, rooted at the first listed vertex (at 0 when none is listed),
     so a single vertex needs no walk down its ancestor chain.
@@ -433,10 +473,16 @@ def _parent_prefix_counts(
     """Exactly prefix_counts(tree_from_parents(parent), vertices), with no Tree.
 
     The array is not checked (its caller built or validated it): with
-    parent[y] < y, range(n) is already an order rooted at 0, so no BFS runs.
+    parent[y] < y, range(n) is already an order rooted at 0, so no BFS runs,
+    and a fault in `_bfs_order` shows as a disagreement with the oracle.
+    The tell search and the experiment trials count through here.
 
     With rows_only, P_k is None and the rows are cut (see _counts): two cut
     rows cross as often as the full rows, as count_crossings skips ties.
+    Only callers that compare two rows and read no P_k take it: the two
+    crossing kinds of experiment and the tell search. The monotone kinds,
+    expect, profile, analyze and verify take the full count, so the tell
+    suite checks what the search built against a count it did not use.
     """
     n = len(parent)
     vertices = _check_vertices(n, vertices)
@@ -445,7 +491,8 @@ def _parent_prefix_counts(
 
 
 def path_counts_fast(t: Tree) -> PathCountTable:
-    """Same table as path_counts_naive: one pass up to root 0, one back down."""
+    """Same table as path_counts_naive: one pass up to root 0, one back down.
+    `analyze` is the only command that builds the full table."""
     lane = _lane_bits(t.n)
     order, parent = _bfs_order(t, 0)
     d, p, packed, index = _counts(order, parent, lane, range(t.n))

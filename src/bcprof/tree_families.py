@@ -122,8 +122,9 @@ def _tell_minimal_search(l: int) -> list[int]:
     2l - 1 extends the alternation one step further if affordable.
 
     `base` is the signed margin row of the current tree: entry k is
-    P_k(u) - P_k(v) for even k and P_k(v) - P_k(u) for odd k. Each branch
-    costs one count, at one leaf. A new leaf's paths are its handle's paths
+    P_k(u) - P_k(v) for even k and P_k(v) - P_k(u) for odd k. After one
+    count of the tree with no leaves, each branch costs one count, at one
+    leaf: 2l + 1 counts in all. A new leaf's paths are its handle's paths
     plus one edge, and a path between two new leaves has only the handle
     inside, so every margin is affine in the leaf count of a branch whose
     handle is neither u nor v (k > 2). Branch 0's leaves sit on u itself,

@@ -305,7 +305,13 @@ def check_lemma1(max_size: int = 7) -> Cases:
 
 
 def check_theorem3(max_size: int = 7) -> Cases:
-    """Expectation ordering plus the injection's three promised properties."""
+    """Expectation ordering plus the injection's three promised properties.
+
+    The order cases read exact_expected_pk, summed from the prefix walk with
+    no closed form; the injection case reads the closed form. So a fault in
+    the closed form fails lemma1's cases and this suite's injection case,
+    while the order cases and `expect --exact` print the oracle's values.
+    """
 
     def order_failure(n: int) -> str:
         for k in range(2, n):

@@ -13,7 +13,9 @@ the split works under every multiprocessing start method.
 `experiment` splits all its trials. `verify` first runs its cases in the
 calling process, smallest first, until they have taken START_S, the cost
 of starting a child (`run_started`): only the cases left then are split,
-so a suite that is done by then starts no child.
+so a suite that is done by then starts no child. Of the cases that are
+split, the calling process runs the largest and pays no fork or
+copy-on-write for it.
 """
 
 from __future__ import annotations
@@ -70,7 +72,8 @@ def start_method() -> str | None:
     faulthandler's watchdog (`dump_traceback_later`, which the test suite
     arms for every test) and the BLAS pool that `import numpy` starts still
     leave "fork", and from Python 3.12 `os.fork` then warns that the
-    process is multi-threaded."""
+    process is multi-threaded. Counting OS threads instead would move those
+    processes off fork and make each child import bcprof again."""
     return "fork" if sys.platform == "linux" and threading.active_count() == 1 else None
 
 

@@ -8,6 +8,7 @@ import math
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -24,6 +25,7 @@ from test_scale_free import CLOSED_FORM_FAULTS
 from test_verify import PINNED as VERIFY_PINNED
 
 import bcprof
+from bcprof import errors
 from bcprof import (
     LengthMismatchError,
     OutOfDomainError,
@@ -51,6 +53,23 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_section(heading):
+    """The lines of README.md under heading, up to the next heading of the
+    same or a higher level."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    start = lines.index(heading) + 1
+    level = heading.split()[0]
+    end = next(
+        (i for i in range(start, len(lines))
+         if lines[i].startswith("#") and lines[i].split()[0] <= level),
+        len(lines),
+    )
+    return lines[start:end]
 
 
 class TestGen:
@@ -1114,3 +1133,57 @@ def test_public_names():
         "tabulated_gij_k_values", "tree_from_parents", "vertex_analysis", "write_csv",
         "write_manifest", "write_tree",
     }
+
+
+class TestReadme:
+    # README.md is the user contract: its examples run and its exit codes
+    # are errors.py's.
+
+    def test_cli_examples_exit_0(self, tmp_path, monkeypatch, capsys):
+        # In order, in one directory: the first line writes g.tree.
+        lines = readme_section("## CLI")
+        block = lines[lines.index("```sh") + 1:]
+        block = block[:block.index("```")]
+        examples = [argv for argv in (shlex.split(line, comments=True) for line in block) if argv]
+        assert examples and all(argv[0] == "bcprof" for argv in examples)
+        monkeypatch.chdir(tmp_path)
+        for argv in examples:
+            assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+            capsys.readouterr()
+
+    def test_exit_code_table_matches_errors(self, capsys):
+        rows = [
+            [cell.strip() for cell in line.strip("|").split("|")]
+            for line in readme_section("### Exit codes") if re.match(r"\| \d", line)
+        ]
+        codes = [int(code) for code, *_ in rows]
+        assert len(codes) == len(set(codes))
+        named = {name: int(code) for code, *cells in rows for name in re.findall(r"`(\w+)`", cells[0])}
+        classes = {
+            cls.__name__: cls.exit_code for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.BcprofError)
+        }
+        assert named == {**classes, "OSError": 3}
+        assert set(codes) == {0, 2, *named.values()}
+        # 2 is argparse's usage error, which main does not catch.
+        with pytest.raises(SystemExit) as info:
+            main(["profile"])
+        assert info.value.code == 2
+        assert "usage: bcprof profile" in capsys.readouterr().err
+
+
+def test_closed_stdout_exits_0_quietly(tmp_path):
+    # `bcprof profile ... | head -1`: the reader takes one line and closes
+    # the pipe while the rows (4 MB) are still being written.
+    tree = tmp_path / "p.tree"
+    assert main(["gen", "path:360", "--out", str(tree)]) == 0
+    src = str(Path(bcprof.__file__).resolve().parents[1])
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bcprof.cli", "profile", "--tree", str(tree), "--all"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"vertex,k,numerator,denominator,decimal\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (0, b"")

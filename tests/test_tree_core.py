@@ -831,6 +831,29 @@ class TestRowsOnly:
         assert _lane_bits(len(parent)) == 32
         assert_rows_only_match_naive(parent, pair, cached_naive)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(1, 39), st.sampled_from(("attachment", "uniform")),
+        st.sampled_from(LISTINGS), st.randoms(use_true_random=False),
+    )
+    def test_64_bit_lanes(self, n, kind, listing, rng):
+        # From n = 92 683 the engine counts at 64-bit lanes. Small branching
+        # trees forced to the wider lanes count as at their own 16 bits,
+        # with and without rows_only.
+        if kind == "attachment":
+            parent = sample_tree(n, rng).parent
+        else:
+            parent = [-1, *(rng.randrange(y) for y in range(1, n))]
+        vs = listed(listing, n, rng)
+        table = path_counts_naive(tree_from_parents(parent))
+        full = (table.Pk, tuple(table.Pkv[v] for v in vs))
+        cut = _parent_prefix_counts(parent, vs, rows_only=True)
+        assert _parent_prefix_counts(parent, vs) == full
+        assert_rows_only_match_naive(parent, vs, lambda _: table)
+        for lane in (32, 64):
+            assert tree_core._rows(lane, range(n), parent, vs) == full, lane
+            assert tree_core._rows(lane, range(n), parent, vs, rows_only=True) == cut, lane
+
 
 class TestLaneWidth:
     @pytest.mark.parametrize("n, lane", [
