@@ -49,7 +49,6 @@ from .profile_analysis import (
     count_crossings,
     count_dips,
     dominates,
-    is_monotone,
     monotonicity_class,
     pair_analysis,
     vertex_analysis,

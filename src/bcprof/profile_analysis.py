@@ -63,10 +63,6 @@ def monotonicity_class(seq: Sequence) -> str:
     return "neither"
 
 
-def is_monotone(seq: Sequence) -> bool:
-    return monotonicity_class(seq) != "neither"
-
-
 def count_crossings(su: Sequence, sv: Sequence) -> CrossingReport:
     """Crossings between two equal-length sequences.
 

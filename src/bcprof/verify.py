@@ -31,7 +31,9 @@ from .scale_free import (
     exact_expected_pk,
     injection,
 )
-from .tree_core import _LANE_FORMATS, _counts, _pack, _unpack, path_counts_naive, prefix_counts
+from .tree_core import (
+    _LANE_FORMATS, _counts, _pack, _unpack, path_counts_naive, prefix_counts, profile,
+)
 from .tree_families import (
     closed_form_gij_pk,
     closed_form_gij_Pk,
@@ -234,15 +236,13 @@ def check_theorem1(max_size: int = 10) -> Cases:
     """
 
     def failure(i: int) -> str:
-        t, v = make_gij(i, 5)
-        Pk, (Pkv,) = prefix_counts(t, [v])
+        bc = profile(*make_gij(i, 5)).entries  # bc[k - 2] is BC_k
         for r in range(2, i - 1):
-            k = 6 * r + 2
-            left = Pkv[k] * Pk[k + 1] > Pkv[k + 1] * Pk[k]
-            right = Pkv[k + 1] * Pk[k + 2] < Pkv[k + 2] * Pk[k + 1]
+            left = bc[6 * r] > bc[6 * r + 1]
+            right = bc[6 * r + 1] < bc[6 * r + 2]
             if not (left and right):
                 return f"r={r}: left={left}, right={right}"
-        dips = count_dips(tuple(Fraction(Pkv[k], Pk[k]) for k in range(2, len(Pk)))).count
+        dips = count_dips(bc).count
         return f"dip count {dips} < {i - 2}" if dips < i - 2 else ""
 
     for i in range(3, max_size + 1):
@@ -270,22 +270,17 @@ def check_tell(max_size: int = 3) -> Cases:
 def check_prop2() -> Cases:
     """Finite witnesses of the double-broom gap and the broom dominance."""
 
-    def bc(t, v) -> list[Fraction]:
-        Pk, (Pkv,) = prefix_counts(t, [v])
-        return [Fraction(Pkv[k], Pk[k]) for k in range(2, len(Pk))]
-
     def double_broom_failure() -> str:
-        double = bc(*make_double_broom(10, 1000))
+        double = profile(*make_double_broom(10, 1000)).entries
         ok = all(x / double[-1] < Fraction(1, 10) for x in double[:-1])
         return "" if ok else "ratio >= 1/10 at some k < d"
 
     def broom_failure() -> str:
         # delta = 0.05: check k <= delta^2 * m = 2.5, i.e. k = 2, against k = d.
+        # BC_2 / BC_d > 2, cross-multiplied (P_k > 0 for k >= 2).
         t, v = make_broom(1000, 50)
         Pk, (Pkv,) = prefix_counts(t, [v])
-        d = len(Pk) - 1
-        ratio = Fraction(Pkv[2], Pk[2]) / Fraction(Pkv[d], Pk[d])
-        return "" if ratio > 2 else "ratio <= 2 at k=2"
+        return "" if Pkv[2] * Pk[-1] > 2 * Pkv[-1] * Pk[2] else "ratio <= 2 at k=2"
 
     yield "double broom m=10, n=1000", double_broom_failure
     yield "broom m=1000, n=50", broom_failure

@@ -14,7 +14,6 @@ from bcprof import (
     count_crossings,
     count_dips,
     dominates,
-    is_monotone,
     monotonicity_class,
     pair_analysis,
     vertex_analysis,
@@ -102,9 +101,11 @@ class TestMonotonicity:
         assert monotonicity_class((1, 2, 1)) == "neither"
         assert monotonicity_class(()) == "constant"
 
-    def test_is_monotone(self):
-        assert is_monotone((1, 2, 3))
-        assert not is_monotone((1, 3, 2))
+    def test_monotone_is_not_neither(self):
+        # The monotone experiment kinds count a profile as monotone iff its
+        # class is not "neither".
+        assert monotonicity_class((1, 2, 3)) != "neither"
+        assert monotonicity_class((1, 3, 2)) == "neither"
 
 
 def crossings_oracle(su, sv):

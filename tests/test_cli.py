@@ -1125,7 +1125,7 @@ def test_public_names():
         "closed_form_gij_Pk", "closed_form_gij_Pkv", "closed_form_gij_pk",
         "closed_form_path_Pkv", "closed_form_path_bck", "count_crossings", "count_dips",
         "diameter", "dominates", "estimate_expected_profiles", "exact_expected_pk",
-        "exact_path_presence_prob", "injection", "is_monotone", "make_broom",
+        "exact_path_presence_prob", "injection", "make_broom",
         "make_double_broom", "make_gij", "make_path", "make_tell", "monotonicity_class",
         "pair_analysis", "path_counts_fast", "path_counts_naive", "path_probability",
         "prefix_counts", "profile", "read_tree", "run_check", "run_experiment",

@@ -32,7 +32,7 @@ from bcprof.experiments import (
     write_csv,
     write_manifest,
 )
-from bcprof.profile_analysis import count_crossings, is_monotone
+from bcprof.profile_analysis import count_crossings, monotonicity_class
 from bcprof.scale_free import RecursiveTree, sample_tree, substream_seed
 from bcprof.workers import share_items, start_method
 
@@ -120,7 +120,7 @@ class TestIndicators:
             else:
                 u, w = (0 if which == "monotone_1_vs_n" else x - 1), None
             if w is None:
-                want = is_monotone(profile(t, u, table).entries)
+                want = monotonicity_class(profile(t, u, table).entries) != "neither"
             else:
                 want = (
                     count_crossings(
@@ -134,10 +134,10 @@ class TestIndicators:
     # by the analysis primitives; profile(v) gives vertex v's entries.
     FRACTION_INDICATORS = {
         "no_cross_12_vs_n": lambda profile, x: count_crossings(profile(0), profile(1)).count == 0,
-        "monotone_1_vs_n": lambda profile, x: is_monotone(profile(0)),
+        "monotone_1_vs_n": lambda profile, x: monotonicity_class(profile(0)) != "neither",
         "no_cross_ii1_vs_i":
             lambda profile, x: count_crossings(profile(x - 1), profile(x)).count == 0,
-        "monotone_i_vs_i": lambda profile, x: is_monotone(profile(x - 1)),
+        "monotone_i_vs_i": lambda profile, x: monotonicity_class(profile(x - 1)) != "neither",
     }
 
     def assert_agrees(self, which, seed, points):

@@ -20,7 +20,7 @@ import bcprof.tree_families as tree_families
 import bcprof.verify as verify
 from bcprof import (
     BadSpecError, NTooLargeError, OutOfRangeError, make_gij, make_path, path_counts_naive,
-    prefix_counts, tree_from_parents,
+    prefix_counts, profile, tree_from_parents,
 )
 from bcprof.cli import main
 from bcprof.profile_analysis import count_dips, dominates
@@ -153,10 +153,18 @@ def test_pinned_bytes_whenever_children_start(monkeypatch, capsys, suite, worker
         assert 1 <= used <= min(workers, cases)
 
 
-# G(i, 5) past theorem1's default size 10: the dip count of v's profile, and
-# every r in 2..i-1 at which the left inequality BC_{6r+2} > BC_{6r+3} fails.
-# The right inequality BC_{6r+3} < BC_{6r+4} holds at every such r.
-THEOREM1_BEYOND_DEFAULT = {
+# G(i, 5) up to theorem1's default size 10 and past it: the dip count of v's
+# profile, and every r in 2..i-1 at which the left inequality
+# BC_{6r+2} > BC_{6r+3} fails. The right inequality BC_{6r+3} < BC_{6r+4}
+# holds at every such r.
+THEOREM1_DIP_FAMILY = {
+    3: (3, []),
+    4: (4, []),
+    5: (6, []),
+    6: (6, [5]),
+    7: (7, [6]),
+    8: (8, [7]),
+    9: (9, [8]),
     10: (10, [9]),
     11: (10, [9, 10]),
     12: (11, [10, 11]),
@@ -166,18 +174,25 @@ THEOREM1_BEYOND_DEFAULT = {
 }
 
 
-@pytest.mark.parametrize("i", sorted(THEOREM1_BEYOND_DEFAULT))
-def test_theorem1_beyond_its_default_size(i):
-    t, v = make_gij(i, 5)
+@pytest.mark.parametrize("i", sorted(THEOREM1_DIP_FAMILY))
+def test_theorem1_dip_family(i):
+    bc = profile(*make_gij(i, 5)).entries  # bc[k - 2] is BC_k
+    left_fails = [r for r in range(2, i) if not bc[6 * r] > bc[6 * r + 1]]
+    assert all(bc[6 * r + 1] < bc[6 * r + 2] for r in range(2, i))
+    assert (count_dips(bc).count, left_fails) == THEOREM1_DIP_FAMILY[i]
+
+
+def test_theorem1_left_inequality_fails_at_r_5_for_i_6():
+    # The example check_theorem1's docstring and the README quote.
+    t, v = make_gij(6, 5)
     Pk, (Pkv,) = prefix_counts(t, [v])
-    bc = [Fraction(Pkv[k], Pk[k]) if Pk[k] else None for k in range(len(Pk))]
-    left_fails = [r for r in range(2, i) if not bc[6 * r + 2] > bc[6 * r + 3]]
-    assert all(bc[6 * r + 3] < bc[6 * r + 4] for r in range(2, i))
-    assert (count_dips(bc[2:]).count, left_fails) == THEOREM1_BEYOND_DEFAULT[i]
+    assert (Pkv[32], Pk[32], Pkv[33], Pk[33]) == (81, 4506, 82, 4560)
+    bc = profile(t, v).entries
+    assert bc[30] == Fraction(81, 4506) < Fraction(82, 4560) == bc[31]
 
 
 THEOREM1_FAILURES = [
-    (f"G(i={i}, j=5)", f"r={THEOREM1_BEYOND_DEFAULT[i][1][0]}: left=False, right=True")
+    (f"G(i={i}, j=5)", f"r={THEOREM1_DIP_FAMILY[i][1][0]}: left=False, right=True")
     for i in range(11, 16)
 ]
 
@@ -350,10 +365,10 @@ def _swap_uv(orig):
     return f
 
 
-def _zero_v_row(orig):
+def _zero_last_row(orig):
     def f(t, vs):
-        Pk, (Pu, Pv) = orig(t, vs)
-        return Pk, (Pu, [0] * len(Pv))
+        Pk, rows = orig(t, vs)
+        return Pk, (*rows[:-1], [0] * len(Pk))
     return f
 
 
@@ -361,6 +376,13 @@ def _flat_profile(orig):
     def f(t, vs):
         Pk, _ = orig(t, vs)
         return Pk, (Pk,)
+    return f
+
+
+def _flat_entries(orig):
+    def f(t, v):
+        p = orig(t, v)
+        return dataclasses.replace(p, entries=(Fraction(1),) * len(p.entries))
     return f
 
 
@@ -451,7 +473,7 @@ FAULTS = {
         ("l=2", "P_2(u) <= P_2(v)"),
         ("l=3", "P_2(u) <= P_2(v)"),
     ]),
-    "tell-v": ("tell", 3, "prefix_counts", _zero_v_row, 3, [
+    "tell-v": ("tell", 3, "prefix_counts", _zero_last_row, 3, [
         ("l=2", "P_3(v) <= P_3(u)"),
         ("l=3", "P_3(v) <= P_3(u)"),
     ]),
@@ -459,8 +481,14 @@ FAULTS = {
         ("l=2", "crossings 0 < 1"),
         ("l=3", "crossings 0 < 3"),
     ]),
-    "prop2": ("prop2", None, "prefix_counts", _flat_profile, 2, [
+    "prop2-double": ("prop2", None, "profile", _flat_entries, 2, [
         ("double broom m=10, n=1000", "ratio >= 1/10 at some k < d"),
+    ]),
+    "prop2-broom": ("prop2", None, "prefix_counts", _flat_profile, 2, [
+        ("broom m=1000, n=50", "ratio <= 2 at k=2"),
+    ]),
+    # A zero centre row makes BC_d = 0, which the ratio must not divide by.
+    "prop2-broom-zero": ("prop2", None, "prefix_counts", _zero_last_row, 2, [
         ("broom m=1000, n=50", "ratio <= 2 at k=2"),
     ]),
     "lemma1": (
