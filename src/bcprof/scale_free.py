@@ -13,12 +13,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, islice
+from itertools import accumulate, cycle
 from operator import lt, truediv
 from typing import Iterable, Sequence
 
@@ -28,7 +29,7 @@ from .errors import (
     OutOfRangeError,
     PreconditionViolatedError,
 )
-from .tree_core import Tree, _counts, _lane_bits, _unpack, tree_from_parents
+from .tree_core import Tree, _counts, _lane_bits, _prefix_lanes, tree_from_parents
 
 MAX_EXACT_N = 9  # the prefix walk reaches (n-1)! complete prefixes; 8! = 40320 at 9
 
@@ -355,6 +356,30 @@ def injection(sig: PathSignature, v: int) -> tuple[int, PathSignature, Fraction]
     return 6, PathSignature(w, b, c, L | {v}, R - {w}), Fraction(1)
 
 
+# _sum_in_order(values, total): total plus values, added left to right, so
+# the estimator prints the same bytes on every supported Python. Before
+# 3.12, sum() adds floats this way, in C; 3.12 made it compensated, so from
+# there on a loop adds them.
+if sys.version_info < (3, 12):
+    _sum_in_order = sum
+else:
+    def _sum_in_order(values: Iterable[float], total: float) -> float:
+        for x in values:
+            total += x
+        return total
+
+
+def _restride(rows: array, m: int, stride: int) -> array:
+    """rows, row-major at stride m, widened to stride >= m: each row is
+    padded with copies of its last value."""
+    if not rows:
+        return rows
+    out = array("d", bytes(8 * stride * (len(rows) // m)))
+    for j in range(stride):
+        out[j::stride] = rows[min(j, m - 1)::m]
+    return out
+
+
 def estimate_expected_profiles(
     n: int, trials: int, seed: int, k: int | None = None
 ) -> list[dict]:
@@ -374,60 +399,66 @@ def estimate_expected_profiles(
     if k is not None and k < 2:
         raise OutOfRangeError(f"need k >= 2, got {k}")
     check_seed(seed)
-    # BC_k(v) = P_k(v) / P_k, k = 2..d, as an array of doubles per vertex
-    # and trial; int / int rounds correctly. A childless vertex lies inside
-    # no path, so only vertices with a child are counted. Each trial is one
-    # engine pass over its parent array (range(n) is already an order rooted
-    # at 0), whose distinct non-zero rows come out packed: each is unpacked,
-    # summed and divided once, straight from its lanes, and equal rows of a
-    # trial share that array. Index -1 marks every zero row and no other.
-    # Each vertex keeps only its non-zero rows (a leaf's, about two thirds
-    # of the entries, is never stored), with the trials they came from.
+    # BC_k(v) = P_k(v) / P_k, k = 2..max_d, where max_d is the largest
+    # diameter sampled so far; int / int rounds correctly. A childless
+    # vertex lies inside no path, so only vertices with a child are
+    # counted. Each trial is one engine pass over its parent array
+    # (range(n) is already an order rooted at 0), whose distinct non-zero
+    # rows come out packed; index -1 marks every zero row and no other.
+    #
+    # Each vertex keeps one flat array of doubles, row-major at stride
+    # m = max_d - 1: row j holds BC_2..BC_max_d of the j-th trial in which
+    # its row is non-zero, and nonzero_trials[v][j] is that trial. A leaf's
+    # zero row, about two thirds of the entries, is never divided or
+    # stored. _prefix_lanes gives P_K(v) for K = 2..max_d of every distinct
+    # non-zero row of the trial, back to back; a row has no lane past the
+    # trial's diameter d, so K = d+1..max_d repeat P_d(v), and dividing by
+    # P_k padded with P_d truncates BC_k at BC_d with no padding copies.
+    # A trial's rows are then one map(truediv), and each listed vertex
+    # appends its row with frombytes. A rise of max_d re-strides the kept
+    # buffers once, repeating each row's last value, which is BC_d of its
+    # trial. Column k is then the strided slice buf[v][k - 2::m], in trial
+    # order.
+    #
     # Every value is kept to the end, because the standard error needs the
-    # mean first.
+    # mean first, so memory still grows with trials: 8 bytes per
+    # (vertex with a non-zero row, trial, k).
     nonzero_trials: list[list[int]] = [[] for _ in range(n)]
-    ratios: list[list[array]] = [[] for _ in range(n)]
-    max_d = 0
+    buf = [array("d") for _ in range(n)]
+    max_d = m = 0
     lane = _lane_bits(n)
     for trial in range(trials):
         parent = sample_tree(n, random.Random(substream_seed(seed, trial))).parent
         listed = sorted(set(parent[1:]))
         d, p, packed, index = _counts(range(n), parent, lane, listed)
-        max_d = max(max_d, d)
-        P = tuple(accumulate(p))[2:]
-        bc = [
-            array("d", map(truediv, islice(accumulate(_unpack(x, lane, d + 1)), 2, None), P))
-            for x in packed
-        ]
+        if d > max_d:
+            for v in range(n):
+                buf[v] = _restride(buf[v], m, d - 1)
+            max_d, m = d, d - 1
+        P = list(accumulate(p))[2:]
+        P += P[-1:] * (max_d - d)
+        sums = _prefix_lanes(packed, lane, 2, max_d)
+        bc = memoryview(array("d", map(truediv, sums, cycle(P)))).cast("B")
         for v, i in zip(listed, index):
             if i >= 0:
                 nonzero_trials[v].append(trial)
-                ratios[v].append(bc[i])
+                buf[v].frombytes(bc[8 * m * i:8 * m * (i + 1)])
     rows = []
     for v in range(n):
         # Column k holds v's non-zero values, in trial order; past its
         # diameter d a trial holds BC_d(v). Every other trial holds 0.0.
-        columns = list(zip(*(x + x[-1:] * (max_d - 1 - len(x)) for x in ratios[v])))
         for col in range(2, max_d + 1) if k is None else (min(k, max_d),):
-            values = columns[col - 2] if columns else ()
-            # Left to right, as sum() added floats before Python 3.12 made
-            # it compensated, so every supported Python prints these bytes.
+            values = buf[v][col - 2::m]
             # Values are non-negative, so adding a zero trial's 0.0 would
             # leave the total as it is.
-            total = 0.0
-            for x in values:
-                total += x
-            mean = total / trials
+            mean = _sum_in_order(values, 0.0) / trials
             if trials > 1:
                 # A zero trial's term is (0.0 - mean) ** 2: computed once,
                 # and added in trial order among the others.
                 terms = [(0.0 - mean) ** 2] * trials
                 for t, x in zip(nonzero_trials[v], values):
                     terms[t] = (x - mean) ** 2
-                total = 0.0
-                for x in terms:
-                    total += x
-                var = total / (trials - 1)
+                var = _sum_in_order(terms, 0.0) / (trials - 1)
                 stderr = math.sqrt(var / trials)
             else:
                 stderr = 0.0

@@ -6,7 +6,8 @@ betweenness values are `fractions.Fraction`; nothing here ever rounds.
 All counting is one engine, `_counts`, which reads only an order and a
 parent array, so a BFS order from a `Tree` and the labels of a recursive
 tree feed the same code. Apart from verify's prop1 and the Monte Carlo
-estimator, which read its packed rows, every module counts through
+estimator, which read its packed rows (the estimator through their
+running sums, `_prefix_lanes`), every module counts through
 `prefix_counts`, `_parent_prefix_counts` or `path_counts_fast`; the
 brute-force `path_counts_naive` is the oracle they are tested against.
 """
@@ -254,6 +255,27 @@ def _pack(values: Iterable[int], lane: int) -> int:
     return int.from_bytes(array(_LANE_FORMATS[lane], values).tobytes(), sys.byteorder)
 
 
+def _prefix_lanes(packed: Iterable[int], lane: int, lo: int, hi: int) -> memoryview:
+    """Lanes lo..hi of each packed row's running sums, the rows back to back
+    in one memoryview of ints, hi - lo + 1 a row: lane K of a row x holds
+    x's lanes 0..K summed, so a row with no lane past its own d < hi
+    repeats its whole sum in lanes d+1..hi.
+
+    A log-step scan: adding x shifted by 1, 2, 4, ... lanes sums each lane
+    with every lane below it. No lane carries: each lane of the scan is a
+    sum of lanes of x, which count pairs of distinct vertices, so it is at
+    most C(n, 2) and fits its lane (see _lane_bits)."""
+    shifts = [lane << j for j in range(hi.bit_length())]
+    mask = (1 << (hi - lo + 1) * lane) - 1
+    size = (hi - lo + 1) * lane // 8
+    rows = []
+    for x in packed:
+        for s in shifts:
+            x += x << s
+        rows.append((x >> lo * lane & mask).to_bytes(size, sys.byteorder))
+    return memoryview(b"".join(rows)).cast(_LANE_FORMATS[lane])
+
+
 def _bfs_order(t: Tree, root: int) -> tuple[list[int], list[int]]:
     """(order, parent): a BFS order from root and each vertex's parent in
     it (parent[root] = -1). Every vertex comes after its parent. Only n
@@ -332,7 +354,7 @@ def _counts(
     listed vertex v, packed at this lane (lane l holds p_l(v)), and index
     -1 marks a zero row. The rows stay packed for the callers that read
     them by lane, verify's prop1 columns and the Monte Carlo estimator's
-    ratio rows, so neither builds a tuple row; _rows unpacks them into
+    ratio rows, so neither builds a tuple row; _rows sums them into
     tuples for the others.
 
     With rows_only, p_l is None, no all-pairs histogram is built, and d is
@@ -352,7 +374,7 @@ def _counts(
 
     A vertex with no child (b == 0: every leaf, and the lone vertex when
     n = 1) lies inside no path, so its index is -1: no walk, no up[v] and
-    no unpack. No ancestor chain passes through it, so the memo still holds
+    no sum. No ancestor chain passes through it, so the memo still holds
     all a later vertex needs. The only computed row that can be zero is
     that of a root with one child (up is 0 there), which is an endpoint of
     every path through it; its index is -1 too.
@@ -375,7 +397,7 @@ def _counts(
     Non-zero rows are keyed by their packed value, which no lane carries
     out of, so two vertices share an index exactly when their rows are
     equal (v and n - 1 - v on a path, twin branches of G(i, j), every zero
-    row), and each distinct non-zero row is unpacked at most once.
+    row), and each distinct non-zero row is read at most once.
 
     Over a parent array, each listed vertex's walk down its ancestor chain
     costs its depth: O(log n) in a preferential-attachment tree, where
@@ -446,10 +468,11 @@ def _rows(
 ) -> _PrefixRows:
     """(P_k, (P_k(v)...)) from _counts at this lane, as tuples for k = 0..d,
     P_k None when p_l is. Lanes 0 and 1 of every row are zero, so P_k is a
-    plain running sum. Each distinct non-zero row is unpacked and summed
-    once, and every zero row is one shared zero tuple."""
+    plain running sum. Each distinct non-zero row is summed once, and every
+    zero row is one shared zero tuple."""
     d, p, packed, index = _counts(order, parent, lane, vertices, rows_only)
-    sums = (tuple(itertools.accumulate(_unpack(x, lane, d + 1))) for x in packed)
+    # The rows' running sums, back to back, taken d + 1 at a time.
+    sums = zip(*[iter(_prefix_lanes(packed, lane, 0, d).tolist())] * (d + 1))
     Pk = None if p is None else tuple(itertools.accumulate(p))
     return Pk, _spread(sums, index, (0,) * (d + 1))
 

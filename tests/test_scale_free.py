@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import math
+import operator
 import os
 import random
 import subprocess
@@ -783,6 +784,22 @@ class TestEstimateExpectedProfiles:
             want = [{**r, "k": k} for r in rows if r["k"] == col]
             assert estimate_expected_profiles(12, trials=30, seed=3, k=k) == want
 
+    def test_sums_in_order(self):
+        # The mean and variance totals are left-to-right float additions on
+        # every Python: sum() before 3.12, a loop from 3.12 on, where sum()
+        # compensates. Magnitudes far apart make the order show: a
+        # compensated or reordered sum differs on most of these lists.
+        rng = random.Random(8)
+        differs = 0
+        for _ in range(200):
+            values = [rng.random() * 10.0 ** rng.randint(-8, 8) for _ in range(rng.randint(0, 60))]
+            want = 0.0
+            for x in values:
+                want += x
+            assert repr(scale_free._sum_in_order(values, 0.0)) == repr(want)
+            differs += math.fsum(values) != want
+        assert differs > 100
+
     @pytest.mark.parametrize("k", (1, 0, -3))
     def test_k_below_two(self, k):
         with pytest.raises(OutOfRangeError, match="k >= 2"):
@@ -861,27 +878,46 @@ class TestEstimateExpectedProfiles:
             mixed += any(0 < c < trials for c in with_child.values())
         assert mixed
 
-    def test_divides_each_distinct_non_zero_row_once(self, monkeypatch):
-        # The op of `expect --n 60 --trials 200 --seed 1`: each trial is one
-        # engine pass, read packed, and each distinct non-zero row of it
-        # becomes one ratio array; the parent-array entry is never used.
-        n, trials, seed = 60, 200, 1
-        want = 0
+    @staticmethod
+    def divided_and_stored(n, trials, seed):
+        """(divisions, stored): the (P_K(v), P_K) pairs the estimator
+        divides, K = 2..max_d truncated at each trial's d, for each distinct
+        non-zero row of each trial in vertex order, where max_d is the
+        largest diameter up to that trial; and the byte count each vertex
+        with a non-zero row appends, 8 per K."""
+        divisions, stored, max_d = [], [], 0
         for t in range(trials):
             parent = sample_tree(n, random.Random(substream_seed(seed, t))).parent
-            _, Pkv = _parent_prefix_counts(parent, range(n))
-            want += len({row for row in Pkv if any(row)})
+            Pk, Pkv = _parent_prefix_counts(parent, range(n))
+            d = len(Pk) - 1
+            max_d = max(max_d, d)
+            nonzero = [row for row in Pkv if any(row)]
+            divisions += [
+                (row[min(K, d)], Pk[min(K, d)])
+                for row in dict.fromkeys(nonzero) for K in range(2, max_d + 1)
+            ]
+            stored += [8 * (max_d - 1)] * len(nonzero)
+        return divisions, stored
+
+    def test_divides_each_distinct_non_zero_row_once(self, monkeypatch):
+        # The op of `expect --n 60 --trials 200 --seed 1`: each trial is one
+        # engine pass, read packed, and each distinct non-zero row of it is
+        # divided once, K by K, into the trial's ratios; the parent-array
+        # entry is never used.
+        n, trials, seed = 60, 200, 1
+        want, _ = self.divided_and_stored(n, trials, seed)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the estimator counts through _counts alone")
 
-        built, counted = [], []
-        monkeypatch.setattr(scale_free, "array", recording(built, array))
+        divided, counted = [], []
+        monkeypatch.setattr(scale_free, "truediv", recording(divided, truediv))
         monkeypatch.setattr(tree_core, "_parent_prefix_counts", refuse)
         monkeypatch.setattr(scale_free, "_parent_prefix_counts", refuse, raising=False)
         monkeypatch.setattr(scale_free, "_counts", recording(counted, tree_core._counts))
         rows = estimate_expected_profiles(n, trials, seed)
-        assert len(built) == want < trials * n / 2
+        max_d = max(r["k"] for r in rows)
+        assert divided == want and len(want) < trials * n / 2 * (max_d - 1)
         assert len(counted) == trials
         monkeypatch.undo()
         assert rows == reference_estimate(n, trials, seed)
@@ -907,24 +943,52 @@ class TestEstimateExpectedProfiles:
         # Vertex 1 with one child is an endpoint of every path through it,
         # so its row is zero: the engine computes it, as it has a child,
         # and hands out the shared zero tuple of the leaves. The estimator
-        # finds it zero by its engine index, -1, and builds no ratio array
-        # for it.
+        # finds it zero by its engine index, -1, and neither divides nor
+        # stores it.
         n, trials, seed = 4, 50, 2
-        lone = want = 0
+        lone = 0
         for t in range(trials):
             rt = sample_tree(n, random.Random(substream_seed(seed, t)))
             _, Pkv = _parent_prefix_counts(rt.parent, range(n))
             if rt.parent.count(0) == 1:
                 lone += 1
                 assert not any(Pkv[0]) and Pkv[0] is Pkv[n - 1]
-            want += len({row for row in Pkv if any(row)})
         assert 0 < lone < trials
-        built = []
-        monkeypatch.setattr(scale_free, "array", recording(built, array))
+        want_divided, want_stored = self.divided_and_stored(n, trials, seed)
+        divided, stored = [], []
+
+        class Stored(array):
+            def frombytes(self, raw):
+                stored.append(len(raw))
+                super().frombytes(raw)
+
+        monkeypatch.setattr(scale_free, "truediv", recording(divided, truediv))
+        monkeypatch.setattr(scale_free, "array", Stored)
         rows = estimate_expected_profiles(n, trials, seed)
-        assert len(built) == want
+        assert (divided, stored) == (want_divided, want_stored)
         monkeypatch.undo()
         assert repr(rows) == repr(reference_estimate(n, trials, seed))
+
+    # (n, trials, seed, rises of the largest diameter after trial 0): at
+    # n = 12 it goes 4, 5, 7 at trials 0, 1 and 4, at n = 30 it goes 7, 8,
+    # 9, 10 at trials 0, 2, 5 and 19, the last trial; the three-vertex path,
+    # whose one row per trial is BC_2 alone (m = 1), and a single trial
+    # never re-stride.
+    RESTRIDE_DRAWS = ((12, 20, 3, 2), (30, 20, 1, 3), (3, 5, 0, 0), (30, 1, 1, 0))
+
+    @pytest.mark.parametrize("n, trials, seed, rises", RESTRIDE_DRAWS)
+    def test_restrides_as_the_diameter_rises(self, n, trials, seed, rises):
+        diameters = [
+            len(_parent_prefix_counts(
+                sample_tree(n, random.Random(substream_seed(seed, t))).parent, [0]
+            )[0]) - 1
+            for t in range(trials)
+        ]
+        highest = list(itertools.accumulate(diameters, max))
+        assert sum(map(operator.lt, highest, highest[1:])) == rises
+        for k in (None, 2, 5, 8, 99):
+            got = estimate_expected_profiles(n, trials, seed, k)
+            assert repr(got) == repr(reference_estimate(n, trials, seed, k))
 
     def test_expected_ordering_shows_up(self):
         rows = estimate_expected_profiles(20, trials=300, seed=11)

@@ -631,17 +631,21 @@ class TestChildlessVertices:
             assert table == naive
             assert len({id(rows[v]) for rows in (table.pv, table.Pkv) for v in leaves}) == 1
 
-    def test_unpacks_once_per_distinct_row_with_a_child(self, monkeypatch):
-        # One unpack for the all-pairs histogram, then one per distinct
-        # non-zero row among the listed vertices with a child in the pass
-        # rooted at 0; leaves and a root with one child cost none. The
-        # distinct rows are counted on the oracle's.
-        calls = []
-        unpack = tree_core._unpack
+    def test_sums_once_per_distinct_row_with_a_child(self, monkeypatch):
+        # One unpack for the all-pairs histogram, then one prefix scan over
+        # the distinct non-zero rows among the listed vertices with a child
+        # in the pass rooted at 0; leaves and a root with one child cost
+        # none. The distinct rows are counted on the oracle's.
+        unpacked, scanned = [], []
+        unpack, prefix_lanes = tree_core._unpack, tree_core._prefix_lanes
 
-        def counted(x, lane, count):
-            calls.append(count)
+        def counted_unpack(x, lane, count):
+            unpacked.append(count)
             return unpack(x, lane, count)
+
+        def counted_scan(packed, lane, lo, hi):
+            scanned.append(len(packed))
+            return prefix_lanes(packed, lane, lo, hi)
 
         sizes = []
         for t in (sample_tree(300, random.Random(5)).tree(), make_broom(4, 20)[0]):
@@ -649,11 +653,13 @@ class TestChildlessVertices:
             assert 2 * len(with_child) < t.n
             pv = path_counts_naive(t).pv
             distinct = len({pv[v] for v in with_child if any(pv[v])})
-            monkeypatch.setattr(tree_core, "_unpack", counted)
-            calls.clear()
+            monkeypatch.setattr(tree_core, "_unpack", counted_unpack)
+            monkeypatch.setattr(tree_core, "_prefix_lanes", counted_scan)
+            unpacked.clear()
+            scanned.clear()
             prefix_counts(t, range(t.n))
             monkeypatch.undo()
-            assert len(calls) == 1 + distinct
+            assert len(unpacked) == 1 and scanned == [distinct]
             sizes.append((distinct, len(with_child)))
         # The recursive tree repeats rows; the broom's rows all differ, and
         # its handle's end, vertex 0, has a zero row.
@@ -889,6 +895,28 @@ class TestLaneWidth:
             want = (naive.Pk, tuple(naive.Pkv[v] for v in vs))
             assert prefix_counts(t, vs) == want
             assert _parent_prefix_counts(parent, vs) == want
+
+    @given(
+        st.sampled_from(sorted(tree_core._LANE_FORMATS)),
+        st.lists(st.lists(st.integers(0, 2**16 - 1), min_size=1, max_size=40), max_size=5),
+        st.integers(0, 45), st.integers(0, 45),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_lanes_are_running_sums(self, lane, rows, a, b):
+        # Each row's lanes sum to at most the lane's top value, as a row of
+        # a tree's counts does, whose sum is at most C(n, 2); the top value
+        # itself is reached. Lanes past a row's own end repeat its sum.
+        lo, hi = min(a, b), max(a, b)
+        top = 2**lane - 1
+        rows = [[x * top // max(sum(row), top) for x in row] for row in rows]
+        if rows:
+            rows[0][-1] += top - sum(rows[0])
+        packed = [tree_core._pack(row, lane) for row in rows]
+        want = []
+        for row in rows:
+            sums = list(itertools.accumulate(row + [0] * (hi + 1 - len(row))))
+            want += sums[lo:hi + 1]
+        assert tree_core._prefix_lanes(packed, lane, lo, hi).tolist() == want
 
     def test_rejects_huge_n_before_any_work(self):
         # adj is empty: any pass over the tree would raise IndexError.
