@@ -53,16 +53,15 @@ from .profile_analysis import pair_analysis, vertex_analysis
 from .verify import CHECK_NAMES, run_check
 
 
-def _parse_ints(parts: list[str], spec: str, *counts: int) -> list[int]:
-    """The integers in parts. Given counts, a family spec's parameters must
-    number one of them, and only the first min(counts) are integers."""
-    if counts and len(parts) not in counts:
-        expected = " or ".join(map(str, counts))
+def _parse_ints(parts: list[str], spec: str, count: int | None = None) -> list[int]:
+    """The integers in parts; given a count, a family spec's parameters must
+    number exactly that many."""
+    if count is not None and len(parts) != count:
         raise BadSpecError(
-            f"bad family spec {spec!r}: expected {expected} parameter(s), got {len(parts)}"
+            f"bad family spec {spec!r}: expected {count} parameter(s), got {len(parts)}"
         )
     values = []
-    for p in parts[:min(counts)] if counts else parts:
+    for p in parts:
         try:
             values.append(int(p))
         except ValueError:
@@ -92,14 +91,14 @@ def build_family(spec: str, seed: int):
             tree, v = make_gij(i, j)
             return tree, comments + [f"designated vertex: {v}"]
         if name == "tell":
-            (l,) = _parse_ints(parts, spec, 1, 2)
-            tree, u, v, choice = make_tell(l, *parts[1:])
+            (l,) = _parse_ints(parts, spec, 1)
+            tree, u, v, choice = make_tell(l)
             return tree, comments + [
                 f"u: {u}",
                 f"v: {v}",
                 f"a: {','.join(map(str, choice.a))}",
                 f"b: {','.join(map(str, choice.b))}",
-                f"strategy: {choice.strategy}",
+                "strategy: minimal_search",  # kept: older tree files hold this line
             ]
         if name == "scale-free":
             (n,) = _parse_ints(parts, spec, 1)

@@ -16,7 +16,6 @@ from fractions import Fraction
 from math import comb
 
 from .errors import (
-    BadSpecError,
     OddMError,
     OutOfDomainError,
     OutOfRangeError,
@@ -25,6 +24,7 @@ from .errors import (
 )
 from .tree_core import Tree, _parent_prefix_counts, tree_from_parents
 
+# The largest leaf count the tell search tries for one branch.
 SEARCH_CAP = 10**9
 
 
@@ -88,12 +88,11 @@ def _hang_path(parent: list[int], at: int, edges: int) -> int:
 
 @dataclass(frozen=True)
 class TellChoice:
-    """Leaf counts of the crossing construction: a[i] tips u's branch with
-    2i edges, b[i] tips v's branch with 2i + 1 edges."""
+    """Least positive leaf counts, branch by branch, of the crossing
+    construction: a[i] tips u's branch with 2i edges, b[i] v's with 2i + 1."""
 
     a: tuple[int, ...]
     b: tuple[int, ...]
-    strategy: str
 
 
 def _tell_parents(l: int, leaves: list[int]) -> tuple[list[int], int, int]:
@@ -186,41 +185,13 @@ def _least_positive(g0: int, d1: int, d2: int) -> int | None:
     return lo
 
 
-def _tell_paper_bound(l: int) -> list[int]:
-    # Branches no constraint tunes (the last two) keep one leaf. Constraint
-    # k reads only branches below k - 2, which are already set.
-    leaves = [1] * (2 * l)
-    leaves[0] = comb(l + 1, 2)
-
-    def upper(m: int, side: int) -> int:
-        """The bound from side's branches (0: u, 1: v) with under m - 1 edges."""
-        return (sum(leaves[side : m - 1 : 2]) + (l + 1) * (m - 1)) ** 2
-
-    for k in range(3, 2 * l):
-        side = k % 2
-        s_k = sum(upper(m, 1 - side) for m in range(2, k + 1))
-        # ceil((s_k - 2 * own) / (1 + side)), own being the leaves already on side
-        own = sum(leaves[side : k - 2 : 2])
-        leaves[k - 2] = max(1, -((2 * own - s_k) // (1 + side)))
-    for name, vals in (("a", leaves[0::2]), ("b", leaves[1::2])):
-        for slot, val in enumerate(vals):
-            if val > SEARCH_CAP:
-                raise SearchCapExceededError(f"{name}[{slot}] = {val} exceeds {SEARCH_CAP}")
-    return leaves
-
-
-_TELL_STRATEGIES = {"minimal_search": _tell_minimal_search, "paper_bound": _tell_paper_bound}
-
-
-def make_tell(l: int, strategy: str = "minimal_search") -> tuple[Tree, int, int, TellChoice]:
-    """Crossing construction with leaf counts chosen by the given strategy."""
+def make_tell(l: int) -> tuple[Tree, int, int, TellChoice]:
+    """Crossing construction with the tell search's least positive leaf counts."""
     if l < 1:
         raise OutOfRangeError(f"construction needs l >= 1, got {l}")
-    if strategy not in _TELL_STRATEGIES:
-        raise BadSpecError(f"unknown strategy {strategy!r}")
-    leaves = _TELL_STRATEGIES[strategy](l)
+    leaves = _tell_minimal_search(l)
     parent, u, v = _tell_parents(l, leaves)
-    choice = TellChoice(a=tuple(leaves[0::2]), b=tuple(leaves[1::2]), strategy=strategy)
+    choice = TellChoice(a=tuple(leaves[0::2]), b=tuple(leaves[1::2]))
     return tree_from_parents(parent), u, v, choice
 
 

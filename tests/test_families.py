@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 
@@ -13,13 +12,13 @@ from bcprof import (
     OutOfRangeError,
     OutOfTabulatedRangeError,
     SearchCapExceededError,
-    BadSpecError,
     build_tree,
     closed_form_gij_pk,
     closed_form_gij_Pk,
     closed_form_gij_Pkv,
     closed_form_path_bck,
     closed_form_path_Pkv,
+    count_crossings,
     diameter,
     make_broom,
     make_double_broom,
@@ -29,8 +28,10 @@ from bcprof import (
     path_counts_naive,
     prefix_counts,
     tabulated_gij_k_values,
+    tree_from_parents,
 )
 from bcprof.tree_core import _parent_prefix_counts
+from bcprof.verify import run_check
 
 
 class TestMakers:
@@ -187,34 +188,51 @@ class TestTell:
 
         assert bfs_distances(t, u)[v] == 4
 
-    @pytest.mark.parametrize("l, a, b", [(1, (1,), (1,)), (2, (3, 1), (59, 1))])
-    def test_paper_bound_pinned(self, l, a, b):
-        _, _, _, choice = make_tell(l, strategy="paper_bound")
-        assert (choice.a, choice.b) == (a, b)
-
-    def test_paper_bound_small(self):
-        t, u, v, choice = make_tell(2, strategy="paper_bound")
-        assert choice.strategy == "paper_bound"
-        assert choice.a[0] == comb(3, 2)
-        _, (Pu, Pv) = prefix_counts(t, (u, v))
-        assert Pu[2] > Pv[2] and Pv[3] > Pu[3]
-
     def test_minimal_search_over_cap(self, monkeypatch):
         monkeypatch.setattr(tree_families, "SEARCH_CAP", 1)
         with pytest.raises(SearchCapExceededError, match=r"^no a\[0\] below 1 works at k=2$"):
             make_tell(3)
 
-    def test_paper_bound_exceeds_cap(self):
-        with pytest.raises(SearchCapExceededError):
-            make_tell(3, strategy="paper_bound")
-
-    def test_unknown_strategy(self):
-        with pytest.raises(BadSpecError):
-            make_tell(2, strategy="nope")
-
     def test_bad_l(self):
         with pytest.raises(OutOfRangeError):
             make_tell(0)
+
+
+class TestTellRule:
+    """The one leaf rule, checked on whole trees counted by prefix_counts,
+    independently of the search's rows-only counts and extrapolation."""
+
+    L = range(1, 11)
+
+    @staticmethod
+    def margin(l, leaves, k):
+        """The margin at k of the side that must lead there: u at even k."""
+        parent, u, v = tree_families._tell_parents(l, leaves)
+        _, (Pu, Pv) = prefix_counts(tree_from_parents(parent), (u, v))
+        return Pv[k] - Pu[k] if k % 2 else Pu[k] - Pv[k]
+
+    @pytest.mark.parametrize("l", L)
+    def test_margins_positive_and_counts_minimal(self, l):
+        t, _, _, choice = make_tell(l)
+        leaves = [x for pair in zip(choice.a, choice.b) for x in pair]
+        assert tree_from_parents(tree_families._tell_parents(l, leaves)[0]) == t
+        for k in range(2, 2 * l):
+            assert self.margin(l, leaves, k) > 0, k
+            if leaves[k - 2] > 1:
+                fewer = list(leaves)
+                fewer[k - 2] -= 1
+                assert self.margin(l, fewer, k) <= 0, k
+
+    @pytest.mark.parametrize("l, crossings", zip(L, (0, 1, 3, 7, 7, 9, 11, 15, 15, 19)))
+    def test_crossings(self, l, crossings):
+        t, u, v, _ = make_tell(l)
+        _, (Pu, Pv) = prefix_counts(t, (u, v))
+        got = count_crossings(Pu[2:], Pv[2:]).count
+        assert got == crossings and got >= 2 * l - 3
+
+    def test_verify_suite_to_l_10(self):
+        report = run_check("tell", 10)
+        assert report.passed and len(report.cases) == 10
 
 
 class TestTellSearchCounts:
